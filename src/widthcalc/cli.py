@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if "WIDTHCALC_SEED" in os.environ and hasattr(args, "seed"):
-        args.seed = int(os.environ["WIDTHCALC_SEED"])
+        try:
+            args.seed = int(os.environ["WIDTHCALC_SEED"])
+        except ValueError:
+            return _fail_io(f"WIDTHCALC_SEED must be an integer, not {os.environ['WIDTHCALC_SEED']!r}")
     try:
         return args.func(args)
     except SystemExit as err:

@@ -7,23 +7,34 @@ are non-negative on any valid complex.  The complexity of a complex is the
 non-increasing sequence of per-level totals, compared lexicographically with
 the shorter vector padded by -1, so that removing any entry from a
 non-increasing non-negative vector strictly decreases it.
+
+Every reader here works from :func:`analyze`, which runs once per complex and
+is kept on the instance (a complex never changes).  It takes the flow digraph
+and a topological order from validation, builds each level's upward and
+downward reach as an int bitmask in one pass over that order, computes each
+body index once, and sums body indices over a reach with one popcount per bit
+of the largest index.  So the complexity vector costs time linear in the
+number of levels plus that bitmask work, which is word-parallel, rather than a
+walk of the digraph per level.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .model import (
     Complex,
+    Validation,
     ValidationError,
     ValidationReport,
     Violation,
-    body_index,
-    require_valid,
-    thick_digraph,
+    profile_index,
+    validation,
 )
 
 __all__ = [
+    "Analysis",
+    "analyze",
     "reach_up",
     "reach_down",
     "index_up",
@@ -41,38 +52,102 @@ __all__ = [
 LT, EQ, GT = -1, 0, 1
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the index formulas read off one valid complex.
+
+    Bit ``i`` of a reach mask stands for the thick level
+    ``validation.order[i]``.
+    """
+
+    validation: Validation  # report, flow digraph and its topological order
+    up: dict[str, int]  # reach_up of each thick level, as a mask
+    down: dict[str, int]  # reach_down of each thick level, as a mask
+    body: dict[str, int]  # index of each compression body
+    index_up: dict[str, int]
+    index_down: dict[str, int]
+    vector: tuple[int, ...]
+
+
+def analyze(cx: Complex) -> Analysis:
+    """The :class:`Analysis` of a complex, computed on first use and kept on
+    the instance.  Raises ValidationError when the complex is invalid."""
+    found = cx.__dict__.get("_analysis")
+    if found is None:
+        found = _analyze(cx)
+        object.__setattr__(cx, "_analysis", found)
+    return found
+
+
+def _reach_masks(nodes, edges: dict[str, list[str]], bit: dict[str, int]) -> dict[str, int]:
+    """Each node's mask of the nodes reachable from it along ``edges``,
+    itself included; ``nodes`` lists every node after all its successors."""
+    reach: dict[str, int] = {}
+    for n in nodes:
+        mask = bit[n]
+        for m in edges[n]:
+            mask |= reach[m]
+        reach[n] = mask
+    return reach
+
+
+def _aggregate(reach: dict[str, int], weight: list[int]) -> dict[str, int]:
+    """``6 - 6*|R| + sum(weight[i] for i in R)`` for each reach mask R.
+
+    ``weight[i]`` belongs to bit i and is non-negative (body indices of a
+    valid complex are), so the sum splits over the binary digits of the
+    weights: one mask per digit, one popcount per digit and level.
+    """
+    digits = [sum(1 << i for i, w in enumerate(weight) if w >> d & 1)
+              for d in range(max(weight, default=0).bit_length())]
+    return {n: 6 - 6 * r.bit_count()
+            + sum((r & plane).bit_count() << d for d, plane in enumerate(digits))
+            for n, r in reach.items()}
+
+
+def _analyze(cx: Complex) -> Analysis:
+    checked = validation(cx)
+    if not checked.report.ok:
+        raise ValidationError(checked.report)
+    order, edges = checked.order, checked.edges
+    reversed_edges: dict[str, list[str]] = {n: [] for n in order}
+    for src, outs in edges.items():
+        for dst in outs:
+            reversed_edges[dst].append(src)
+    bit = {n: 1 << i for i, n in enumerate(order)}
+    up = _reach_masks(reversed(order), edges, bit)
+    down = _reach_masks(order, reversed_edges, bit)
+    body = {cb.id: profile_index(cx.thick[cb.plus].surface, cx.minus_surfaces(cb))
+            for cb in cx.cbs.values()}
+    levels = [cx.thick[n] for n in order]
+    i_up = _aggregate(up, [body[t.upper_cb] for t in levels])
+    i_down = _aggregate(down, [body[t.lower_cb] for t in levels])
+    vector = tuple(sorted((i_up[n] + i_down[n] for n in order), reverse=True))
+    return Analysis(checked, up, down, body, i_up, i_down, vector)
+
+
 def _known_thick(cx: Complex, thick_id: str) -> None:
     if thick_id not in cx.thick:
         raise ValidationError(ValidationReport((
             Violation("dangling_reference", thick_id, "unknown thick level"),)))
 
 
-def _reach(edges: dict[str, list[str]], start: str) -> frozenset[str]:
-    seen = {start}
-    todo = [start]
-    while todo:
-        n = todo.pop()
-        for m in edges.get(n, ()):
-            if m not in seen:
-                seen.add(m)
-                todo.append(m)
-    return frozenset(seen)
+def _members(a: Analysis, mask: int) -> frozenset[str]:
+    return frozenset(n for i, n in enumerate(a.validation.order) if mask >> i & 1)
 
 
 def reach_up(cx: Complex, thick_id: str) -> frozenset[str]:
     """Thick levels reachable from ``thick_id`` along flow lines, inclusive."""
     _known_thick(cx, thick_id)
-    return _reach(thick_digraph(cx), thick_id)
+    a = analyze(cx)
+    return _members(a, a.up[thick_id])
 
 
 def reach_down(cx: Complex, thick_id: str) -> frozenset[str]:
     """Thick levels from which ``thick_id`` is reachable, inclusive."""
     _known_thick(cx, thick_id)
-    reversed_edges: dict[str, list[str]] = {t: [] for t in cx.thick}
-    for src, outs in thick_digraph(cx).items():
-        for dst in outs:
-            reversed_edges[dst].append(src)
-    return _reach(reversed_edges, thick_id)
+    a = analyze(cx)
+    return _members(a, a.down[thick_id])
 
 
 def index_up(cx: Complex, thick_id: str) -> int:
@@ -81,14 +156,14 @@ def index_up(cx: Complex, thick_id: str) -> int:
     ``6 - 6*|R| + sum(body_index(upper side of J) for J in R)`` where R is the
     upward reach of the level.  Non-negative on every valid complex.
     """
-    reach = reach_up(cx, thick_id)
-    return 6 - 6 * len(reach) + sum(body_index(cx, cx.thick[j].upper_cb) for j in reach)
+    _known_thick(cx, thick_id)
+    return analyze(cx).index_up[thick_id]
 
 
 def index_down(cx: Complex, thick_id: str) -> int:
     """Mirror of :func:`index_up`, over lower bodies at and below the level."""
-    reach = reach_down(cx, thick_id)
-    return 6 - 6 * len(reach) + sum(body_index(cx, cx.thick[j].lower_cb) for j in reach)
+    _known_thick(cx, thick_id)
+    return analyze(cx).index_down[thick_id]
 
 
 def total_index(cx: Complex, thick_id: str) -> int:
@@ -111,8 +186,7 @@ def complexity(cx: Complex) -> tuple[int, ...]:
     >>> complexity(cx)
     (8,)
     """
-    require_valid(cx)
-    return tuple(sorted((total_index(cx, t) for t in cx.thick), reverse=True))
+    return analyze(cx).vector
 
 
 def compare(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -155,15 +229,14 @@ def reverse_orientation(cx: Complex) -> Complex:
 
 def complexity_table(cx: Complex) -> list[dict]:
     """Per-thick-level report rows: body indices and aggregate indices."""
-    require_valid(cx)
+    a = analyze(cx)
     rows = []
     for t in sorted(cx.thick.values(), key=lambda t: t.id):
-        up = index_up(cx, t.id)
-        down = index_down(cx, t.id)
+        up, down = a.index_up[t.id], a.index_down[t.id]
         rows.append({
             "id": t.id,
-            "body_up": body_index(cx, t.upper_cb),
-            "body_down": body_index(cx, t.lower_cb),
+            "body_up": a.body[t.upper_cb],
+            "body_down": a.body[t.lower_cb],
             "index_up": up,
             "index_down": down,
             "index": up + down,

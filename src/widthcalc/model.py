@@ -28,13 +28,19 @@ core loops to the available genus; together these make the body index (a
 handle-count proxy) even, non-negative, and exactly 0 / 4 / at least 6 on the
 ball / ball-with-arc / all other profiles.
 
-All values are immutable; operations are pure functions and never mutate a
-complex, so instances can be shared freely across threads.
+All values are immutable, and this is enforced: the records are frozen
+dataclasses and a complex's four maps are read-only views of private copies.
+Operations are pure functions and never mutate a complex, so instances can be
+shared freely across threads, and what :func:`validate` works out about a
+complex is computed once and kept on the instance.
 """
 
 from __future__ import annotations
 
+import graphlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 __all__ = [
     "Surface",
@@ -49,13 +55,17 @@ __all__ = [
     "ValidationError",
     "SchemaError",
     "euler_char",
+    "Validation",
+    "validation",
     "validate",
     "require_valid",
+    "profile_index",
     "body_index",
     "empty_body_index",
     "is_product_profile",
     "is_ball_profile",
     "thick_digraph",
+    "topological_order",
     "digraph_cycle",
     "parse_complex",
     "emit_complex",
@@ -159,12 +169,26 @@ class BoundaryLevel:
 
 @dataclass(frozen=True)
 class Complex:
-    """An oriented leveled splitting, keyed by level / body ids."""
+    """An oriented leveled splitting, keyed by level / body ids.
 
-    thick: dict[str, ThickLevel] = field(default_factory=dict)
-    thin: dict[str, ThinLevel] = field(default_factory=dict)
-    boundary: dict[str, BoundaryLevel] = field(default_factory=dict)
-    cbs: dict[str, CompressionBody] = field(default_factory=dict)
+    The maps (dicts, or another complex's maps) are copied on construction
+    and exposed read-only, so a complex cannot change once built; derive a
+    changed one with ``dataclasses.replace``.
+    """
+
+    thick: Mapping[str, ThickLevel] = field(default_factory=dict)
+    thin: Mapping[str, ThinLevel] = field(default_factory=dict)
+    boundary: Mapping[str, BoundaryLevel] = field(default_factory=dict)
+    cbs: Mapping[str, CompressionBody] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # copy() rather than dict(): it is also the fast path for a read-only view
+        for name in ("thick", "thin", "boundary", "cbs"):
+            object.__setattr__(self, name, MappingProxyType(getattr(self, name).copy()))
+
+    def __reduce__(self):
+        # read-only views do not pickle; rebuild from plain dicts, without the cached work
+        return Complex, (dict(self.thick), dict(self.thin), dict(self.boundary), dict(self.cbs))
 
     def level_surface(self, level_id: str) -> Surface:
         """Surface of any level, whatever its kind. KeyError if unknown."""
@@ -356,6 +380,27 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> None:
             out.append(Violation("ball_certificate", sub, "ball piece tangle must be empty or one bridge arc"))
 
 
+@dataclass(frozen=True)
+class Validation:
+    """What validating a complex works out: the report, the flow digraph
+    (:func:`thick_digraph`) and a topological order of it, sources first,
+    which is empty when the digraph has a cycle."""
+
+    report: ValidationReport
+    edges: dict[str, list[str]]
+    order: tuple[str, ...]
+
+
+def validation(cx: Complex) -> Validation:
+    """The :class:`Validation` of a complex, computed on first use and kept
+    on the instance; sound because a complex never changes."""
+    found = cx.__dict__.get("_validation")
+    if found is None:
+        found = _validation(cx)
+        object.__setattr__(cx, "_validation", found)
+    return found
+
+
 def validate(cx: Complex) -> ValidationReport:
     """Check every structural and numeric invariant; never raises.
 
@@ -364,8 +409,13 @@ def validate(cx: Complex) -> ValidationReport:
     non-negative integer, puncture conservation and handle feasibility hold
     for each compression body, certificates match their numeric conditions,
     no once-punctured sphere occurs as a thin or boundary level, and the flow
-    digraph on thick levels is acyclic and non-empty.
+    digraph on thick levels is acyclic and non-empty.  The checks run once
+    per complex; later calls return the same report.
     """
+    return validation(cx).report
+
+
+def _validation(cx: Complex) -> Validation:
     out: list[Violation] = []
 
     for t in cx.thick.values():
@@ -418,10 +468,10 @@ def validate(cx: Complex) -> ValidationReport:
     for t in cx.thin.values():
         if t.from_cb == t.to_cb:
             out.append(Violation("thin_endpoints", t.id, "sides of a thin level must be distinct bodies"))
-        expected = {t.from_cb, t.to_cb}
-        if not expected <= set(cx.cbs):
+        if t.from_cb not in cx.cbs or t.to_cb not in cx.cbs:
             out.append(Violation("dangling_reference", t.id, "thin level names an unknown body"))
             continue
+        expected = {t.from_cb, t.to_cb}
         got = sorted(holders.get(t.id, []))
         if got != sorted(expected):
             out.append(Violation("port_multiplicity", t.id,
@@ -441,12 +491,13 @@ def validate(cx: Complex) -> ValidationReport:
             out.append(Violation("port_multiplicity", b.id,
                                  f"boundary level held by {sorted(got)} but owned by {b.owner!r}"))
 
-    cycle = digraph_cycle(thick_digraph(cx))
+    edges = thick_digraph(cx)
+    order, cycle = topological_order(edges)
     if cycle is not None:
         out.append(Violation("closed_flow_line", "->".join(cycle),
                              "closed flow line through thick levels " + " -> ".join(cycle)))
 
-    return ValidationReport(tuple(out))
+    return Validation(ValidationReport(tuple(out)), edges, order)
 
 
 def require_valid(cx: Complex) -> None:
@@ -459,13 +510,23 @@ def require_valid(cx: Complex) -> None:
 # Index of a compression body
 # ---------------------------------------------------------------------------
 
+def profile_index(plus: Surface, minus: list[Surface]) -> int:
+    """The body index formula on boundary surfaces alone.
+
+    ``3 * (-chi(plus) + chi(minus)) + 2 * (p(plus) - p(minus)) + 6``, with
+    ``minus`` the surfaces of the negative boundary.
+    """
+    chi_minus = sum(euler_char(s) for s in minus)
+    p_minus = sum(s.punctures for s in minus)
+    return 3 * (-euler_char(plus) + chi_minus) + 2 * (plus.punctures - p_minus) + 6
+
+
 def body_index(cx: Complex, cb_id: str) -> int:
     """Handle-count proxy of one compression body: even and non-negative.
 
-    Computed as ``3 * (-chi(plus) + chi(minus)) + 2 * (p(plus) - p(minus)) + 6``
-    from the boundary surfaces alone.  On a valid body it is 0 exactly for the
-    ball profile, 4 exactly for the ball-with-one-bridge-arc profile, and at
-    least 6 otherwise.
+    Computed by :func:`profile_index` from the boundary surfaces alone.  On a
+    valid body it is 0 exactly for the ball profile, 4 exactly for the
+    ball-with-one-bridge-arc profile, and at least 6 otherwise.
     """
     if cb_id not in cx.cbs:
         raise ValidationError(ValidationReport((
@@ -475,13 +536,7 @@ def body_index(cx: Complex, cb_id: str) -> int:
     _check_cb(cx, cb, local)
     if local:
         raise ValidationError(ValidationReport(tuple(local)))
-    plus = cx.thick[cb.plus].surface
-    minus = cx.minus_surfaces(cb)
-    chi_plus = euler_char(plus)
-    chi_minus = sum(euler_char(s) for s in minus)
-    p_plus = plus.punctures
-    p_minus = sum(s.punctures for s in minus)
-    return 3 * (-chi_plus + chi_minus) + 2 * (p_plus - p_minus) + 6
+    return profile_index(cx.thick[cb.plus].surface, cx.minus_surfaces(cb))
 
 
 def empty_body_index() -> int:
@@ -532,32 +587,31 @@ def thick_digraph(cx: Complex) -> dict[str, list[str]]:
     return edges
 
 
-def digraph_cycle(edges: dict[str, list[str]]) -> list[str] | None:
+def topological_order(edges: Mapping[str, list[str]]) -> tuple[tuple[str, ...], list[str] | None]:
+    """``(order, None)`` with a topological order of the digraph, sources
+    first; or ``((), cycle)`` with some directed cycle as a node list whose
+    first node is repeated at its end.
+
+    Uses :class:`graphlib.TopologicalSorter`, which recurses on nothing, so
+    digraphs of any depth are fine.  Nodes are entered in sorted order and
+    out-edges in the order given, which makes the cycle reported
+    deterministic.
+    """
+    sorter = graphlib.TopologicalSorter()
+    for src in sorted(edges):
+        sorter.add(src)
+    for src in sorted(edges):
+        for dst in edges[src]:
+            sorter.add(dst, src)
+    try:
+        return tuple(sorter.static_order()), None
+    except graphlib.CycleError as err:
+        return (), err.args[1]
+
+
+def digraph_cycle(edges: Mapping[str, list[str]]) -> list[str] | None:
     """Return some directed cycle as a node list, or None if acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in edges}
-    stack: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        color[n] = GREY
-        stack.append(n)
-        for m in edges.get(n, ()):
-            if color.get(m, WHITE) == GREY:
-                return stack[stack.index(m):] + [m]
-            if color.get(m, WHITE) == WHITE:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = BLACK
-        return None
-
-    for n in sorted(edges):
-        if color[n] == WHITE:
-            found = visit(n)
-            if found:
-                return found
-    return None
+    return topological_order(edges)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +621,33 @@ def digraph_cycle(edges: dict[str, list[str]]) -> list[str] | None:
 _TANGLE_KEYS = ("v", "b", "gh", "loops")
 
 
-def _need(obj: dict, key: str, kind: type, where: str):
+_REQUIRED = object()
+
+
+def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``obj[key]``, checked to be a ``kind`` (exactly: no bool for int).
+
+    With a ``default``, the field is optional and a missing or null value
+    yields the default.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
+    if key not in obj or (obj[key] is None and default is not _REQUIRED):
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        return default
     val = obj[key]
     if kind is int and isinstance(val, bool):
         raise SchemaError(f"{where}.{key}: expected an integer")
     if not isinstance(val, kind):
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}")
     return val
+
+
+def _id_list(val, where: str) -> tuple[str, ...]:
+    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+        raise SchemaError(f"{where}: expected a list of ids")
+    return tuple(val)
 
 
 def parse_surface(obj: dict, where: str = "surface") -> Surface:
@@ -629,20 +699,17 @@ def parse_complex(doc: dict) -> Complex:
             _need(item, "id", str, "boundary"),
             parse_surface(_need(item, "surface", dict, "boundary"), "boundary.surface"),
             _need(item, "owner", str, "boundary"),
-            bool(item.get("is_drilled_vertex", False)),
+            _need(item, "is_drilled_vertex", bool, "boundary", False),
         ))
     cbs = []
     for item in doc.get("cbs", []):
-        minus = item.get("minus", [])
-        if not isinstance(minus, list) or not all(isinstance(x, str) for x in minus):
-            raise SchemaError("cbs.minus: expected a list of ids")
         cbs.append(CompressionBody(
             _need(item, "id", str, "cbs"),
             _need(item, "plus", str, "cbs"),
-            tuple(minus),
+            _id_list(_need(item, "minus", list, "cbs", []), "cbs.minus"),
             parse_tangle(_need(item, "tangle", dict, "cbs"), "cbs.tangle"),
-            bool(item.get("product_certificate", False)),
-            bool(item.get("ball_certificate", False)),
+            _need(item, "product_certificate", bool, "cbs", False),
+            _need(item, "ball_certificate", bool, "cbs", False),
         ))
     return build_complex(thick, thin, boundary, cbs)
 

@@ -40,6 +40,8 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _id_list,
+    _need,
     body_index,
     emit_tangle,
     euler_char,
@@ -47,6 +49,7 @@ from .model import (
     is_ball_profile,
     is_product_profile,
     parse_tangle,
+    profile_index,
     require_valid,
     validate,
 )
@@ -160,13 +163,6 @@ class BoundaryReduction:
     expected_sum: int  # before - 6 + 4q + 6*separating
 
 
-def _profile_index(plus: Surface, minus: list[Surface]) -> int:
-    chi_minus = sum(euler_char(s) for s in minus)
-    p_minus = sum(s.punctures for s in minus)
-    return (3 * (-euler_char(plus) + chi_minus)
-            + 2 * (plus.punctures - p_minus) + 6)
-
-
 def boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:
     """Cut one compression body along a disc and account for its index.
 
@@ -206,7 +202,7 @@ def boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:
     pieces = []
     for surf, ports in zip(surfaces, piece_ports):
         port_surfaces = [cx.level_surface(p) for p in ports]
-        pieces.append(ReducedPiece(surf, tuple(ports), _profile_index(surf, port_surfaces)))
+        pieces.append(ReducedPiece(surf, tuple(ports), profile_index(surf, port_surfaces)))
 
     if d.separating:
         for piece in pieces:
@@ -335,10 +331,14 @@ def _refresh_certificates(cx: Complex, cb_ids: set[str]) -> Complex:
     return replace(cx, cbs=cbs)
 
 
-def _accept(cx_before: Complex, cx_after: Complex, rule: str) -> Complex:
+def _check_result(cx_after: Complex, rule: str) -> None:
     report = validate(cx_after)
     if not report.ok:
         raise MoveRejected(f"{rule}.result_invalid", str(report))
+
+
+def _accept(cx_before: Complex, cx_after: Complex, rule: str) -> Complex:
+    _check_result(cx_after, rule)
     if compare(complexity(cx_after), complexity(cx_before)) != LT:
         raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
     return cx_after
@@ -427,9 +427,7 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Complex:
     out = Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
     out = _refresh_certificates(out, {a_id})
 
-    report = validate(out)
-    if not report.ok:
-        raise MoveRejected("consolidate.result_invalid", str(report))
+    _check_result(out, "consolidate")
     if body_index(out, a_id) != body_index(cx, a_id) + body_index(cx, b_id) - 6:
         raise MoveRejected("consolidate.merge_index",
                            "merged index != index(A) + index(B) - 6")
@@ -534,9 +532,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Complex:
 
     result = Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
     result = _refresh_certificates(result, {c.id for c in (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)})
-    report = validate(result)
-    if not report.ok:
-        raise MoveRejected("untelescope.result_invalid", str(report))
+    _check_result(result, "untelescope")
 
     # Body-index bookkeeping around the split level.
     mu_down_before = body_index(cx, old_down)
@@ -725,9 +721,7 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Complex:
         boundary[s] = replace(boundary[s], owner=far_id)
     result = Complex(thick=thick, thin=dict(cx.thin), boundary=boundary, cbs=cbs)
     result = _refresh_certificates(result, {side_id, far_id})
-    report = validate(result)
-    if not report.ok:
-        raise MoveRejected("destabilize.result_invalid", str(report))
+    _check_result(result, "destabilize")
 
     if body_index(result, cx.thick[m.thick].upper_cb) >= body_index(cx, H.upper_cb):
         raise MoveRejected("destabilize.upper_drop", "upper body index must drop strictly")
@@ -771,9 +765,7 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Complex:
     thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
     result = Complex(thick=thick, thin=dict(cx.thin), boundary=dict(cx.boundary), cbs=cbs)
     result = _refresh_certificates(result, {near_id, far_id})
-    report = validate(result)
-    if not report.ok:
-        raise MoveRejected("unperturb.result_invalid", str(report))
+    _check_result(result, "unperturb")
     return _accept(cx, result, "unperturb")
 
 
@@ -817,9 +809,7 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Complex:
     thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
     result = Complex(thick=thick, thin=dict(cx.thin), boundary=dict(cx.boundary), cbs=cbs)
     result = _refresh_certificates(result, {up_id, down_id})
-    report = validate(result)
-    if not report.ok:
-        raise MoveRejected("undo_removable.result_invalid", str(report))
+    _check_result(result, "undo_removable")
     return _accept(cx, result, "undo_removable")
 
 
@@ -913,64 +903,85 @@ def emit_move(m: Move) -> dict:
     raise SchemaError(f"unknown move {m!r}")
 
 
-def _parse_tangle_opt(doc, where: str) -> Tangle | None:
-    return None if doc is None else parse_tangle(doc, where)
+def _tangle_opt(doc: dict, key: str, where: str) -> Tangle | None:
+    val = _need(doc, key, dict, where, None)
+    return None if val is None else parse_tangle(val, f"{where}.{key}")
+
+
+def _pair(val, where: str) -> list:
+    if not isinstance(val, list) or len(val) != 2:
+        raise SchemaError(f"{where}: expected a list of two")
+    return val
+
+
+def _int_pair(val, where: str) -> tuple[int, int]:
+    a, b = _pair(val, where)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (a, b)):
+        raise SchemaError(f"{where}: expected two integers")
+    return a, b
+
+
+def _parse_disc(d: dict, where: str) -> DiscData:
+    split = None
+    s = _need(d, "split", dict, where, None)
+    if s is not None:
+        at = f"{where}.split"
+        tangles = _need(s, "tangles", list, at, None)
+        if tangles is not None:
+            tangles = tuple(parse_tangle(t, f"{at}.tangles") for t in _pair(tangles, f"{at}.tangles"))
+        ports = _pair(_need(s, "ports", list, at), f"{at}.ports")
+        split = SplitData(
+            _int_pair(_need(s, "genus", list, at), f"{at}.genus"),
+            _int_pair(_need(s, "punctures", list, at), f"{at}.punctures"),
+            (_id_list(ports[0], f"{at}.ports"), _id_list(ports[1], f"{at}.ports")),
+            tangles,
+        )
+    return DiscData(_need(d, "q", int, where, 0), _need(d, "separating", bool, where, False), split)
+
+
+def _parse_spec(s: dict, where: str) -> ThickSpec:
+    def body(side: str) -> BodySpec:
+        b = _need(s, side, dict, where)
+        return BodySpec(_need(b, "id", str, f"{where}.{side}"), _tangle_opt(b, "tangle", f"{where}.{side}"))
+
+    return ThickSpec(_need(s, "id", str, where), body("lower"), body("upper"))
 
 
 def parse_move(doc: dict) -> Move:
+    """Decode a move document; raises SchemaError naming the missing or
+    mistyped field when malformed.  Optional fields may be missing or null."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("move: expected an object with a 'kind' field")
     kind = doc["kind"]
     if kind == "consolidate":
-        return Consolidate(str(doc["thick"]), str(doc["thin"]),
-                           _parse_tangle_opt(doc.get("merged_tangle"), "merged_tangle"))
+        return Consolidate(_need(doc, "thick", str, "move"), _need(doc, "thin", str, "move"),
+                           _tangle_opt(doc, "merged_tangle", "move"))
     if kind == "untelescope":
-        def disc(d: dict, where: str) -> DiscData:
-            if not isinstance(d, dict):
-                raise SchemaError(f"{where}: expected an object")
-            split = None
-            if d.get("split") is not None:
-                s = d["split"]
-                tangles = None
-                if s.get("tangles") is not None:
-                    tangles = (parse_tangle(s["tangles"][0], where),
-                               parse_tangle(s["tangles"][1], where))
-                split = SplitData(
-                    (int(s["genus"][0]), int(s["genus"][1])),
-                    (int(s["punctures"][0]), int(s["punctures"][1])),
-                    (tuple(map(str, s["ports"][0])), tuple(map(str, s["ports"][1]))),
-                    tangles,
-                )
-            return DiscData(int(d.get("q", 0)), bool(d.get("separating", False)), split)
-
-        def spec(s: dict, where: str) -> ThickSpec:
-            return ThickSpec(
-                str(s["id"]),
-                BodySpec(str(s["lower"]["id"]), _parse_tangle_opt(s["lower"].get("tangle"), where)),
-                BodySpec(str(s["upper"]["id"]), _parse_tangle_opt(s["upper"].get("tangle"), where)),
-            )
-
-        out = doc["outcome"]
+        out = _need(doc, "outcome", dict, "move")
         return Untelescope(
-            str(doc["thick"]),
-            disc(doc["disc_minus"], "disc_minus"),
-            disc(doc["disc_plus"], "disc_plus"),
-            UntelescopeOutcome(spec(out["h_minus"], "h_minus"),
-                               spec(out["h_plus"], "h_plus"),
-                               str(out["thin_id"])),
+            _need(doc, "thick", str, "move"),
+            _parse_disc(_need(doc, "disc_minus", dict, "move"), "move.disc_minus"),
+            _parse_disc(_need(doc, "disc_plus", dict, "move"), "move.disc_plus"),
+            UntelescopeOutcome(
+                _parse_spec(_need(out, "h_minus", dict, "move.outcome"), "move.outcome.h_minus"),
+                _parse_spec(_need(out, "h_plus", dict, "move.outcome"), "move.outcome.h_plus"),
+                _need(out, "thin_id", str, "move.outcome")),
         )
     if kind == "destabilize":
         return Destabilize(
-            str(doc["variant"]), str(doc["thick"]), str(doc.get("side", "up")),
-            tuple(map(str, doc.get("boundary_ids", []))), int(doc.get("ghost_arcs", 0)),
-            _parse_tangle_opt(doc.get("tangle_up"), "tangle_up"),
-            _parse_tangle_opt(doc.get("tangle_down"), "tangle_down"),
+            _need(doc, "variant", str, "move"), _need(doc, "thick", str, "move"),
+            _need(doc, "side", str, "move", "up"),
+            _id_list(_need(doc, "boundary_ids", list, "move", []), "move.boundary_ids"),
+            _need(doc, "ghost_arcs", int, "move", 0),
+            _tangle_opt(doc, "tangle_up", "move"), _tangle_opt(doc, "tangle_down", "move"),
         )
     if kind == "unperturb":
-        return Unperturb(str(doc["thick"]), str(doc.get("near_side", "up")),
-                         str(doc.get("merge_case", "bridge_bridge")))
+        return Unperturb(_need(doc, "thick", str, "move"),
+                         _need(doc, "near_side", str, "move", "up"),
+                         _need(doc, "merge_case", str, "move", "bridge_bridge"))
     if kind == "undo_removable":
-        return UndoRemovable(str(doc["thick"]), str(doc.get("loop_side", "down")),
-                             _parse_tangle_opt(doc.get("tangle_up"), "tangle_up"),
-                             _parse_tangle_opt(doc.get("tangle_down"), "tangle_down"))
+        return UndoRemovable(_need(doc, "thick", str, "move"),
+                             _need(doc, "loop_side", str, "move", "down"),
+                             _tangle_opt(doc, "tangle_up", "move"),
+                             _tangle_opt(doc, "tangle_down", "move"))
     raise SchemaError(f"unknown move kind {kind!r}")

@@ -92,3 +92,25 @@ def diamond_four() -> Complex:
         cb("Ku", "K"),
     ]
     return build_complex(thick=levels, thin=thins, cbs=bodies)
+
+
+def sphere_chain(n: int, closed: bool = False) -> Complex:
+    """n genus-1 thick levels L0000, L0001, ... with flow L0000 -> L0001 -> ...
+    through thin spheres.  Every body indexes 12 over a thin sphere and 6
+    otherwise, so level i has upper index 6(n - i) and lower index 6(i + 1).
+    ``closed`` adds a thin sphere from the top level back to the bottom one,
+    which makes the flow a single cycle through all n levels."""
+    ids = [f"L{i:04d}" for i in range(n)]
+    links = [(ids[i], ids[i + 1]) for i in range(n - 1)]
+    if closed:
+        links.append((ids[-1], ids[0]))
+    thins = [thin(f"F{k:04d}", 0, 0, from_cb=f"{a}u", to_cb=f"{b}d")
+             for k, (a, b) in enumerate(links)]
+    above = {f.from_cb: f.id for f in thins}
+    below = {f.to_cb: f.id for f in thins}
+    bodies = []
+    for t in ids:
+        bodies.append(cb(f"{t}u", t, minus=[above[f"{t}u"]] if f"{t}u" in above else []))
+        bodies.append(cb(f"{t}d", t, minus=[below[f"{t}d"]] if f"{t}d" in below else []))
+    return build_complex(thick=[thick(t, 1, 0, f"{t}u", f"{t}d") for t in ids],
+                         thin=thins, cbs=bodies)

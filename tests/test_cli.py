@@ -56,6 +56,23 @@ def test_validate_cycle_exit_one(tmp_path, capsys):
     assert "closed flow line" in capsys.readouterr().err
 
 
+def test_non_boolean_certificate_exit_two(tmp_path, capsys, one_bridge_sphere):
+    doc = emit_complex(one_bridge_sphere)
+    doc["cbs"][0]["ball_certificate"] = "false"
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ball_certificate" in err
+
+
+def test_bad_seed_variable_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("WIDTHCALC_SEED", "abc")
+    assert main(["gen"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "WIDTHCALC_SEED" in err
+
+
 def test_truncated_json_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"thick": [')
@@ -112,6 +129,21 @@ def test_apply_embedded_moves(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(emit_complex(cx)))
     assert main(["apply", str(bare)]) == 2  # nothing to apply is a usage error
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "consolidate"}, "'thick'"),
+    ({"kind": "consolidate", "thick": ["J"], "thin": "F"}, "move.thick"),
+    ({"kind": "destabilize", "variant": "stab", "thick": "J", "ghost_arcs": "1"}, "move.ghost_arcs"),
+    ({"kind": "untelescope", "thick": "J", "disc_minus": {}, "disc_plus": {}}, "'outcome'"),
+])
+def test_apply_malformed_move_exit_two(tmp_path, capsys, doc, field):
+    inst, _ = _consolidatable(tmp_path)
+    move = tmp_path / "malformed.json"
+    move.write_text(json.dumps(doc))
+    assert main(["apply", inst, "--move", str(move)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
 
 
 def test_apply_rejects_bad_certificate(tmp_path, capsys):

@@ -15,8 +15,17 @@ from widthcalc.complexity import (
     reverse_orientation,
     total_index,
 )
-from widthcalc.model import Surface, ValidationError, build_complex, thick_digraph, validate
-from conftest import bdy, cb, thick, thin
+from widthcalc.gen import GenConfig, gen_complex
+from widthcalc.model import (
+    Surface,
+    ValidationError,
+    body_index,
+    build_complex,
+    thick_digraph,
+    validate,
+)
+from widthcalc.selftest import _brute_reach
+from conftest import bdy, cb, sphere_chain, thick, thin
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +78,26 @@ def test_reach_unknown_id(one_bridge_sphere):
         reach_up(one_bridge_sphere, "nope")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_analysis_matches_walks_and_sums(seed, max_thick):
+    # oracle: reach by path search, indices by summing body_index over the reach
+    cx = gen_complex(GenConfig(max_thick=max_thick, seed=seed))
+    edges = thick_digraph(cx)
+    reversed_edges = {t: [] for t in edges}
+    for src, outs in edges.items():
+        for dst in outs:
+            reversed_edges[dst].append(src)
+    for t in cx.thick:
+        up, down = _brute_reach(edges, t), _brute_reach(reversed_edges, t)
+        assert reach_up(cx, t) == up
+        assert reach_down(cx, t) == down
+        assert index_up(cx, t) == 6 - 6 * len(up) + sum(
+            body_index(cx, cx.thick[j].upper_cb) for j in up)
+        assert index_down(cx, t) == 6 - 6 * len(down) + sum(
+            body_index(cx, cx.thick[j].lower_cb) for j in down)
+
+
 # ---------------------------------------------------------------------------
 # Indices
 # ---------------------------------------------------------------------------
@@ -110,6 +139,17 @@ def test_indices_nonnegative_on_fixtures(one_bridge_sphere, chain_two, diamond_f
         for t in cx.thick:
             assert index_up(cx, t) >= 0
             assert index_down(cx, t) >= 0
+
+
+def test_deep_chain():
+    # 2000 levels is past the default recursion limit
+    n = 2000
+    cx = sphere_chain(n)
+    assert validate(cx).ok
+    assert complexity(cx) == (6 * (n + 1),) * n
+    rows = complexity_table(cx)
+    assert [(r["index_up"], r["index_down"]) for r in rows] == [
+        (6 * (n - i), 6 * (i + 1)) for i in range(n)]
 
 
 def test_complexity_table(one_bridge_sphere):

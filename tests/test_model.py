@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +23,7 @@ from widthcalc.model import (
     thick_digraph,
     validate,
 )
-from conftest import bdy, cb, thick, thin
+from conftest import bdy, cb, sphere_chain, thick, thin
 
 
 def test_euler_char_values():
@@ -110,13 +113,23 @@ def test_ball_certificate_conditions():
 
 def test_product_certificate_conditions(chain_two):
     # certify Hu, which really is a product profile: sphere over sphere
-    cx = chain_two
-    cx.cbs["Hu"] = cb("Hu", "H", minus=("F",), product=True)
+    cx = replace(chain_two, cbs={**chain_two.cbs, "Hu": cb("Hu", "H", minus=("F",), product=True)})
     assert validate(cx).ok
     # but not with a bridge arc in it
-    cx.cbs["Hu"] = cb("Hu", "H", minus=("F",), b=1, product=True)
+    cx = replace(cx, cbs={**cx.cbs, "Hu": cb("Hu", "H", minus=("F",), b=1, product=True)})
     report = validate(cx)
     assert "product_certificate" in report.codes()
+
+
+def test_complex_maps_are_read_only(chain_two):
+    with pytest.raises(TypeError):
+        chain_two.cbs["Hu"] = cb("Hu", "H", minus=("F",), product=True)
+    # the maps are copies: changing what the complex was built from leaves it alone
+    bodies = dict(chain_two.cbs)
+    cx = replace(chain_two, cbs=bodies)
+    del bodies["Hu"]
+    assert "Hu" in cx.cbs and validate(cx).ok
+    assert pickle.loads(pickle.dumps(cx)) == cx
 
 
 def test_ghost_arcs_need_genus_or_extra_levels():
@@ -154,6 +167,16 @@ def test_empty_complex_rejected():
 
 def test_validate_is_idempotent(one_bridge_sphere):
     assert validate(one_bridge_sphere) == validate(one_bridge_sphere)
+
+
+@pytest.mark.parametrize("n", [2, 2000])
+def test_closed_flow_line_names_the_cycle(n):
+    # 2000 levels is past the default recursion limit
+    report = validate(sphere_chain(n, closed=True))
+    assert report.codes() == {"closed_flow_line"}
+    (violation,) = report.violations
+    cycle = [f"L{i:04d}" for i in range(n)]
+    assert violation.subject == "->".join(cycle + cycle[:1])
 
 
 def test_orientation_coherence():
@@ -297,7 +320,7 @@ def test_json_round_trip(one_bridge_sphere, spheres_with_four_ends, diamond_four
         assert parse_complex(emit_complex(cx)) == cx
 
 
-def test_parse_rejects_malformed():
+def test_parse_rejects_malformed(one_bridge_sphere, spheres_with_four_ends):
     with pytest.raises(SchemaError):
         parse_complex({"thick": [{"id": "H"}]})
     with pytest.raises(SchemaError):
@@ -307,6 +330,16 @@ def test_parse_rejects_malformed():
         parse_complex(
             {"cbs": [{"id": "u", "plus": "H", "tangle": {"v": 0, "b": 0, "gh": 0, "loops": 0}},
                      {"id": "u", "plus": "H", "tangle": {"v": 0, "b": 0, "gh": 0, "loops": 0}}]})
+    # certificates and the drilled-vertex flag are JSON booleans, never coerced
+    for key, value in (("ball_certificate", "false"), ("product_certificate", 0)):
+        doc = emit_complex(one_bridge_sphere)
+        doc["cbs"][0][key] = value
+        with pytest.raises(SchemaError, match=key):
+            parse_complex(doc)
+    doc = emit_complex(spheres_with_four_ends)
+    doc["boundary"][0]["is_drilled_vertex"] = "no"
+    with pytest.raises(SchemaError, match="is_drilled_vertex"):
+        parse_complex(doc)
 
 
 def test_parse_accepts_domain_violations():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from widthcalc.complexity import LT, compare, complexity, index_down, index_up
@@ -182,7 +184,7 @@ def test_consolidate_merges_and_checks_index():
 
 def test_consolidate_requires_product_certificate():
     cx = _consolidatable_chain()
-    cx.cbs["Jd"] = cb("Jd", "J", minus=("F",))  # drop the certificate
+    cx = replace(cx, cbs={**cx.cbs, "Jd": cb("Jd", "J", minus=("F",))})  # drop the certificate
     with pytest.raises(MoveRejected) as err:
         apply_consolidate(cx, Consolidate(thick="J", thin="F"))
     assert err.value.rule == "consolidate.product"

@@ -14,11 +14,11 @@ import json
 import os
 import sys
 
-from .complexity import complexity, complexity_table, index_down, index_up
+from .complexity import analyze, complexity, complexity_table
 from .gen import GenConfig, enumerate_moves, gen_complex
 from .model import (
     SchemaError,
-    body_index,
+    _need,
     emit_complex,
     parse_complex,
     validate,
@@ -68,10 +68,11 @@ def _write_or_print(args, doc: dict) -> None:
 
 def instance_dot(cx) -> str:
     """Instance diagram: levels and bodies with their index annotations."""
+    a = analyze(cx)
     lines = ["digraph instance {", "  rankdir=BT;"]
     for t in sorted(cx.thick.values(), key=lambda t: t.id):
         label = (f"{t.id} ({t.surface.genus},{t.surface.punctures})"
-                 f"\\nIup={index_up(cx, t.id)} Idown={index_down(cx, t.id)}")
+                 f"\\nIup={a.index_up[t.id]} Idown={a.index_down[t.id]}")
         lines.append(f'  "{t.id}" [shape=box style=bold label="{label}"];')
     for f in sorted(cx.thin.values(), key=lambda f: f.id):
         lines.append(f'  "{f.id}" [shape=box style=dashed '
@@ -81,7 +82,7 @@ def instance_dot(cx) -> str:
         lines.append(f'  "{b.id}" [shape=house '
                      f'label="{b.id} ({b.surface.genus},{b.surface.punctures}{mark})"];')
     for c in sorted(cx.cbs.values(), key=lambda c: c.id):
-        lines.append(f'  "{c.id}" [shape=ellipse label="{c.id} idx={body_index(cx, c.id)}"];')
+        lines.append(f'  "{c.id}" [shape=ellipse label="{c.id} idx={a.body[c.id]}"];')
         upper = cx.thick[c.plus].upper_cb == c.id
         if upper:
             lines.append(f'  "{c.plus}" -> "{c.id}";')
@@ -146,7 +147,10 @@ def cmd_apply(args) -> int:
     move_docs = [_load_json(path) for path in args.move or []]
     if not move_docs:
         # instance documents may embed their move sequence
-        move_docs = doc.get("moves", [])
+        try:
+            move_docs = _need(doc, "moves", list, "instance", [])
+        except SchemaError as err:
+            return _fail_io(f"bad instance document {args.instance}: {err}")
         if not move_docs:
             return _fail_io("no moves given (--move flags or an embedded 'moves' array)")
     for n, move_doc in enumerate(move_docs):

@@ -15,7 +15,6 @@ validation layer wants.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ from .model import (
     ThickLevel,
     ThinLevel,
     build_complex,
-    emit_complex,
     ghost_excess,
     validate,
 )
@@ -48,7 +46,7 @@ from .moves import (
     apply_move,
 )
 
-__all__ = ["GenConfig", "gen_complex", "gen_move", "enumerate_moves", "shrink"]
+__all__ = ["GenConfig", "gen_complex", "gen_move", "enumerate_moves"]
 
 
 @dataclass(frozen=True)
@@ -333,123 +331,3 @@ def gen_move(cx: Complex, rng: random.Random) -> Move | None:
         return move
     return None
 
-
-# ---------------------------------------------------------------------------
-# Shrinking
-# ---------------------------------------------------------------------------
-
-def _size_key(cx: Complex) -> tuple[int, int, int]:
-    surfaces = [t.surface for t in cx.thick.values()]
-    surfaces += [t.surface for t in cx.thin.values()]
-    surfaces += [b.surface for b in cx.boundary.values()]
-    return (len(cx.thick), sum(s.genus for s in surfaces),
-            sum(s.punctures for s in surfaces))
-
-
-def _components(cx: Complex) -> list[Complex]:
-    """Split into connected components of the incidence structure."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        parent[find(a)] = find(b)
-
-    for cb in cx.cbs.values():
-        union(cb.id, cb.plus)
-        for port in cb.minus:
-            union(cb.id, port)
-    groups: dict[str, set[str]] = {}
-    for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
-        for i in pool:
-            groups.setdefault(find(i), set()).add(i)
-    out = []
-    for members in groups.values():
-        out.append(Complex(
-            thick={k: v for k, v in cx.thick.items() if k in members},
-            thin={k: v for k, v in cx.thin.items() if k in members},
-            boundary={k: v for k, v in cx.boundary.items() if k in members},
-            cbs={k: v for k, v in cx.cbs.items() if k in members},
-        ))
-    return out
-
-
-def _cut_along(cx: Complex, thin_id: str) -> Complex:
-    """Replace a thin level by one boundary copy on each side."""
-    f = cx.thin[thin_id]
-    thin = {k: v for k, v in cx.thin.items() if k != thin_id}
-    boundary = dict(cx.boundary)
-    copy_a, copy_b = f"{thin_id}#a", f"{thin_id}#b"
-    boundary[copy_a] = BoundaryLevel(copy_a, f.surface, owner=f.from_cb)
-    boundary[copy_b] = BoundaryLevel(copy_b, f.surface, owner=f.to_cb)
-    cbs = dict(cx.cbs)
-    for cb_id, new_port in ((f.from_cb, copy_a), (f.to_cb, copy_b)):
-        cb = cbs[cb_id]
-        minus = tuple(x for x in cb.minus if x != thin_id) + (new_port,)
-        cbs[cb_id] = CompressionBody(cb.id, cb.plus, minus, cb.tangle,
-                                     cb.product_certificate, cb.ball_certificate)
-    return Complex(thick=dict(cx.thick), thin=thin, boundary=boundary, cbs=cbs)
-
-
-def _drop_thick(cx: Complex, thick_id: str) -> Complex:
-    t = cx.thick[thick_id]
-    gone = {t.upper_cb, t.lower_cb}
-    thick = {k: v for k, v in cx.thick.items() if k != thick_id}
-    cbs = {k: v for k, v in cx.cbs.items() if k not in gone}
-    thin = {}
-    boundary = {k: v for k, v in cx.boundary.items() if v.owner not in gone}
-    for f in cx.thin.values():
-        from_gone, to_gone = f.from_cb in gone, f.to_cb in gone
-        if from_gone and to_gone:
-            continue
-        if not from_gone and not to_gone:
-            thin[f.id] = f
-            continue
-        survivor = f.to_cb if from_gone else f.from_cb
-        copy = f"{f.id}#c"
-        boundary[copy] = BoundaryLevel(copy, f.surface, owner=survivor)
-        cb = cbs[survivor]
-        minus = tuple(x for x in cb.minus if x != f.id) + (copy,)
-        cbs[survivor] = CompressionBody(cb.id, cb.plus, minus, cb.tangle,
-                                        cb.product_certificate, cb.ball_certificate)
-    return Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
-
-
-def shrink(cx: Complex) -> list[Complex]:
-    """Valid sub-complexes, each strictly smaller by (levels, genus, punctures).
-
-    Candidates come from cutting along a thin level and keeping a component,
-    and from deleting one thick level outright (its thin neighbours become
-    boundary levels).  Products certified against a removed level keep their
-    numeric profile, so validity is preserved; candidates that are not
-    strictly smaller are dropped.
-    """
-    key = _size_key(cx)
-    seen: set[str] = set()
-    out: list[Complex] = []
-
-    def consider(candidate: Complex) -> None:
-        if not candidate.thick:
-            return
-        if _size_key(candidate) >= key:
-            return
-        if not validate(candidate).ok:
-            return
-        fingerprint = json.dumps(emit_complex(candidate), sort_keys=True)
-        if fingerprint in seen:
-            return
-        seen.add(fingerprint)
-        out.append(candidate)
-
-    for thin_id in sorted(cx.thin):
-        for comp in _components(_cut_along(cx, thin_id)):
-            consider(comp)
-    for thick_id in sorted(cx.thick):
-        for comp in _components(_drop_thick(cx, thick_id)):
-            consider(comp)
-    out.sort(key=_size_key)
-    return out

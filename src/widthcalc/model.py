@@ -61,7 +61,6 @@ __all__ = [
     "require_valid",
     "profile_index",
     "body_index",
-    "empty_body_index",
     "is_product_profile",
     "is_ball_profile",
     "thick_digraph",
@@ -539,11 +538,6 @@ def body_index(cx: Complex, cb_id: str) -> int:
     return profile_index(cx.thick[cb.plus].surface, cx.minus_surfaces(cb))
 
 
-def empty_body_index() -> int:
-    """Index of the empty piece, by convention 0."""
-    return 0
-
-
 def is_product_profile(cx: Complex, cb: CompressionBody) -> bool:
     """Numeric triviality test for a product piece (necessary conditions)."""
     if len(cb.minus) != 1:
@@ -672,13 +666,14 @@ def parse_complex(doc: dict) -> Complex:
     Top-level keys are ``thick``, ``thin``, ``boundary`` and ``cbs``; ids are
     strings; surfaces are ``{"genus": int, "punctures": int}``; tangles are
     ``{"v": int, "b": int, "gh": int, "loops": int}``; certificates are
-    booleans.  Domain invariants are *not* checked here: any well-typed
-    document parses and is then judged by :func:`validate`.
+    booleans.  A missing or null top-level key reads as an empty list.
+    Domain invariants are *not* checked here: any well-typed document parses
+    and is then judged by :func:`validate`.
     """
     if not isinstance(doc, dict):
         raise SchemaError("instance: expected a JSON object")
     thick = []
-    for item in doc.get("thick", []):
+    for item in _need(doc, "thick", list, "instance", []):
         thick.append(ThickLevel(
             _need(item, "id", str, "thick"),
             parse_surface(_need(item, "surface", dict, "thick"), "thick.surface"),
@@ -686,7 +681,7 @@ def parse_complex(doc: dict) -> Complex:
             _need(item, "lower_cb", str, "thick"),
         ))
     thin = []
-    for item in doc.get("thin", []):
+    for item in _need(doc, "thin", list, "instance", []):
         thin.append(ThinLevel(
             _need(item, "id", str, "thin"),
             parse_surface(_need(item, "surface", dict, "thin"), "thin.surface"),
@@ -694,7 +689,7 @@ def parse_complex(doc: dict) -> Complex:
             _need(item, "to_cb", str, "thin"),
         ))
     boundary = []
-    for item in doc.get("boundary", []):
+    for item in _need(doc, "boundary", list, "instance", []):
         boundary.append(BoundaryLevel(
             _need(item, "id", str, "boundary"),
             parse_surface(_need(item, "surface", dict, "boundary"), "boundary.surface"),
@@ -702,7 +697,7 @@ def parse_complex(doc: dict) -> Complex:
             _need(item, "is_drilled_vertex", bool, "boundary", False),
         ))
     cbs = []
-    for item in doc.get("cbs", []):
+    for item in _need(doc, "cbs", list, "instance", []):
         cbs.append(CompressionBody(
             _need(item, "id", str, "cbs"),
             _need(item, "plus", str, "cbs"),

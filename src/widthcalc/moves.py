@@ -26,11 +26,33 @@ Move kinds:
   punctures and one bridge arc on each side.
 * ``UndoRemovable`` pulls a removable component off the thick level, dropping
   two punctures; by default the component becomes a core loop.
+
+Every kind is accepted by the same gate, in the same order.  The input must
+be valid.  Then come the kind's own pre-checks (ids, sides, profiles, disc
+accounting), which may reject under their own rule names, and the result is
+built; bodies the move rebuilt get their certificate flags from their
+profiles.  The result must validate (``<kind>.result_invalid``), satisfy the
+kind's exact index identities, read from :func:`~widthcalc.complexity.analyze`
+of input and result (for example ``consolidate.merge_index``), and have a
+strictly smaller complexity vector (``<kind>.monotone``).  The untelescope
+sequence, :func:`elementary_thinning_sequence`, uses the prefix
+``elementary``.
+
+Move documents are JSON objects tagged with ``kind``; the remaining keys
+come from one table, ``_ROWS``, with one row per field of each move record:
+its JSON key, its type and, for an optional field, its default.  A required
+key must be present with a value of the stated JSON type.  An optional key
+may be missing or null, and then reads as its default.  An optional field
+whose value is None is written as null, except the few rows marked to be
+omitted instead (a disc's ``split`` and a split's ``tangles``).  A malformed
+document raises :class:`~widthcalc.model.SchemaError` naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, fields, replace
 
 from .model import (
     Complex,
@@ -53,7 +75,7 @@ from .model import (
     require_valid,
     validate,
 )
-from .complexity import LT, compare, complexity, index_down, index_up
+from .complexity import LT, Analysis, analyze, compare
 
 __all__ = [
     "MoveRejected",
@@ -318,7 +340,7 @@ def solve_tangle(plus: Surface, minus: list[Surface], loops: int = 0) -> Tangle 
     return Tangle(v, b, gh, loops)
 
 
-def _refresh_certificates(cx: Complex, cb_ids: set[str]) -> Complex:
+def _refresh_certificates(cx: Complex, cb_ids: Iterable[str]) -> Complex:
     """Recompute triviality flags from profile data on engine-built bodies."""
     cbs = dict(cx.cbs)
     for cb_id in cb_ids:
@@ -331,17 +353,37 @@ def _refresh_certificates(cx: Complex, cb_ids: set[str]) -> Complex:
     return replace(cx, cbs=cbs)
 
 
-def _check_result(cx_after: Complex, rule: str) -> None:
-    report = validate(cx_after)
-    if not report.ok:
-        raise MoveRejected(f"{rule}.result_invalid", str(report))
+Check = Callable[[Analysis, Analysis], None]
+Built = tuple[Complex, Iterable[str], Check | None]
 
 
-def _accept(cx_before: Complex, cx_after: Complex, rule: str) -> Complex:
-    _check_result(cx_after, rule)
-    if compare(complexity(cx_after), complexity(cx_before)) != LT:
-        raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
-    return cx_after
+def _gated(rule: str):
+    """Make a kind's build function into its apply function.
+
+    The build function runs the kind's pre-checks and returns the result, the
+    ids of the bodies it rebuilt and the kind's index check, which gets the
+    analyses of input and result (None for no check).  The gate alone runs
+    the acceptance order the module docstring describes, with rule names
+    prefixed by ``rule``.
+    """
+    def gated(build: Callable[[Complex, Move], Built]):
+        @functools.wraps(build)
+        def apply(cx: Complex, m: Move) -> Complex:
+            require_valid(cx)
+            out, rebuilt, check = build(cx, m)
+            if rebuilt:  # no copy otherwise: a copy drops the cached analysis
+                out = _refresh_certificates(out, rebuilt)
+            report = validate(out)
+            if not report.ok:
+                raise MoveRejected(f"{rule}.result_invalid", str(report))
+            before, after = analyze(cx), analyze(out)
+            if check is not None:
+                check(before, after)
+            if compare(after.vector, before.vector) != LT:
+                raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
+            return out
+        return apply
+    return gated
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
@@ -367,7 +409,8 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
 # Consolidation
 # ---------------------------------------------------------------------------
 
-def apply_consolidate(cx: Complex, m: Consolidate) -> Complex:
+@_gated("consolidate")
+def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
     """Delete a thick/thin pair around a certified product and merge bodies.
 
     The named thin level must join a product-certified body of the named
@@ -378,7 +421,6 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Complex:
     checked to equal ``index(A) + index(B) - 6`` and the complexity vector to
     strictly decrease (it loses exactly the deleted level's entry).
     """
-    require_valid(cx)
     if m.thick not in cx.thick:
         raise MoveRejected("consolidate.thick", f"unknown thick level {m.thick!r}")
     if m.thin not in cx.thin:
@@ -424,21 +466,21 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Complex:
         if b.owner == b_id:
             boundary[b.id] = replace(b, owner=a_id)
     thick = {k: v for k, v in cx.thick.items() if k != m.thick}
-    out = Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
-    out = _refresh_certificates(out, {a_id})
 
-    _check_result(out, "consolidate")
-    if body_index(out, a_id) != body_index(cx, a_id) + body_index(cx, b_id) - 6:
-        raise MoveRejected("consolidate.merge_index",
-                           "merged index != index(A) + index(B) - 6")
-    return _accept(cx, out, "consolidate")
+    def check(before: Analysis, after: Analysis) -> None:
+        if after.body[a_id] != before.body[a_id] + before.body[b_id] - 6:
+            raise MoveRejected("consolidate.merge_index",
+                               "merged index != index(A) + index(B) - 6")
+
+    return Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs), {a_id}, check
 
 
 # ---------------------------------------------------------------------------
 # Untelescoping
 # ---------------------------------------------------------------------------
 
-def apply_untelescope(cx: Complex, m: Untelescope) -> Complex:
+@_gated("untelescope")
+def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     """Split a thick level along a weakly reducing disc pair.
 
     The certificate carries the disc data for each side and the ids/tangles of
@@ -451,7 +493,6 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Complex:
     far-side aggregate indices are fixed and near-side ones drop strictly,
     and the complexity vector strictly decreases.
     """
-    require_valid(cx)
     if m.thick not in cx.thick:
         raise MoveRejected("untelescope.thick", f"unknown thick level {m.thick!r}")
     H = cx.thick[m.thick]
@@ -526,47 +567,46 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Complex:
         if b.owner in (old_down, old_up):
             boundary[b.id] = replace(b, owner=new_owner[b.id])
 
+    new_cbs = (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)
     cbs = {k: v for k, v in cx.cbs.items() if k not in (old_up, old_down)}
-    for cb in (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up):
+    for cb in new_cbs:
         cbs[cb.id] = cb
 
+    def check(before: Analysis, after: Analysis) -> None:
+        # Body-index bookkeeping around the split level.
+        mu_down_before = before.body[old_down]
+        mu_up_before = before.body[old_up]
+        mu_down_hm = after.body[cb_hm_down.id]
+        mu_down_hp = after.body[cb_hp_down.id]
+        mu_up_hm = after.body[cb_hm_up.id]
+        mu_up_hp = after.body[cb_hp_up.id]
+        if mu_down_hm >= mu_down_before:
+            raise MoveRejected("untelescope.lower_drop",
+                               f"lower body index {mu_down_hm} must drop below {mu_down_before}")
+        if mu_up_hp >= mu_up_before:
+            raise MoveRejected("untelescope.upper_drop",
+                               f"upper body index {mu_up_hp} must drop below {mu_up_before}")
+        if mu_down_hm + mu_down_hp != mu_down_before + 6:
+            raise MoveRejected("untelescope.lower_sum",
+                               f"lower body indices {mu_down_hm}+{mu_down_hp} != {mu_down_before}+6")
+        if mu_up_hm + mu_up_hp != mu_up_before + 6:
+            raise MoveRejected("untelescope.upper_sum",
+                               f"upper body indices {mu_up_hm}+{mu_up_hp} != {mu_up_before}+6")
+
+        # Aggregate-index relations between the old level and the two new ones.
+        iu_before = before.index_up[m.thick]
+        id_before = before.index_down[m.thick]
+        if after.index_down[hm.id] >= id_before:
+            raise MoveRejected("untelescope.lower_index_drop", "lower aggregate index must drop")
+        if after.index_up[hm.id] != iu_before:
+            raise MoveRejected("untelescope.upper_index_fixed", "upper aggregate index must be unchanged")
+        if after.index_down[hp.id] != id_before:
+            raise MoveRejected("untelescope.lower_index_fixed", "lower aggregate index must be unchanged")
+        if after.index_up[hp.id] >= iu_before:
+            raise MoveRejected("untelescope.upper_index_drop", "upper aggregate index must drop")
+
     result = Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
-    result = _refresh_certificates(result, {c.id for c in (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)})
-    _check_result(result, "untelescope")
-
-    # Body-index bookkeeping around the split level.
-    mu_down_before = body_index(cx, old_down)
-    mu_up_before = body_index(cx, old_up)
-    mu_down_hm = body_index(result, cb_hm_down.id)
-    mu_down_hp = body_index(result, cb_hp_down.id)
-    mu_up_hm = body_index(result, cb_hm_up.id)
-    mu_up_hp = body_index(result, cb_hp_up.id)
-    if mu_down_hm >= mu_down_before:
-        raise MoveRejected("untelescope.lower_drop",
-                           f"lower body index {mu_down_hm} must drop below {mu_down_before}")
-    if mu_up_hp >= mu_up_before:
-        raise MoveRejected("untelescope.upper_drop",
-                           f"upper body index {mu_up_hp} must drop below {mu_up_before}")
-    if mu_down_hm + mu_down_hp != mu_down_before + 6:
-        raise MoveRejected("untelescope.lower_sum",
-                           f"lower body indices {mu_down_hm}+{mu_down_hp} != {mu_down_before}+6")
-    if mu_up_hm + mu_up_hp != mu_up_before + 6:
-        raise MoveRejected("untelescope.upper_sum",
-                           f"upper body indices {mu_up_hm}+{mu_up_hp} != {mu_up_before}+6")
-
-    # Aggregate-index relations between the old level and the two new ones.
-    iu_before = index_up(cx, m.thick)
-    id_before = index_down(cx, m.thick)
-    if index_down(result, hm.id) >= id_before:
-        raise MoveRejected("untelescope.lower_index_drop", "lower aggregate index must drop")
-    if index_up(result, hm.id) != iu_before:
-        raise MoveRejected("untelescope.upper_index_fixed", "upper aggregate index must be unchanged")
-    if index_down(result, hp.id) != id_before:
-        raise MoveRejected("untelescope.lower_index_fixed", "lower aggregate index must be unchanged")
-    if index_up(result, hp.id) >= iu_before:
-        raise MoveRejected("untelescope.upper_index_drop", "upper aggregate index must drop")
-
-    return _accept(cx, result, "untelescope")
+    return result, [cb.id for cb in new_cbs], check
 
 
 def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
@@ -578,7 +618,8 @@ def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
     return None
 
 
-def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
+@_gated("elementary")
+def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Built:
     """Untelescope, then consolidate every product the split exposes.
 
     Requires that no product-certified body touches a thin level beforehand.
@@ -588,29 +629,26 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
     thin level.  The doubly spotted level always survives and the complexity
     vector strictly decreases.
     """
-    require_valid(cx)
     if find_product_on_thin(cx) is not None:
         raise MoveRejected("elementary.pre",
                            "a product-certified body already touches a thin level")
     result = apply_untelescope(cx, m)
-    while True:
-        hit = find_product_on_thin(result)
-        if hit is None:
-            break
+    while (hit := find_product_on_thin(result)) is not None:
         result = apply_consolidate(result, Consolidate(thick=hit[0], thin=hit[1]))
     if m.outcome.thin_id not in result.thin:
         raise MoveRejected("elementary.doubly_spotted",
                            "the doubly spotted level did not survive consolidation")
     if not result.thin:
         raise MoveRejected("elementary.thin_left", "result must keep a thin level")
-    return _accept(cx, result, "elementary")
+    return result, (), None  # every body is already certified by the steps
 
 
 # ---------------------------------------------------------------------------
 # Destabilization family
 # ---------------------------------------------------------------------------
 
-def apply_destabilize(cx: Complex, m: Destabilize) -> Complex:
+@_gated("destabilize")
+def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     """Remove a generalized stabilization from one thick level.
 
     ``stab``/``merid_stab`` compress a genus handle, keeping or adding two
@@ -622,7 +660,6 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Complex:
     anywhere is a sphere with two or fewer punctures.  Both body indices must
     drop strictly and the complexity vector decreases.
     """
-    require_valid(cx)
     if m.variant not in DESTAB_VARIANTS:
         raise MoveRejected("destabilize.variant", f"unknown variant {m.variant!r}")
     if m.thick not in cx.thick:
@@ -710,36 +747,34 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Complex:
     tangle_far = pick(explicit_far, default_far, far_minus, far_cb.tangle.loops, "far")
 
     cbs = dict(cx.cbs)
-    cbs[side_id] = replace(side_cb, minus=side_minus, tangle=tangle_side,
-                           product_certificate=False, ball_certificate=False)
-    cbs[far_id] = replace(far_cb, minus=far_minus, tangle=tangle_far,
-                          product_certificate=False, ball_certificate=False)
+    cbs[side_id] = replace(side_cb, minus=side_minus, tangle=tangle_side)
+    cbs[far_id] = replace(far_cb, minus=far_minus, tangle=tangle_far)
     thick = dict(cx.thick)
     thick[m.thick] = replace(H, surface=new_surface)
     boundary = dict(cx.boundary)
     for s in s_ids:
         boundary[s] = replace(boundary[s], owner=far_id)
-    result = Complex(thick=thick, thin=dict(cx.thin), boundary=boundary, cbs=cbs)
-    result = _refresh_certificates(result, {side_id, far_id})
-    _check_result(result, "destabilize")
 
-    if body_index(result, cx.thick[m.thick].upper_cb) >= body_index(cx, H.upper_cb):
-        raise MoveRejected("destabilize.upper_drop", "upper body index must drop strictly")
-    if body_index(result, cx.thick[m.thick].lower_cb) >= body_index(cx, H.lower_cb):
-        raise MoveRejected("destabilize.lower_drop", "lower body index must drop strictly")
-    return _accept(cx, result, "destabilize")
+    def check(before: Analysis, after: Analysis) -> None:
+        if after.body[H.upper_cb] >= before.body[H.upper_cb]:
+            raise MoveRejected("destabilize.upper_drop", "upper body index must drop strictly")
+        if after.body[H.lower_cb] >= before.body[H.lower_cb]:
+            raise MoveRejected("destabilize.lower_drop", "lower body index must drop strictly")
+
+    result = Complex(thick=thick, thin=cx.thin, boundary=boundary, cbs=cbs)
+    return result, (side_id, far_id), check
 
 
 # ---------------------------------------------------------------------------
 # Unperturbing and removable arcs
 # ---------------------------------------------------------------------------
 
-def apply_unperturb(cx: Complex, m: Unperturb) -> Complex:
+@_gated("unperturb")
+def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
     """Cancel a perturbing disc pair: two punctures and a bridge arc on each
     side disappear; on the far side the merge consumes a second bridge arc
     (``bridge_bridge``) or pairs with a vertical arc (``vertical_bridge``),
     leaving vertical counts unchanged either way."""
-    require_valid(cx)
     if m.thick not in cx.thick:
         raise MoveRejected("unperturb.thick", f"unknown thick level {m.thick!r}")
     if m.merge_case not in ("bridge_bridge", "vertical_bridge"):
@@ -757,26 +792,22 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Complex:
         raise MoveRejected("unperturb.verticals", "vertical-bridge merge needs a far vertical arc")
 
     cbs = dict(cx.cbs)
-    cbs[near_id] = replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1),
-                           product_certificate=False, ball_certificate=False)
-    cbs[far_id] = replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1),
-                          product_certificate=False, ball_certificate=False)
+    cbs[near_id] = replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1))
+    cbs[far_id] = replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))
     thick = dict(cx.thick)
     thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
-    result = Complex(thick=thick, thin=dict(cx.thin), boundary=dict(cx.boundary), cbs=cbs)
-    result = _refresh_certificates(result, {near_id, far_id})
-    _check_result(result, "unperturb")
-    return _accept(cx, result, "unperturb")
+    result = Complex(thick=thick, thin=cx.thin, boundary=cx.boundary, cbs=cbs)
+    return result, (near_id, far_id), None
 
 
-def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Complex:
+@_gated("undo_removable")
+def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
     """Pull a removable component off the level: two punctures fewer.
 
     Default pattern: one bridge arc on each side fuses into a core loop on
     ``loop_side``.  A general redistribution may supply both new tangles,
     subject to conservation against the two-fewer-punctures level.
     """
-    require_valid(cx)
     if m.thick not in cx.thick:
         raise MoveRejected("undo_removable.thick", f"unknown thick level {m.thick!r}")
     H = cx.thick[m.thick]
@@ -803,33 +834,33 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Complex:
                            "a general redistribution supplies both tangles")
 
     cbs = dict(cx.cbs)
-    cbs[up_id] = replace(up, tangle=t_up, product_certificate=False, ball_certificate=False)
-    cbs[down_id] = replace(down, tangle=t_down, product_certificate=False, ball_certificate=False)
+    cbs[up_id] = replace(up, tangle=t_up)
+    cbs[down_id] = replace(down, tangle=t_down)
     thick = dict(cx.thick)
     thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
-    result = Complex(thick=thick, thin=dict(cx.thin), boundary=dict(cx.boundary), cbs=cbs)
-    result = _refresh_certificates(result, {up_id, down_id})
-    _check_result(result, "undo_removable")
-    return _accept(cx, result, "undo_removable")
+    result = Complex(thick=thick, thin=cx.thin, boundary=cx.boundary, cbs=cbs)
+    return result, (up_id, down_id), None
 
 
 # ---------------------------------------------------------------------------
 # Dispatch, reducedness
 # ---------------------------------------------------------------------------
 
+_APPLY: dict[type, Callable[[Complex, Move], Complex]] = {
+    Consolidate: apply_consolidate,
+    Untelescope: elementary_thinning_sequence,
+    Destabilize: apply_destabilize,
+    Unperturb: apply_unperturb,
+    UndoRemovable: apply_undo_removable,
+}
+
+
 def apply_move(cx: Complex, m: Move) -> Complex:
     """Apply any move; untelescope certificates run the full staged sequence."""
-    if isinstance(m, Consolidate):
-        return apply_consolidate(cx, m)
-    if isinstance(m, Untelescope):
-        return elementary_thinning_sequence(cx, m)
-    if isinstance(m, Destabilize):
-        return apply_destabilize(cx, m)
-    if isinstance(m, Unperturb):
-        return apply_unperturb(cx, m)
-    if isinstance(m, UndoRemovable):
-        return apply_undo_removable(cx, m)
-    raise MoveRejected("move.kind", f"unknown move {m!r}")
+    apply = _APPLY.get(type(m))
+    if apply is None:
+        raise MoveRejected("move.kind", f"unknown move {m!r}")
+    return apply(cx, m)
 
 
 def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
@@ -856,95 +887,88 @@ def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
 # Move document format
 # ---------------------------------------------------------------------------
 
-def _emit_tangle_opt(t: Tangle | None):
-    return None if t is None else emit_tangle(t)
+# One row per field of each record, in field order:
+# (JSON key, spec[, default[, omit when None]]).  A spec is ``str``, ``int``
+# or ``bool``; ``Tangle`` (the instance format's tangle object); a record
+# type listed here (a JSON object); ``[str]`` (a list of ids); or a tuple of
+# two specs (a list of two).  A row with a default is optional.
+_ROWS: dict[type, tuple[tuple, ...]] = {
+    SplitData: (("genus", (int, int)), ("punctures", (int, int)),
+                ("ports", ([str], [str])), ("tangles", (Tangle, Tangle), None, True)),
+    DiscData: (("q", int, 0), ("separating", bool, False), ("split", SplitData, None, True)),
+    BodySpec: (("id", str), ("tangle", Tangle, None)),
+    ThickSpec: (("id", str), ("lower", BodySpec), ("upper", BodySpec)),
+    UntelescopeOutcome: (("h_minus", ThickSpec), ("h_plus", ThickSpec), ("thin_id", str)),
+    Consolidate: (("thick", str), ("thin", str), ("merged_tangle", Tangle, None)),
+    Untelescope: (("thick", str), ("disc_minus", DiscData), ("disc_plus", DiscData),
+                  ("outcome", UntelescopeOutcome)),
+    Destabilize: (("variant", str), ("thick", str), ("side", str, "up"),
+                  ("boundary_ids", [str], ()), ("ghost_arcs", int, 0),
+                  ("tangle_up", Tangle, None), ("tangle_down", Tangle, None)),
+    Unperturb: (("thick", str), ("near_side", str, "up"), ("merge_case", str, "bridge_bridge")),
+    UndoRemovable: (("thick", str), ("loop_side", str, "down"),
+                    ("tangle_up", Tangle, None), ("tangle_down", Tangle, None)),
+}
+
+_KIND = {Consolidate: "consolidate", Untelescope: "untelescope", Destabilize: "destabilize",
+         Unperturb: "unperturb", UndoRemovable: "undo_removable"}
+_BY_KIND = {kind: cls for cls, kind in _KIND.items()}
 
 
-def emit_move(m: Move) -> dict:
-    if isinstance(m, Consolidate):
-        return {"kind": "consolidate", "thick": m.thick, "thin": m.thin,
-                "merged_tangle": _emit_tangle_opt(m.merged_tangle)}
-    if isinstance(m, Untelescope):
-        def disc(d: DiscData) -> dict:
-            doc: dict = {"q": d.punctures, "separating": d.separating}
-            if d.split is not None:
-                doc["split"] = {
-                    "genus": list(d.split.genus),
-                    "punctures": list(d.split.punctures),
-                    "ports": [list(d.split.ports[0]), list(d.split.ports[1])],
-                }
-                if d.split.tangles is not None:
-                    doc["split"]["tangles"] = [emit_tangle(t) for t in d.split.tangles]
-            return doc
-
-        def spec(t: ThickSpec) -> dict:
-            return {"id": t.id,
-                    "lower": {"id": t.lower.id, "tangle": _emit_tangle_opt(t.lower.tangle)},
-                    "upper": {"id": t.upper.id, "tangle": _emit_tangle_opt(t.upper.tangle)}}
-
-        return {"kind": "untelescope", "thick": m.thick,
-                "disc_minus": disc(m.disc_minus), "disc_plus": disc(m.disc_plus),
-                "outcome": {"h_minus": spec(m.outcome.h_minus),
-                            "h_plus": spec(m.outcome.h_plus),
-                            "thin_id": m.outcome.thin_id}}
-    if isinstance(m, Destabilize):
-        return {"kind": "destabilize", "variant": m.variant, "thick": m.thick,
-                "side": m.side, "boundary_ids": list(m.boundary_ids),
-                "ghost_arcs": m.ghost_arcs,
-                "tangle_up": _emit_tangle_opt(m.tangle_up),
-                "tangle_down": _emit_tangle_opt(m.tangle_down)}
-    if isinstance(m, Unperturb):
-        return {"kind": "unperturb", "thick": m.thick,
-                "near_side": m.near_side, "merge_case": m.merge_case}
-    if isinstance(m, UndoRemovable):
-        return {"kind": "undo_removable", "thick": m.thick, "loop_side": m.loop_side,
-                "tangle_up": _emit_tangle_opt(m.tangle_up),
-                "tangle_down": _emit_tangle_opt(m.tangle_down)}
-    raise SchemaError(f"unknown move {m!r}")
+def _json_type(spec) -> type:
+    if isinstance(spec, (list, tuple)):
+        return list
+    return dict if spec is Tangle or spec in _ROWS else spec
 
 
-def _tangle_opt(doc: dict, key: str, where: str) -> Tangle | None:
-    val = _need(doc, key, dict, where, None)
-    return None if val is None else parse_tangle(val, f"{where}.{key}")
-
-
-def _pair(val, where: str) -> list:
-    if not isinstance(val, list) or len(val) != 2:
-        raise SchemaError(f"{where}: expected a list of two")
+def _decode(spec, val, where: str):
+    if isinstance(spec, list):
+        return _id_list(val, where)
+    if isinstance(spec, tuple):
+        if not isinstance(val, list) or len(val) != 2:
+            raise SchemaError(f"{where}: expected a list of two")
+        return tuple(_decode(s, v, where) for s, v in zip(spec, val))
+    if spec is Tangle:
+        return parse_tangle(val, where)
+    if spec in _ROWS:
+        values = []
+        for key, row_spec, *optional in _ROWS[spec]:
+            got = _need(val, key, _json_type(row_spec), where, *optional[:1])
+            if optional and val.get(key) is None:
+                values.append(got)  # missing or null: the default
+            else:
+                values.append(_decode(row_spec, got, f"{where}.{key}"))
+        return spec(*values)
+    if not isinstance(val, spec) or (spec is int and isinstance(val, bool)):
+        raise SchemaError(f"{where}: expected {spec.__name__}")
     return val
 
 
-def _int_pair(val, where: str) -> tuple[int, int]:
-    a, b = _pair(val, where)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (a, b)):
-        raise SchemaError(f"{where}: expected two integers")
-    return a, b
+def _encode(spec, val):
+    if val is None:
+        return None
+    if isinstance(spec, list):
+        return list(val)
+    if isinstance(spec, tuple):
+        return [_encode(s, v) for s, v in zip(spec, val)]
+    if spec is Tangle:
+        return emit_tangle(val)
+    if spec in _ROWS:
+        doc = {}
+        for (key, row_spec, *optional), f in zip(_ROWS[spec], fields(spec)):
+            item = getattr(val, f.name)
+            if item is None and optional[1:] == [True]:
+                continue
+            doc[key] = _encode(row_spec, item)
+        return doc
+    return val
 
 
-def _parse_disc(d: dict, where: str) -> DiscData:
-    split = None
-    s = _need(d, "split", dict, where, None)
-    if s is not None:
-        at = f"{where}.split"
-        tangles = _need(s, "tangles", list, at, None)
-        if tangles is not None:
-            tangles = tuple(parse_tangle(t, f"{at}.tangles") for t in _pair(tangles, f"{at}.tangles"))
-        ports = _pair(_need(s, "ports", list, at), f"{at}.ports")
-        split = SplitData(
-            _int_pair(_need(s, "genus", list, at), f"{at}.genus"),
-            _int_pair(_need(s, "punctures", list, at), f"{at}.punctures"),
-            (_id_list(ports[0], f"{at}.ports"), _id_list(ports[1], f"{at}.ports")),
-            tangles,
-        )
-    return DiscData(_need(d, "q", int, where, 0), _need(d, "separating", bool, where, False), split)
-
-
-def _parse_spec(s: dict, where: str) -> ThickSpec:
-    def body(side: str) -> BodySpec:
-        b = _need(s, side, dict, where)
-        return BodySpec(_need(b, "id", str, f"{where}.{side}"), _tangle_opt(b, "tangle", f"{where}.{side}"))
-
-    return ThickSpec(_need(s, "id", str, where), body("lower"), body("upper"))
+def emit_move(m: Move) -> dict:
+    """Encode a move to its document, ``kind`` first."""
+    if type(m) not in _KIND:
+        raise SchemaError(f"unknown move {m!r}")
+    return {"kind": _KIND[type(m)], **_encode(type(m), m)}
 
 
 def parse_move(doc: dict) -> Move:
@@ -953,35 +977,6 @@ def parse_move(doc: dict) -> Move:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("move: expected an object with a 'kind' field")
     kind = doc["kind"]
-    if kind == "consolidate":
-        return Consolidate(_need(doc, "thick", str, "move"), _need(doc, "thin", str, "move"),
-                           _tangle_opt(doc, "merged_tangle", "move"))
-    if kind == "untelescope":
-        out = _need(doc, "outcome", dict, "move")
-        return Untelescope(
-            _need(doc, "thick", str, "move"),
-            _parse_disc(_need(doc, "disc_minus", dict, "move"), "move.disc_minus"),
-            _parse_disc(_need(doc, "disc_plus", dict, "move"), "move.disc_plus"),
-            UntelescopeOutcome(
-                _parse_spec(_need(out, "h_minus", dict, "move.outcome"), "move.outcome.h_minus"),
-                _parse_spec(_need(out, "h_plus", dict, "move.outcome"), "move.outcome.h_plus"),
-                _need(out, "thin_id", str, "move.outcome")),
-        )
-    if kind == "destabilize":
-        return Destabilize(
-            _need(doc, "variant", str, "move"), _need(doc, "thick", str, "move"),
-            _need(doc, "side", str, "move", "up"),
-            _id_list(_need(doc, "boundary_ids", list, "move", []), "move.boundary_ids"),
-            _need(doc, "ghost_arcs", int, "move", 0),
-            _tangle_opt(doc, "tangle_up", "move"), _tangle_opt(doc, "tangle_down", "move"),
-        )
-    if kind == "unperturb":
-        return Unperturb(_need(doc, "thick", str, "move"),
-                         _need(doc, "near_side", str, "move", "up"),
-                         _need(doc, "merge_case", str, "move", "bridge_bridge"))
-    if kind == "undo_removable":
-        return UndoRemovable(_need(doc, "thick", str, "move"),
-                             _need(doc, "loop_side", str, "move", "down"),
-                             _tangle_opt(doc, "tangle_up", "move"),
-                             _tangle_opt(doc, "tangle_down", "move"))
-    raise SchemaError(f"unknown move kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _BY_KIND:
+        raise SchemaError(f"unknown move kind {kind!r}")
+    return _decode(_BY_KIND[kind], doc, "move")

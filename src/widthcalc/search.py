@@ -37,7 +37,6 @@ from .moves import (
 )
 
 __all__ = [
-    "MoveProposer",
     "TraceStep",
     "ThinningTrace",
     "thin",
@@ -47,8 +46,6 @@ __all__ = [
     "canonical_hash",
     "rewrite_graph_dot",
 ]
-
-MoveProposer = "Callable[[Complex], list[Move]]"  # structural contract only
 
 _REDUCING = (Destabilize, Unperturb, UndoRemovable)
 
@@ -213,10 +210,11 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200,
                 graph.nodes[dst] = result
                 graph.vectors[dst] = vec
                 queue.append((dst, depth + 1))
-            key = (digest, json.dumps(emit_move(move), sort_keys=True), dst)
+            doc = emit_move(move)
+            key = (digest, json.dumps(doc, sort_keys=True), dst)
             if key not in seen_edges:
                 seen_edges.add(key)
-                graph.edges.append((digest, emit_move(move), dst))
+                graph.edges.append((digest, doc, dst))
     return graph
 
 

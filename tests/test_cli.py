@@ -1,8 +1,13 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthcalc.cli import main
+from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import emit_complex, parse_complex, validate
 from widthcalc.moves import Consolidate, emit_move
 from conftest import bdy, cb, thick, thin
@@ -71,6 +76,25 @@ def test_bad_seed_variable_exit_two(monkeypatch, capsys):
     assert main(["gen"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "WIDTHCALC_SEED" in err
+
+
+def test_validate_non_list_section_exit_two(tmp_path, capsys):
+    path = tmp_path / "thick5.json"
+    path.write_text(json.dumps({"thick": 5}))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "instance.thick" in err
+
+
+def test_apply_non_list_embedded_moves_exit_two(tmp_path, capsys):
+    inst, _ = _consolidatable(tmp_path)
+    doc = json.loads(Path(inst).read_text())
+    doc["moves"] = 5
+    path = tmp_path / "moves5.json"
+    path.write_text(json.dumps(doc))
+    assert main(["apply", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "instance.moves" in err
 
 
 def test_truncated_json_exit_two(tmp_path, capsys):
@@ -221,3 +245,58 @@ def test_selftest_fast(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# Robustness: no document makes the CLI raise
+# ---------------------------------------------------------------------------
+
+def _real_documents():
+    instances, moves = [], []
+    for seed in range(6):
+        cx = gen_complex(GenConfig(max_thick=3, seed=seed))
+        docs = [emit_move(m) for m in enumerate_moves(cx)]
+        instances.append({**emit_complex(cx), "moves": docs[:2]})
+        moves.extend(docs)
+    return instances, moves
+
+
+REAL_INSTANCES, REAL_MOVES = _real_documents()
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def documents(draw, real):
+    """Arbitrary JSON, or a real document with one value replaced by it.  The
+    value to replace is found by a walk from the root that stops at each
+    level with even odds, so shallow fields are tried as often as deep ones."""
+    value = draw(json_values)
+    if draw(st.booleans()):
+        return value
+    doc = copy.deepcopy(draw(st.sampled_from(real)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            node[key] = value
+            return doc
+        node = child
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=documents(REAL_INSTANCES), move=documents(REAL_MOVES))
+def test_cli_exits_cleanly_on_any_document(instance, move):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, mv = Path(tmp, "instance.json"), Path(tmp, "move.json")
+        inst.write_text(json.dumps(instance))
+        mv.write_text(json.dumps(move))
+        for argv in (["validate", str(inst)], ["complexity", str(inst)],
+                     ["complexity", str(inst), "--format", "dot"],
+                     ["apply", str(inst)], ["apply", str(inst), "--move", str(mv)]):
+            assert main(argv + ["--quiet"]) in (0, 1, 2)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from widthcalc.complexity import LT, compare, complexity
-from widthcalc.gen import GenConfig, enumerate_moves, gen_complex, gen_move, shrink
+from widthcalc.gen import GenConfig, enumerate_moves, gen_complex, gen_move
 from widthcalc.model import validate
 from widthcalc.moves import Consolidate, MoveRejected, apply_move
 
@@ -90,27 +90,3 @@ def test_enumerate_moves_offers_consolidations(one_bridge_sphere):
     # enumerator offers (removable-loop patterns) all fail the genus check
     assert gen_move(one_bridge_sphere, random.Random(0)) is None
 
-
-def test_shrink_candidates_are_valid_and_smaller(diamond_four):
-    candidates = shrink(diamond_four)
-    assert candidates
-    assert any(len(c.thick) == 3 for c in candidates)
-    for c in candidates:
-        assert validate(c).ok
-        assert len(c.thick) < 4 or c != diamond_four
-
-
-def test_shrink_minimal_instance_is_empty(one_bridge_sphere):
-    assert shrink(one_bridge_sphere) == []
-
-
-def test_shrink_fuzz_preserves_validity():
-    rng = random.Random(23)
-    cfg = GenConfig(max_thick=4)
-    checked = 0
-    for _ in range(150):
-        cx = gen_complex(cfg, rng)
-        for cand in shrink(cx):
-            assert validate(cand).ok
-            checked += 1
-    assert checked > 50

@@ -17,7 +17,6 @@ from widthcalc.model import (
     body_index,
     build_complex,
     emit_complex,
-    empty_body_index,
     euler_char,
     parse_complex,
     thick_digraph,
@@ -228,10 +227,6 @@ def test_index_handlebody_and_holed_spheres(spheres_with_four_ends):
     assert body_index(spheres_with_four_ends, "d") == 12
 
 
-def test_index_of_empty_piece():
-    assert empty_body_index() == 0
-
-
 def test_index_rejects_invalid_body():
     cx = build_complex(
         thick=[thick("H", 0, 2, "u", "d")],
@@ -340,6 +335,22 @@ def test_parse_rejects_malformed(one_bridge_sphere, spheres_with_four_ends):
     doc["boundary"][0]["is_drilled_vertex"] = "no"
     with pytest.raises(SchemaError, match="is_drilled_vertex"):
         parse_complex(doc)
+
+
+def test_parse_rejects_non_list_sections(one_bridge_sphere):
+    for section in ("thick", "thin", "boundary", "cbs"):
+        for value in (5, True, 1.5, "", {}):
+            doc = emit_complex(one_bridge_sphere)
+            doc[section] = value
+            with pytest.raises(SchemaError, match=f"instance.{section}: expected list"):
+                parse_complex(doc)
+
+
+def test_parse_reads_missing_or_null_sections_as_empty(one_bridge_sphere):
+    doc = emit_complex(one_bridge_sphere)
+    doc["thin"] = None
+    del doc["boundary"]
+    assert parse_complex(doc) == one_bridge_sphere
 
 
 def test_parse_accepts_domain_violations():

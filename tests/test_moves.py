@@ -1,13 +1,18 @@
+import hashlib
+import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from widthcalc.complexity import LT, compare, complexity, index_down, index_up
+from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import (
     Surface,
     Tangle,
     body_index,
     build_complex,
+    emit_complex,
     validate,
 )
 from widthcalc.moves import (
@@ -612,3 +617,37 @@ def test_every_accepted_move_yields_valid_smaller_complex():
         out = apply_move(cx, move)
         assert validate(out).ok
         assert compare(complexity(out), complexity(cx)) == LT
+
+
+# ---------------------------------------------------------------------------
+# Golden decisions on a seeded corpus
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIGEST = "ecc0dd3297be0b7f44d47a0c2ee4c1a3e02b78a2e0f7ab887853db0deb201897"
+
+
+def test_golden_decisions_on_seeded_corpus():
+    """Every candidate the enumerator offers on 200 seeded instances keeps its
+    accept/reject decision, its first failing rule, its result and vector,
+    and its move document; each document also round-trips through the
+    parser."""
+    rng = random.Random(7)
+    cfg = GenConfig(max_thick=4, seed=7)
+    digest = hashlib.sha256()
+    candidates = accepted = 0
+    for _ in range(200):
+        cx = gen_complex(cfg, rng)
+        for m in enumerate_moves(cx):
+            doc = emit_move(m)
+            assert parse_move(doc) == m
+            try:
+                out = apply_move(cx, m)
+            except MoveRejected as err:
+                outcome = ["rejected", err.rule]
+            else:
+                outcome = ["ok", emit_complex(out), list(complexity(out))]
+                accepted += 1
+            candidates += 1
+            digest.update(json.dumps([doc, outcome], sort_keys=True).encode())
+    assert (candidates, accepted) == (4609, 1854)
+    assert digest.hexdigest() == GOLDEN_DIGEST

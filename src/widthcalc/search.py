@@ -22,7 +22,16 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .complexity import LT, compare, complexity
-from .model import Complex, digraph_cycle, emit_surface, emit_tangle, require_valid
+from .model import (
+    BoundaryLevel,
+    Complex,
+    ThickLevel,
+    ThinLevel,
+    digraph_cycle,
+    emit_surface,
+    emit_tangle,
+    require_valid,
+)
 from .moves import (
     Consolidate,
     Destabilize,
@@ -95,16 +104,19 @@ def thin(cx: Complex, proposer, policy: str = "first",
     if policy not in ("first", "greedy-max-drop"):
         raise ValueError(f"unknown policy {policy!r}")
     require_valid(cx)
+    forms: dict = {}
     current = cx
-    trace = ThinningTrace(canonical_hash(cx), complexity(cx))
+    trace = ThinningTrace(canonical_hash(cx, _forms=forms), complexity(cx))
 
-    def record(move: Move, after: Complex) -> None:
+    def record(move: Move, after: Complex, digest: str | None) -> None:
         vec = complexity(after)
         assert compare(vec, complexity(current)) == LT
-        trace.steps.append(TraceStep(canonical_hash(after), emit_move(move), vec))
+        if digest is None:
+            digest = canonical_hash(after, _forms=forms)
+        trace.steps.append(TraceStep(digest, emit_move(move), vec))
 
     while True:
-        move = after = None
+        move = after = digest = None
         hit = find_product_on_thin(current)
         if hit is not None:
             move = Consolidate(thick=hit[0], thin=hit[1])
@@ -120,7 +132,8 @@ def thin(cx: Complex, proposer, policy: str = "first",
                 if policy == "first":
                     move, after = _first_applicable(current, untels, trace.diagnostics)
                 else:
-                    best = None
+                    # least (vector, digest); a digest is needed only on a tie
+                    best = None  # [vector, digest or None, move, result]
                     for cand in untels:
                         try:
                             result = apply_move(current, cand)
@@ -128,18 +141,24 @@ def thin(cx: Complex, proposer, policy: str = "first",
                             trace.diagnostics.append(
                                 f"skipped {type(cand).__name__}: {err}")
                             continue
-                        key = (complexity(result), canonical_hash(result))
-                        if best is None or key < best[0]:
-                            best = (key, cand, result)
+                        vec = complexity(result)
+                        if best is None or vec < best[0]:
+                            best = [vec, None, cand, result]
+                        elif vec == best[0]:
+                            if best[1] is None:
+                                best[1] = canonical_hash(best[3], _forms=forms)
+                            found = canonical_hash(result, _forms=forms)
+                            if found < best[1]:
+                                best = [vec, found, cand, result]
                     if best is not None:
-                        move, after = best[1], best[2]
+                        digest, move, after = best[1:]
         if move is None:
             trace.terminal = True
             return current, trace
         if len(trace.steps) >= cap:
             trace.diagnostics.append("cap reached")
             return current, trace
-        record(move, after)
+        record(move, after, digest)
         current = after
 
 
@@ -180,7 +199,8 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200,
     sinks.
     """
     require_valid(cx)
-    root = canonical_hash(cx)
+    forms: dict = {}
+    root = canonical_hash(cx, _forms=forms)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
                          edges=[], expanded=set(), truncated=set(), complete=True)
     seen_edges: set[tuple[str, str, str]] = set()
@@ -199,7 +219,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200,
                 result = apply_move(node, move)
             except MoveRejected:
                 continue
-            dst = canonical_hash(result)
+            dst = canonical_hash(result, _forms=forms)
             vec = complexity(result)
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
@@ -235,102 +255,229 @@ def rewrite_graph_dot(graph: RewriteGraph) -> str:
 # Canonical hashing
 # ---------------------------------------------------------------------------
 
-def _structure(cx: Complex):
-    """Typed adjacency and id-free initial colours for every node."""
-    colors: dict[str, tuple] = {}
-    out_edges: dict[str, list[tuple[str, str]]] = {}
+def _records(cx: Complex):
+    """Each record with its id-free attributes and its references.
+
+    Attributes open with the record kind, so that tuples of different kinds
+    never compare past their first entry.  A reference is ``(slot, id)``;
+    the kind of the referring record tells which field the slot names.
+    """
     for t in cx.thick.values():
-        colors[t.id] = (repr(("thick", t.surface.genus, t.surface.punctures)),)
-        out_edges[t.id] = [("up", t.upper_cb), ("down", t.lower_cb)]
+        yield t, (0, t.surface.genus, t.surface.punctures), \
+            ((0, t.upper_cb), (1, t.lower_cb))
     for f in cx.thin.values():
-        colors[f.id] = (repr(("thin", f.surface.genus, f.surface.punctures)),)
-        out_edges[f.id] = [("from", f.from_cb), ("to", f.to_cb)]
+        yield f, (1, f.surface.genus, f.surface.punctures), \
+            ((0, f.from_cb), (1, f.to_cb))
     for b in cx.boundary.values():
-        colors[b.id] = (repr(("bdy", b.surface.genus, b.surface.punctures,
-                              b.is_drilled_vertex)),)
-        out_edges[b.id] = [("own", b.owner)]
+        yield b, (2, b.surface.genus, b.surface.punctures, b.is_drilled_vertex), \
+            ((0, b.owner),)
     for c in cx.cbs.values():
-        colors[c.id] = (repr(("cb", c.tangle.counts(), c.product_certificate,
-                              c.ball_certificate)),)
-        out_edges[c.id] = [("plus", c.plus)] + [("minus", p) for p in c.minus]
-    in_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in colors}
-    for src, pairs in out_edges.items():
-        for role, dst in pairs:
-            if dst in in_edges:
-                in_edges[dst].append((role, src))
-    return colors, out_edges, in_edges
+        yield c, (3, *c.tangle.counts(), c.product_certificate, c.ball_certificate), \
+            ((0, c.plus),) + tuple((1, port) for port in c.minus)
 
 
-def _refine(colors, out_edges, in_edges):
-    current = dict(colors)
+def _components(cx: Complex) -> list[list[tuple]]:
+    """The records of each connected component (union-find over references)."""
+    items = list(_records(cx))
+    parent = {rec.id: rec.id for rec, _attrs, _refs in items}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for rec, _attrs, refs in items:
+        root = find(rec.id)
+        for _slot, ref in refs:
+            if ref in parent:
+                other = find(ref)
+                if other != root:
+                    parent[other] = root
+    groups: dict[str, list[tuple]] = {}
+    for item in items:
+        groups.setdefault(find(item[0].id), []).append(item)
+    return list(groups.values())
+
+
+def _refine(colors: list[int], outs, ins) -> list[int]:
+    """Colour refinement to the coarsest equitable refinement of ``colors``.
+
+    A vertex's new colour is the rank of (its colour, the sorted colours of
+    its out- and in-neighbours by slot) among all such signatures, so the
+    result is dense ranks, refines the input order and is relabelling
+    invariant.
+    """
+    count = len(set(colors))
     while True:
-        signature = {}
-        for n, c in current.items():
-            outs = sorted((role, current.get(m)) for role, m in out_edges[n]
-                          if m in current)
-            ins = sorted((role, current.get(m)) for role, m in in_edges[n])
-            signature[n] = (c, tuple(outs), tuple(ins))
-        ranks = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
-        refreshed = {n: (ranks[signature[n]],) for n in current}
-        if len(set(refreshed.values())) == len(set(current.values())):
-            return refreshed
-        current = refreshed
+        sigs = [(c, tuple(sorted([(slot, colors[j]) for slot, j in outs[v]])),
+                 tuple(sorted([(slot, colors[j]) for slot, j in ins[v]])))
+                for v, c in enumerate(colors)]
+        ranks = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
+        colors = [ranks[sig] for sig in sigs]
+        if len(ranks) == count:
+            return colors
+        count = len(ranks)
+
+
+def _target_cell(colors: list[int]) -> list[int] | None:
+    """The vertices of the lowest colour shared by several, or None if discrete."""
+    cells: list[list[int]] = [[] for _ in colors]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return next((cell for cell in cells if len(cell) > 1), None)
+
+
+def _in_orbit(v: int, others: list[int], gens: list[list[int]], prefix) -> bool:
+    """Whether the automorphisms in ``gens`` that fix ``prefix`` pointwise
+    generate one that maps ``v`` into ``others``."""
+    fixing = [g for g in gens if all(g[p] == p for p in prefix)]
+    orbit, frontier = {v}, [v]
+    while frontier:
+        x = frontier.pop()
+        for g in fixing:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return not orbit.isdisjoint(others)
+
+
+def _component_form(items: list[tuple]) -> tuple[tuple, list]:
+    """Certificate and canonically ordered records of one connected component.
+
+    Individualization-refinement: refine the colouring, then branch on each
+    member of the lowest ambiguous colour class until the colouring is
+    discrete.  A leaf's certificate lists, per position, the record's
+    attributes and its sorted (slot, position) references; the smallest leaf
+    certificate is canonical.  Two leaves with equal certificates give an
+    automorphism, and a child in the orbit of an explored sibling under the
+    automorphisms fixing the node's prefix is skipped (McKay & Piperno,
+    "Practical graph isomorphism II", 2014): its subtree maps onto the
+    sibling's, leaf certificates and all.
+    """
+    index = {rec.id: v for v, (rec, _attrs, _refs) in enumerate(items)}
+    attrs = [a for _rec, a, _refs in items]
+    outs = [[(slot, index[ref]) for slot, ref in refs if ref in index]
+            for _rec, _attrs, refs in items]
+    ins: list[list[tuple[int, int]]] = [[] for _ in items]
+    for v, edges in enumerate(outs):
+        for slot, j in edges:
+            ins[j].append((slot, v))
+
+    def leaf(colors: list[int]) -> tuple[tuple, list[int]]:
+        order = sorted(range(len(colors)), key=colors.__getitem__)
+        return tuple((attrs[v], tuple(sorted([(slot, colors[j]) for slot, j in outs[v]])))
+                     for v in order), order
+
+    ranks = {a: k for k, a in enumerate(sorted(set(attrs)))}
+    root = _refine([ranks[a] for a in attrs], outs, ins)
+    cell = _target_cell(root)
+    if cell is None:
+        best = leaf(root)
+    else:
+        best = first = None
+        gens: list[list[int]] = []
+        identity = list(range(len(items)))
+        # a node is (individualized prefix, colours, its cell's members left, children explored)
+        stack = [((), root, iter(cell), [])]
+        while stack:
+            prefix, colors, todo, explored = stack[-1]
+            v = next(todo, None)
+            if v is None:
+                stack.pop()
+                continue
+            if explored and _in_orbit(v, explored, gens, prefix):
+                continue
+            explored.append(v)
+            split = [2 * c + 1 for c in colors]
+            split[v] -= 1
+            child = _refine(split, outs, ins)
+            cell = _target_cell(child)
+            if cell is not None:
+                stack.append((prefix + (v,), child, iter(cell), []))
+                continue
+            found = leaf(child)
+            if first is None:
+                best = first = found
+                continue
+            match = next((ref for ref in (first, best) if ref[0] == found[0]), None)
+            if match is None:
+                if found[0] < best[0]:
+                    best = found
+                continue
+            gamma = identity[:]
+            for a, b in zip(match[1], found[1]):
+                gamma[a] = b
+            if gamma == identity:
+                continue
+            gens.append(gamma)
+            # drop the subtree of the shallowest node whose current child is
+            # now known to be equivalent to a sibling explored before it
+            for depth, (above, _colors, _todo, done) in enumerate(stack):
+                if len(done) > 1 and _in_orbit(done[-1], done[:-1], gens, above):
+                    del stack[depth + 1:]
+                    break
+    cert, order = best
+    return cert, [items[v][0] for v in order]
+
+
+def _emit_record(rec, rename: dict[str, str]) -> tuple[str, dict]:
+    if isinstance(rec, ThickLevel):
+        return "thick", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
+                         "upper_cb": rename[rec.upper_cb], "lower_cb": rename[rec.lower_cb]}
+    if isinstance(rec, ThinLevel):
+        return "thin", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
+                        "from_cb": rename[rec.from_cb], "to_cb": rename[rec.to_cb]}
+    if isinstance(rec, BoundaryLevel):
+        return "boundary", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
+                            "owner": rename[rec.owner],
+                            "is_drilled_vertex": rec.is_drilled_vertex}
+    return "cbs", {"id": rename[rec.id], "plus": rename[rec.plus],
+                   "minus": sorted(rename[p] for p in rec.minus),
+                   "tangle": emit_tangle(rec.tangle),
+                   "product_certificate": rec.product_certificate,
+                   "ball_certificate": rec.ball_certificate}
+
+
+def _canonical_document(cx: Complex, forms: dict) -> str:
+    """The canonical form, reusing and filling ``forms``: component records
+    (a frozenset, so a hit is an identical component) -> its form."""
+    parts = []
+    for items in _components(cx):
+        key = frozenset(rec for rec, _attrs, _refs in items)
+        form = forms.get(key)
+        if form is None:
+            form = forms[key] = _component_form(items)
+        parts.append(form)
+    parts.sort(key=lambda form: form[0])
+    ordered = [rec for _cert, recs in parts for rec in recs]
+    rename = {rec.id: f"n{i}" for i, rec in enumerate(ordered)}
+    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for rec in ordered:
+        section, item = _emit_record(rec, rename)
+        doc[section].append(item)
+    return json.dumps(doc)
 
 
 def canonical_form(cx: Complex) -> str:
-    """A relabelling-invariant serialization of the complex."""
-    colors, out_edges, in_edges = _structure(cx)
+    """A relabelling-invariant serialization of the complex, itself a valid
+    instance document with ids ``n0``, ``n1``, ...
 
-    def finish(stable) -> str:
-        order = sorted(stable, key=lambda n: stable[n])
-        rename = {old: f"n{i}" for i, old in enumerate(order)}
-        by_id = lambda d: d["id"]
-        doc = {
-            "thick": sorted((
-                {"id": rename[t.id], "surface": emit_surface(t.surface),
-                 "upper_cb": rename[t.upper_cb], "lower_cb": rename[t.lower_cb]}
-                for t in cx.thick.values()), key=by_id),
-            "thin": sorted((
-                {"id": rename[f.id], "surface": emit_surface(f.surface),
-                 "from_cb": rename[f.from_cb], "to_cb": rename[f.to_cb]}
-                for f in cx.thin.values()), key=by_id),
-            "boundary": sorted((
-                {"id": rename[b.id], "surface": emit_surface(b.surface),
-                 "owner": rename[b.owner], "is_drilled_vertex": b.is_drilled_vertex}
-                for b in cx.boundary.values()), key=by_id),
-            "cbs": sorted((
-                {"id": rename[c.id], "plus": rename[c.plus],
-                 "minus": sorted(rename[p] for p in c.minus),
-                 "tangle": emit_tangle(c.tangle),
-                 "product_certificate": c.product_certificate,
-                 "ball_certificate": c.ball_certificate}
-                for c in cx.cbs.values()), key=by_id),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    def solve(current) -> str:
-        stable = _refine(current, out_edges, in_edges)
-        classes: dict[tuple, list[str]] = {}
-        for n, c in stable.items():
-            classes.setdefault(c, []).append(n)
-        ambiguous = sorted((c for c, ns in classes.items() if len(ns) > 1))
-        if not ambiguous:
-            return finish(stable)
-        target = classes[ambiguous[0]]
-        best = None
-        for pick in target:
-            branched = dict(stable)
-            branched[pick] = (-1,) + stable[pick]
-            candidate = solve(branched)
-            if best is None or candidate < best:
-                best = candidate
-        return best
-
-    return solve(colors)
+    Exact: two complexes have the same form if and only if one is a
+    relabelling of the other (a bijection of ids that keeps every record's
+    kind, attributes and references).  Each connected component is
+    canonized on its own by individualization-refinement with automorphism
+    pruning, and the components are laid out in the order of their
+    certificates.
+    """
+    return _canonical_document(cx, {})
 
 
-def canonical_hash(cx: Complex) -> str:
-    """Digest equal for relabelled copies of the same complex.
+def canonical_hash(cx: Complex, *, _forms: dict | None = None) -> str:
+    """Digest equal for relabelled copies of the same complex, and only for them.
+
+    ``_forms`` is internal: :func:`thin` and :func:`rewrite_graph` pass one
+    dict per run, so that a component the complexes of a run share is
+    canonized once.
 
     >>> from .model import parse_complex
     >>> doc = {"thick": [{"id": "H", "surface": {"genus": 2, "punctures": 0},
@@ -348,4 +495,5 @@ def canonical_hash(cx: Complex) -> str:
     >>> canonical_hash(parse_complex(doc)) == canonical_hash(parse_complex(relabel))
     True
     """
-    return hashlib.sha256(canonical_form(cx).encode()).hexdigest()
+    forms = {} if _forms is None else _forms
+    return hashlib.sha256(_canonical_document(cx, forms).encode()).hexdigest()

@@ -298,5 +298,6 @@ def test_cli_exits_cleanly_on_any_document(instance, move):
         mv.write_text(json.dumps(move))
         for argv in (["validate", str(inst)], ["complexity", str(inst)],
                      ["complexity", str(inst), "--format", "dot"],
-                     ["apply", str(inst)], ["apply", str(inst), "--move", str(mv)]):
+                     ["apply", str(inst)], ["apply", str(inst), "--move", str(mv)],
+                     ["explore", str(inst), "--cap", "5", "--format", "json"]):
             assert main(argv + ["--quiet"]) in (0, 1, 2)

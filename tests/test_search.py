@@ -1,4 +1,9 @@
+import hashlib
+import itertools
+import json
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -9,13 +14,18 @@ from widthcalc.moves import (
     BodySpec,
     Consolidate,
     DiscData,
+    MoveRejected,
     SplitData,
     ThickSpec,
     Untelescope,
     UntelescopeOutcome,
+    apply_move,
+    find_product_on_thin,
     is_reduced,
+    parse_move,
 )
 from widthcalc.search import (
+    _in_orbit,
     canonical_form,
     canonical_hash,
     rewrite_graph,
@@ -115,6 +125,42 @@ def test_thin_policies_agree_on_random_instances():
             assert reduced
 
 
+def _applicable(cx, moves):
+    out = []
+    for move in moves:
+        try:
+            out.append(apply_move(cx, move))
+        except MoveRejected:
+            pass
+    return out
+
+
+def test_greedy_policy_takes_least_vector_then_digest():
+    """Replays greedy runs: where no consolidation is forced and no reducing
+    move applies, each step is the least (vector, digest) over the applicable
+    untelescope and consolidate candidates; the corpus has steps where
+    results of different digests tie on the vector."""
+    rng = random.Random(33)
+    ties = 0
+    for _ in range(60):
+        current = gen_complex(GenConfig(max_thick=2, max_genus=4), rng)
+        _final, trace = thin(current, enumerate_moves, policy="greedy-max-drop")
+        for step in trace.steps:
+            after = apply_move(current, parse_move(step.move))
+            assert canonical_hash(after) == step.digest
+            candidates = enumerate_moves(current)
+            if find_product_on_thin(current) is None and not _applicable(
+                    current, [m for m in candidates
+                              if not isinstance(m, (Untelescope, Consolidate))]):
+                keys = [(complexity(r), canonical_hash(r)) for r in _applicable(
+                    current, [m for m in candidates
+                              if isinstance(m, (Untelescope, Consolidate))])]
+                assert (step.vector, step.digest) == min(keys)
+                ties += len({d for vec, d in keys if vec == step.vector}) > 1
+            current = after
+    assert ties >= 4
+
+
 # ---------------------------------------------------------------------------
 # rewrite_graph
 # ---------------------------------------------------------------------------
@@ -188,12 +234,7 @@ def test_rewrite_graph_budget_flagging(spheres_with_four_ends):
 # canonical hashing
 # ---------------------------------------------------------------------------
 
-def _relabel(cx, salt):
-    rng = random.Random(salt)
-    ids = sorted(set(cx.thick) | set(cx.thin) | set(cx.boundary) | set(cx.cbs))
-    shuffled = ids[:]
-    rng.shuffle(shuffled)
-    rename = dict(zip(ids, shuffled))
+def _renamed_doc(cx, rename):
     doc = emit_complex(cx)
     for section, keys in (("thick", ("id", "upper_cb", "lower_cb")),
                           ("thin", ("id", "from_cb", "to_cb")),
@@ -201,10 +242,35 @@ def _relabel(cx, salt):
                           ("cbs", ("id", "plus"))):
         for item in doc[section]:
             for key in keys:
-                item[key] = rename[item[key]]
+                item[key] = rename(item[key])
             if section == "cbs":
-                item["minus"] = [rename[x] for x in item["minus"]]
+                item["minus"] = [rename(x) for x in item["minus"]]
+    return doc
+
+
+def _relabel(cx, salt):
+    """A copy of ``cx`` with its ids permuted and its records in shuffled order."""
+    rng = random.Random(salt)
+    ids = sorted(set(cx.thick) | set(cx.thin) | set(cx.boundary) | set(cx.cbs))
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    doc = _renamed_doc(cx, dict(zip(ids, shuffled)).__getitem__)
+    for records in doc.values():
+        rng.shuffle(records)
     return parse_complex(doc)
+
+
+def _union(parts, rng):
+    """Disjoint union of the complexes in ``parts``, each id prefixed by its
+    part's number, with every section's records in shuffled order."""
+    out = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for k, part in enumerate(parts):
+        doc = _renamed_doc(part, lambda name, k=k: f"k{k}.{name}")
+        for section, records in doc.items():
+            out[section] += records
+    for records in out.values():
+        rng.shuffle(records)
+    return parse_complex(out)
 
 
 def test_canonical_hash_invariant_under_relabelling(diamond_four, chain_two,
@@ -240,3 +306,225 @@ def test_canonical_hash_random_relabel_fuzz():
         want = canonical_hash(cx)
         for salt in range(5):
             assert canonical_hash(_relabel(cx, salt * 101 + i)) == want
+
+
+def _isomorphic(a, b):
+    """Brute force: some kind-preserving bijection of ids maps ``a`` onto ``b``."""
+    want = emit_complex(b)
+    pools = [(sorted(getattr(a, kind)), sorted(getattr(b, kind)))
+             for kind in ("thick", "thin", "boundary", "cbs")]
+    if any(len(x) != len(y) for x, y in pools):
+        return False
+    for images in itertools.product(*(itertools.permutations(y) for _x, y in pools)):
+        rename = {old: new for (x, _y), image in zip(pools, images)
+                  for old, new in zip(x, image)}
+        doc = _renamed_doc(a, rename.__getitem__)
+        for records in doc.values():
+            records.sort(key=lambda r: r["id"])
+            for r in records:
+                if "minus" in r:
+                    r["minus"].sort()
+        if doc == want:
+            return True
+    return False
+
+
+def _refinement_classes(cx):
+    """Colour-class sizes left by colour refinement alone (1-dimensional
+    Weisfeiler-Leman on the typed reference graph), written independently
+    of the engine."""
+    edges = [(t.id, "up", t.upper_cb) for t in cx.thick.values()]
+    edges += [(t.id, "down", t.lower_cb) for t in cx.thick.values()]
+    edges += [(f.id, role, ref) for f in cx.thin.values()
+              for role, ref in (("from", f.from_cb), ("to", f.to_cb))]
+    edges += [(b.id, "own", b.owner) for b in cx.boundary.values()]
+    edges += [(c.id, "plus", c.plus) for c in cx.cbs.values()]
+    edges += [(c.id, "minus", p) for c in cx.cbs.values() for p in c.minus]
+    color = {t.id: repr(("thick", t.surface)) for t in cx.thick.values()}
+    color.update({f.id: repr(("thin", f.surface)) for f in cx.thin.values()})
+    color.update({b.id: repr(("bdy", b.surface, b.is_drilled_vertex))
+                  for b in cx.boundary.values()})
+    color.update({c.id: repr(("cb", c.tangle, c.product_certificate, c.ball_certificate))
+                  for c in cx.cbs.values()})
+    for _ in range(len(color)):
+        sig = {n: [c] for n, c in color.items()}
+        for src, role, dst in edges:
+            sig[src].append(("out", role, color[dst]))
+            sig[dst].append(("in", role, color[src]))
+        keys = {n: repr([s[0]] + sorted(s[1:])) for n, s in sig.items()}
+        ranks = {key: f"c{k}" for k, key in enumerate(sorted(set(keys.values())))}
+        color = {n: ranks[key] for n, key in keys.items()}
+    return sorted(Counter(color.values()).values())
+
+
+def _bipartite_flow(cycles):
+    """A valid complex whose flow runs from a hub H to sources A0, A1, ... and
+    on to sinks B0, B1, ..., each A feeding two Bs so that the A-B incidences
+    form one cycle per entry of ``cycles`` (a list of A numbers).  Every A
+    looks alike and every B looks alike to colour refinement, whatever the
+    cycle lengths, although an A on a short cycle and one on a long cycle
+    are not swapped by any automorphism."""
+    pairs = []
+    for cycle in cycles:
+        for i, a in enumerate(cycle):
+            pairs += [(a, cycle[i]), (a, cycle[(i + 1) % len(cycle)])]
+    n = sum(len(cycle) for cycle in cycles)
+    levels = [thick("H", 0, 0, "Hu", "Hd")]
+    levels += [thick(f"{x}{i}", 0, 0, f"{x}{i}u", f"{x}{i}d") for x in "AB" for i in range(n)]
+    thins = [thin_level(f"FA{i}", 0, 0, from_cb="Hu", to_cb=f"A{i}d") for i in range(n)]
+    thins += [thin_level(f"G{a}.{b}", 0, 0, from_cb=f"A{a}u", to_cb=f"B{b}d") for a, b in pairs]
+    ports: dict[str, list[str]] = {}
+    for f in thins:
+        ports.setdefault(f.from_cb, []).append(f.id)
+        ports.setdefault(f.to_cb, []).append(f.id)
+    bodies = [cb(f"{t.id}{side}", t.id, minus=ports.get(f"{t.id}{side}", ()))
+              for t in levels for side in "ud"]
+    return build_complex(thick=levels, thin=thins, cbs=bodies)
+
+
+def test_canonical_hash_is_exact_on_small_complexes():
+    """Equal digests exactly when a brute-force search finds a kind-preserving
+    bijection of ids between the two complexes, on seeded instances of at
+    most 8 records, their relabellings and relabelled unions with shuffled
+    records."""
+    rng = random.Random(17)
+    small = []
+    for seed in range(400):
+        cx = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4,
+                                   max_ports=2, seed=1700 + seed))
+        if len(cx.thick) + len(cx.thin) + len(cx.boundary) + len(cx.cbs) <= 8:
+            small.append(cx)
+    assert len(small) >= 80
+    pairs = [(a, _relabel(a, rng.randrange(10**6))) for a in small[:40]]
+    pairs += [(rng.choice(small), rng.choice(small)) for _ in range(150)]
+    # pairs of the same shape, which only a search over bijections tells apart
+    shapes: dict[tuple, list] = {}
+    for cx in small:
+        shape = (sorted(t.surface.genus for t in cx.thick.values()), len(cx.thin),
+                 len(cx.boundary), sorted(c.tangle.counts() for c in cx.cbs.values()))
+        shapes.setdefault(repr(shape), []).append(cx)
+    pairs += [(x, y) for group in shapes.values() for x in group for y in group if x is not y]
+    tiny = [cx for cx in small if len(cx.thick) == 1][:20]
+    for _ in range(30):
+        x, y = rng.choice(tiny), rng.choice(tiny)
+        pairs.append((_union([x, y], rng), _union([_relabel(y, 1), _relabel(x, 2)], rng)))
+        pairs.append((_union([x, x], rng), _union([x, y], rng)))
+    assert len(pairs) >= 300
+    agree = Counter()
+    for a, b in pairs:
+        same = _isomorphic(a, b)
+        assert (canonical_hash(a) == canonical_hash(b)) == same
+        agree[same] += 1
+    assert agree[True] >= 50 and agree[False] >= 150
+
+
+def test_canonical_hash_separates_what_refinement_cannot():
+    """Incidence cycles 12, 4 + 8, 6 + 6 and 4 + 4 + 4: colour refinement
+    leaves the same classes on all four, which are pairwise non-isomorphic.
+    The mixed cycle lengths also put non-equivalent vertices in one colour
+    class, so a search that explores one branch per class is not invariant."""
+    shapes = [_bipartite_flow(cycles) for cycles in (
+        [[0, 1, 2, 3, 4, 5]], [[0, 1], [2, 3, 4, 5]], [[0, 1, 2], [3, 4, 5]],
+        [[0, 1], [2, 3], [4, 5]])]
+    for cx in shapes:
+        assert validate(cx).ok
+        assert _refinement_classes(cx) == _refinement_classes(shapes[0])
+    digests = [canonical_hash(cx) for cx in shapes]
+    assert len(set(digests)) == len(shapes)
+    for cx, digest in zip(shapes, digests):
+        for salt in range(8):
+            assert canonical_hash(_relabel(cx, salt)) == digest
+
+
+def _star(m, genus=1, punctures=0, drilled=()):
+    """One thick level whose upper body owns m boundary levels of one surface;
+    the levels numbered in ``drilled`` are drilled vertices."""
+    return build_complex(
+        thick=[thick("H", m * genus, m * punctures, "u", "d")],
+        boundary=[bdy(f"B{i}", genus, punctures, "u", drilled=i in drilled)
+                  for i in range(m)],
+        cbs=[cb("u", "H", minus=[f"B{i}" for i in range(m)], v=m * punctures),
+             cb("d", "H", b=m * punctures // 2)])
+
+
+def _branches(m):
+    """One thick level whose upper body has m identical thin tori, each down
+    to its own thick level."""
+    return build_complex(
+        thick=[thick("H", m, 0, "Hu", "Hd")]
+        + [thick(f"J{i}", 1, 0, f"J{i}u", f"J{i}d") for i in range(m)],
+        thin=[thin_level(f"F{i}", 1, 0, from_cb="Hu", to_cb=f"J{i}d") for i in range(m)],
+        cbs=[cb("Hu", "H", minus=[f"F{i}" for i in range(m)]), cb("Hd", "H")]
+        + [body for i in range(m)
+           for body in (cb(f"J{i}u", f"J{i}"), cb(f"J{i}d", f"J{i}", minus=[f"F{i}"]))])
+
+
+def test_canonical_hash_has_no_factorial_blow_up():
+    """Highly symmetric complexes hash fast and relabelling-invariantly.  A
+    search without automorphisms grows factorially with the number of
+    identical levels; the 20 branches also need orbit pruning, and the
+    20-level star needs a subtree to be dropped once it is known to be
+    equivalent to an explored one, to stay well under the bound."""
+    rng = random.Random(12)
+    cases = [_star(10), _star(20), _star(10, 0, 4), _star(10, 0, 4, drilled=(3,)),
+             _branches(20)]
+    for seed in range(3):
+        base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4,
+                                     seed=1200 + seed))
+        cases.append(_union([_relabel(base, rng.randrange(10**6)) for _ in range(12)], rng))
+    digests = []
+    for cx in cases:
+        assert validate(cx).ok
+        start = time.perf_counter()
+        digests.append(canonical_hash(cx))
+        assert time.perf_counter() - start < 1.0
+        for _ in range(3):
+            assert canonical_hash(_relabel(cx, rng.randrange(10**6))) == digests[-1]
+    assert len(set(digests)) == len(cases)
+
+
+def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix():
+    swap = [1, 0, 3, 2]  # exchanges 0 with 1 and 2 with 3
+    assert _in_orbit(0, [1], [swap], ())
+    assert not _in_orbit(0, [1], [swap], (2,))
+    assert not _in_orbit(0, [2, 3], [swap], ())
+
+
+# ---------------------------------------------------------------------------
+# Golden search outcomes
+# ---------------------------------------------------------------------------
+
+SEARCH_GOLDEN_DIGEST = "6b0f1364d584dc2eba6c077bafc309dce7895750731df46cc54e71c4029f2a2a"
+
+
+def _graph_outcome(graph):
+    return [len(graph.nodes), len(graph.edges), graph.complete,
+            sorted(list(v) for v in graph.vectors.values()),
+            sorted(list(graph.vectors[d]) for d in graph.sinks())]
+
+
+def test_golden_search_outcomes():
+    """Digest-free outcomes of the search on a seeded corpus: rewrite-graph
+    node and edge counts, completeness and node and sink vectors on unions of
+    2 to 4 relabelled copies and on random instances, and the vectors and move
+    documents of ``thin`` with policy ``first``.  Canonical hashing decides
+    which results are one node, so any inexact hash moves these counts."""
+    rng = random.Random(4)
+    outcomes = []
+    for i in range(8):
+        base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4,
+                                     seed=4000 + i))
+        for copies in (2, 3, 4):
+            parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
+            outcomes.append(_graph_outcome(
+                rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=20)))
+    for i in range(12):
+        cx = gen_complex(GenConfig(max_thick=3, seed=4100 + i))
+        outcomes.append(_graph_outcome(rewrite_graph(cx, enumerate_moves, max_nodes=40)))
+    for i in range(20):
+        cx = gen_complex(GenConfig(max_thick=4, seed=4200 + i))
+        _final, trace = thin(cx, enumerate_moves, policy="first")
+        outcomes.append([[list(v) for v in trace.vectors()],
+                         [s.move for s in trace.steps], trace.terminal])
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_GOLDEN_DIGEST

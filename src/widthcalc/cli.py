@@ -4,7 +4,8 @@ Subcommands: ``validate``, ``complexity``, ``apply``, ``thin``, ``explore``,
 ``gen`` and ``selftest``.  Instances and moves travel as JSON documents; see
 the README for the schemas.  Exit codes are stable: 0 success, 1 domain
 rejection (validation failure, rejected certificate, step cap), 2 I/O or
-parse trouble.  The WIDTHCALC_SEED environment variable overrides ``--seed``.
+parse trouble.  The WIDTHCALC_SEED environment variable overrides the
+``--seed`` of ``gen``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,18 @@ def _fail_io(message: str) -> int:
     return IO_ERROR
 
 
-def _load_instance(path: str):
+def _load_valid(args):
+    """The instance at ``args.instance``; exits 2 when it does not parse and 1
+    with the report when it is invalid."""
     try:
-        return parse_complex(_load_json(path))
+        cx = parse_complex(_load_json(args.instance))
     except SchemaError as err:
-        raise SystemExit(_fail_io(f"bad instance document {path}: {err}"))
+        raise SystemExit(_fail_io(f"bad instance document {args.instance}: {err}"))
+    report = validate(cx)
+    if not report.ok:
+        print(report, file=sys.stderr)
+        raise SystemExit(DOMAIN_ERROR)
+    return cx
 
 
 def _write_or_print(args, doc: dict) -> None:
@@ -105,21 +113,13 @@ def instance_dot(cx) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    cx = _load_instance(args.instance)
-    report = validate(cx)
-    if report.ok:
-        _say(args, "valid")
-        return OK
-    print(report, file=sys.stderr)
-    return DOMAIN_ERROR
+    _load_valid(args)
+    _say(args, "valid")
+    return OK
 
 
 def cmd_complexity(args) -> int:
-    cx = _load_instance(args.instance)
-    report = validate(cx)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return DOMAIN_ERROR
+    cx = _load_valid(args)
     if args.format == "dot":
         print(instance_dot(cx))
         return OK
@@ -171,11 +171,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_thin(args) -> int:
-    cx = _load_instance(args.instance)
-    report = validate(cx)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return DOMAIN_ERROR
+    cx = _load_valid(args)
     policy = "greedy-max-drop" if args.policy == "greedy" else "first"
     final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
     print(json.dumps({"start": {"digest": trace.start_digest,
@@ -191,11 +187,7 @@ def cmd_thin(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    cx = _load_instance(args.instance)
-    report = validate(cx)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return DOMAIN_ERROR
+    cx = _load_valid(args)
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=args.cap)
     if args.format == "dot":
         print(rewrite_graph_dot(graph))
@@ -247,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out=False):
         p.add_argument("--quiet", action="store_true", help="suppress chatty output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="rng seed (WIDTHCALC_SEED overrides)")
         if out:
             p.add_argument("--out", help="write the resulting instance here")
 
@@ -291,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-punctures", type=int, default=6)
     p.add_argument("--max-ports", type=int, default=3)
     p.add_argument("--no-boundary", action="store_true")
+    p.add_argument("--seed", type=int, default=0, help="rng seed (WIDTHCALC_SEED overrides)")
     common(p, out=True)
     p.set_defaults(func=cmd_gen)
 

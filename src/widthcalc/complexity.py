@@ -9,13 +9,13 @@ the shorter vector padded by -1, so that removing any entry from a
 non-increasing non-negative vector strictly decreases it.
 
 Every reader here works from :func:`analyze`, which runs once per complex and
-is kept on the instance (a complex never changes).  It takes the flow digraph
-and a topological order from validation, builds each level's upward and
-downward reach as an int bitmask in one pass over that order, computes each
-body index once, and sums body indices over a reach with one popcount per bit
-of the largest index.  So the complexity vector costs time linear in the
-number of levels plus that bitmask work, which is word-parallel, rather than a
-walk of the digraph per level.
+is kept on the instance (a complex never changes).  It takes the flow digraph,
+a topological order and every body index from validation, builds each level's
+upward and downward reach as an int bitmask in one pass over that order, and
+sums body indices over a reach with one popcount per bit of the largest
+index.  So the complexity vector costs time linear in the number of levels
+plus that bitmask work, which is word-parallel, rather than a walk of the
+digraph per level.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     ValidationError,
     ValidationReport,
     Violation,
-    profile_index,
     validation,
 )
 
@@ -60,10 +59,10 @@ class Analysis:
     ``validation.order[i]``.
     """
 
-    validation: Validation  # report, flow digraph and its topological order
+    validation: Validation  # report, body indices, flow digraph and its topological order
     up: dict[str, int]  # reach_up of each thick level, as a mask
     down: dict[str, int]  # reach_down of each thick level, as a mask
-    body: dict[str, int]  # index of each compression body
+    body: dict[str, int]  # index of each compression body, from validation
     index_up: dict[str, int]
     index_down: dict[str, int]
     vector: tuple[int, ...]
@@ -117,8 +116,7 @@ def _analyze(cx: Complex) -> Analysis:
     bit = {n: 1 << i for i, n in enumerate(order)}
     up = _reach_masks(reversed(order), edges, bit)
     down = _reach_masks(order, reversed_edges, bit)
-    body = {cb.id: profile_index(cx.thick[cb.plus].surface, cx.minus_surfaces(cb))
-            for cb in cx.cbs.values()}
+    body = checked.body
     levels = [cx.thick[n] for n in order]
     i_up = _aggregate(up, [body[t.upper_cb] for t in levels])
     i_down = _aggregate(down, [body[t.lower_cb] for t in levels])

@@ -67,6 +67,7 @@ __all__ = [
     "topological_order",
     "digraph_cycle",
     "parse_complex",
+    "emit_record",
     "emit_complex",
     "build_complex",
 ]
@@ -197,17 +198,6 @@ class Complex:
             return self.boundary[level_id].surface
         return self.thick[level_id].surface
 
-    def minus_surfaces(self, cb: CompressionBody) -> list[Surface]:
-        out = []
-        for port in cb.minus:
-            if port in self.thin:
-                out.append(self.thin[port].surface)
-            elif port in self.boundary:
-                out.append(self.boundary[port].surface)
-            else:
-                raise KeyError(port)
-        return out
-
 
 def build_complex(
     thick: list[ThickLevel] | tuple[ThickLevel, ...] = (),
@@ -305,13 +295,16 @@ def ghost_excess(ghosts: int, anchors: int) -> int:
     return max(0, ghosts - max(0, anchors - 1))
 
 
-def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> None:
+def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | None:
+    """Check one body on its own, appending what fails to ``out``; the body's
+    index when it passes, else None."""
     sub = cb.id
+    start = len(out)
     _check_tangle(sub, cb.tangle, out)
 
     if cb.plus not in cx.thick:
         out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
-        return
+        return None
     plus = cx.thick[cb.plus].surface
 
     minus: list[Surface] = []
@@ -325,14 +318,14 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> None:
             out.append(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level"))
             broken = True
     if broken:
-        return
+        return None
     if len(set(cb.minus)) != len(cb.minus):
         out.append(Violation("port_multiplicity", sub, "repeated minus port"))
-        return
+        return None
 
     t = cb.tangle
     if any(n < 0 or not isinstance(n, int) for n in t.counts()):
-        return  # counted above; arithmetic below would be meaningless
+        return None  # counted above; arithmetic below would be meaningless
     p_plus = plus.punctures
     p_minus = sum(s.punctures for s in minus)
     if p_plus != t.verticals + 2 * t.bridges:
@@ -361,31 +354,28 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> None:
 
     if cb.product_certificate and cb.ball_certificate:
         out.append(Violation("certificate_conflict", sub, "product and ball certificates are mutually exclusive"))
-    if cb.product_certificate:
-        if len(cb.minus) != 1:
-            out.append(Violation("product_certificate", sub, "product piece must have exactly one negative level"))
-        else:
-            m = minus[0]
-            if m.genus != plus.genus or m.punctures != plus.punctures:
-                out.append(Violation("product_certificate", sub, "product piece must have matching boundary surfaces"))
-        if (t.bridges, t.ghosts, t.loops) != (0, 0, 0):
-            out.append(Violation("product_certificate", sub, "product piece carries only vertical arcs"))
-    if cb.ball_certificate:
-        if cb.minus:
-            out.append(Violation("ball_certificate", sub, "ball piece has empty negative boundary"))
-        if plus.genus != 0 or plus.punctures not in (0, 2):
-            out.append(Violation("ball_certificate", sub, "ball piece has a sphere with 0 or 2 punctures on top"))
-        if t.counts() not in ((0, 0, 0, 0), (0, 1, 0, 0)):
-            out.append(Violation("ball_certificate", sub, "ball piece tangle must be empty or one bridge arc"))
+    if cb.product_certificate and not is_product_profile(cx, cb):
+        out.append(Violation("product_certificate", sub,
+                             "product piece has one negative level, boundary surfaces that "
+                             "match and only vertical arcs"))
+    if cb.ball_certificate and not is_ball_profile(cx, cb):
+        out.append(Violation("ball_certificate", sub,
+                             "ball piece has empty negative boundary, a sphere with 0 or 2 "
+                             "punctures on top and an empty tangle or one bridge arc"))
+    if len(out) > start:
+        return None
+    return profile_index(plus, len(minus), g_minus, p_minus)
 
 
 @dataclass(frozen=True)
 class Validation:
-    """What validating a complex works out: the report, the flow digraph
-    (:func:`thick_digraph`) and a topological order of it, sources first,
-    which is empty when the digraph has a cycle."""
+    """What validating a complex works out: the report, the index of every
+    body that passes its own checks, the flow digraph (:func:`thick_digraph`)
+    and a topological order of it, sources first, which is empty when the
+    digraph has a cycle."""
 
     report: ValidationReport
+    body: dict[str, int]
     edges: dict[str, list[str]]
     order: tuple[str, ...]
 
@@ -451,8 +441,11 @@ def _validation(cx: Complex) -> Validation:
                                          f"{role} body {cb_id!r} does not name this level as its positive boundary"))
                 (upper_of if role == "upper" else lower_of)[cb_id] = t.id
 
+    body: dict[str, int] = {}
     for cb in cx.cbs.values():
-        _check_cb(cx, cb, out)
+        index = _check_cb(cx, cb, out)
+        if index is not None:
+            body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
         if cb.plus in cx.thick and roles != 1:
             out.append(Violation("plus_mismatch", cb.id,
@@ -496,7 +489,7 @@ def _validation(cx: Complex) -> Validation:
         out.append(Violation("closed_flow_line", "->".join(cycle),
                              "closed flow line through thick levels " + " -> ".join(cycle)))
 
-    return Validation(ValidationReport(tuple(out)), edges, order)
+    return Validation(ValidationReport(tuple(out)), body, edges, order)
 
 
 def require_valid(cx: Complex) -> None:
@@ -509,33 +502,36 @@ def require_valid(cx: Complex) -> None:
 # Index of a compression body
 # ---------------------------------------------------------------------------
 
-def profile_index(plus: Surface, minus: list[Surface]) -> int:
+def profile_index(plus: Surface, ports: int, minus_genus: int, minus_punctures: int) -> int:
     """The body index formula on boundary surfaces alone.
 
-    ``3 * (-chi(plus) + chi(minus)) + 2 * (p(plus) - p(minus)) + 6``, with
-    ``minus`` the surfaces of the negative boundary.
+    ``3 * (-chi(plus) + chi(minus)) + 2 * (p(plus) - p(minus)) + 6``, where
+    the negative boundary has ``ports`` surfaces whose genera sum to
+    ``minus_genus`` and punctures to ``minus_punctures``, so that
+    ``chi(minus) = 2 * ports - 2 * minus_genus``.
     """
-    chi_minus = sum(euler_char(s) for s in minus)
-    p_minus = sum(s.punctures for s in minus)
-    return 3 * (-euler_char(plus) + chi_minus) + 2 * (plus.punctures - p_minus) + 6
+    chi_minus = 2 * ports - 2 * minus_genus
+    return 3 * (-euler_char(plus) + chi_minus) + 2 * (plus.punctures - minus_punctures) + 6
 
 
 def body_index(cx: Complex, cb_id: str) -> int:
     """Handle-count proxy of one compression body: even and non-negative.
 
-    Computed by :func:`profile_index` from the boundary surfaces alone.  On a
+    Read from :func:`validation`, which computes it by :func:`profile_index`
+    from the boundary surfaces alone for every body that passes its own
+    checks, even when the complex as a whole is invalid; raises
+    ValidationError, naming the body's violations, for any other body.  On a
     valid body it is 0 exactly for the ball profile, 4 exactly for the
     ball-with-one-bridge-arc profile, and at least 6 otherwise.
     """
     if cb_id not in cx.cbs:
         raise ValidationError(ValidationReport((
             Violation("dangling_reference", cb_id, "unknown compression body"),)))
-    cb = cx.cbs[cb_id]
-    local: list[Violation] = []
-    _check_cb(cx, cb, local)
-    if local:
-        raise ValidationError(ValidationReport(tuple(local)))
-    return profile_index(cx.thick[cb.plus].surface, cx.minus_surfaces(cb))
+    checked = validation(cx)
+    if cb_id not in checked.body:
+        raise ValidationError(ValidationReport(
+            tuple(v for v in checked.report.violations if v.subject == cb_id)))
+    return checked.body[cb_id]
 
 
 def is_product_profile(cx: Complex, cb: CompressionBody) -> bool:
@@ -709,29 +705,30 @@ def parse_complex(doc: dict) -> Complex:
     return build_complex(thick, thin, boundary, cbs)
 
 
+def emit_record(rec, name=str) -> tuple[str, dict]:
+    """The section and the document entry of one record, every id in it
+    passed through ``name``."""
+    if isinstance(rec, ThickLevel):
+        return "thick", {"id": name(rec.id), "surface": emit_surface(rec.surface),
+                         "upper_cb": name(rec.upper_cb), "lower_cb": name(rec.lower_cb)}
+    if isinstance(rec, ThinLevel):
+        return "thin", {"id": name(rec.id), "surface": emit_surface(rec.surface),
+                        "from_cb": name(rec.from_cb), "to_cb": name(rec.to_cb)}
+    if isinstance(rec, BoundaryLevel):
+        return "boundary", {"id": name(rec.id), "surface": emit_surface(rec.surface),
+                            "owner": name(rec.owner), "is_drilled_vertex": rec.is_drilled_vertex}
+    return "cbs", {"id": name(rec.id), "plus": name(rec.plus),
+                   "minus": sorted(name(port) for port in rec.minus),
+                   "tangle": emit_tangle(rec.tangle),
+                   "product_certificate": rec.product_certificate,
+                   "ball_certificate": rec.ball_certificate}
+
+
 def emit_complex(cx: Complex) -> dict:
     """Encode to the instance document format, deterministically ordered."""
-    return {
-        "thick": [
-            {"id": t.id, "surface": emit_surface(t.surface),
-             "upper_cb": t.upper_cb, "lower_cb": t.lower_cb}
-            for t in sorted(cx.thick.values(), key=lambda t: t.id)
-        ],
-        "thin": [
-            {"id": t.id, "surface": emit_surface(t.surface),
-             "from_cb": t.from_cb, "to_cb": t.to_cb}
-            for t in sorted(cx.thin.values(), key=lambda t: t.id)
-        ],
-        "boundary": [
-            {"id": b.id, "surface": emit_surface(b.surface),
-             "owner": b.owner, "is_drilled_vertex": b.is_drilled_vertex}
-            for b in sorted(cx.boundary.values(), key=lambda b: b.id)
-        ],
-        "cbs": [
-            {"id": c.id, "plus": c.plus, "minus": sorted(c.minus),
-             "tangle": emit_tangle(c.tangle),
-             "product_certificate": c.product_certificate,
-             "ball_certificate": c.ball_certificate}
-            for c in sorted(cx.cbs.values(), key=lambda c: c.id)
-        ],
-    }
+    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
+        for rec in sorted(pool.values(), key=lambda rec: rec.id):
+            section, item = emit_record(rec)
+            doc[section].append(item)
+    return doc

@@ -22,16 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .complexity import LT, compare, complexity
-from .model import (
-    BoundaryLevel,
-    Complex,
-    ThickLevel,
-    ThinLevel,
-    digraph_cycle,
-    emit_surface,
-    emit_tangle,
-    require_valid,
-)
+from .model import Complex, digraph_cycle, emit_record, require_valid
 from .moves import (
     Consolidate,
     Destabilize,
@@ -420,24 +411,6 @@ def _component_form(items: list[tuple]) -> tuple[tuple, list]:
     return cert, [items[v][0] for v in order]
 
 
-def _emit_record(rec, rename: dict[str, str]) -> tuple[str, dict]:
-    if isinstance(rec, ThickLevel):
-        return "thick", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
-                         "upper_cb": rename[rec.upper_cb], "lower_cb": rename[rec.lower_cb]}
-    if isinstance(rec, ThinLevel):
-        return "thin", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
-                        "from_cb": rename[rec.from_cb], "to_cb": rename[rec.to_cb]}
-    if isinstance(rec, BoundaryLevel):
-        return "boundary", {"id": rename[rec.id], "surface": emit_surface(rec.surface),
-                            "owner": rename[rec.owner],
-                            "is_drilled_vertex": rec.is_drilled_vertex}
-    return "cbs", {"id": rename[rec.id], "plus": rename[rec.plus],
-                   "minus": sorted(rename[p] for p in rec.minus),
-                   "tangle": emit_tangle(rec.tangle),
-                   "product_certificate": rec.product_certificate,
-                   "ball_certificate": rec.ball_certificate}
-
-
 def _canonical_document(cx: Complex, forms: dict) -> str:
     """The canonical form, reusing and filling ``forms``: component records
     (a frozenset, so a hit is an identical component) -> its form."""
@@ -450,10 +423,10 @@ def _canonical_document(cx: Complex, forms: dict) -> str:
         parts.append(form)
     parts.sort(key=lambda form: form[0])
     ordered = [rec for _cert, recs in parts for rec in recs]
-    rename = {rec.id: f"n{i}" for i, rec in enumerate(ordered)}
+    rename = {rec.id: f"n{i}" for i, rec in enumerate(ordered)}.__getitem__
     doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
     for rec in ordered:
-        section, item = _emit_record(rec, rename)
+        section, item = emit_record(rec, rename)
         doc[section].append(item)
     return json.dumps(doc)
 

@@ -30,7 +30,7 @@ from .model import (
     ThinLevel,
     body_index,
     build_complex,
-    emit_complex,
+    emit_record,
     parse_complex,
     thick_digraph,
     validate,
@@ -435,21 +435,38 @@ def _brute_reach(edges: dict[str, list[str]], start: str) -> frozenset:
 
 
 def _relabelled(cx: Complex, rng: random.Random) -> Complex:
+    """A copy of ``cx`` with its ids permuted and its records in shuffled order."""
     ids = sorted(set(cx.thick) | set(cx.thin) | set(cx.boundary) | set(cx.cbs))
     shuffled = ids[:]
     rng.shuffle(shuffled)
-    rename = dict(zip(ids, shuffled))
-    doc = emit_complex(cx)
-    for section, keys in (("thick", ("id", "upper_cb", "lower_cb")),
-                          ("thin", ("id", "from_cb", "to_cb")),
-                          ("boundary", ("id", "owner")),
-                          ("cbs", ("id", "plus"))):
-        for item in doc[section]:
-            for key in keys:
-                item[key] = rename[item[key]]
-            if section == "cbs":
-                item["minus"] = [rename[x] for x in item["minus"]]
+    rename = dict(zip(ids, shuffled)).__getitem__
+    records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
+    rng.shuffle(records)
+    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for rec in records:
+        section, item = emit_record(rec, rename)
+        doc[section].append(item)
     return parse_complex(doc)
+
+
+def _unequal_cycles() -> Complex:
+    """A hub H flows to A0..A4 and each A to two of B0..B4, so that the A-B
+    incidences form a 2-cycle and a 3-cycle.  Colour refinement leaves every
+    A alike, but no automorphism maps an A on one cycle to one on the other:
+    a canonizer that tries only the first A it meets is not invariant."""
+    after = {0: 1, 1: 0, 2: 3, 3: 4, 4: 2}
+    ids = ["H"] + [f"{x}{i}" for x in "AB" for i in range(5)]
+    thins = [ThinLevel(f"F{a}", Surface(0, 0), "Hu", f"A{a}d") for a in range(5)]
+    thins += [ThinLevel(f"G{a}{b}", Surface(0, 0), f"A{a}u", f"B{b}d")
+              for a in range(5) for b in (a, after[a])]
+    ports: dict[str, list[str]] = {}
+    for f in thins:
+        ports.setdefault(f.from_cb, []).append(f.id)
+        ports.setdefault(f.to_cb, []).append(f.id)
+    return build_complex(
+        thick=[ThickLevel(t, Surface(0, 0), f"{t}u", f"{t}d") for t in ids], thin=thins,
+        cbs=[CompressionBody(f"{t}{side}", t, tuple(ports.get(f"{t}{side}", ())))
+             for t in ids for side in "ud"])
 
 
 def check_oracles(fast: bool = False) -> CheckResult:
@@ -482,7 +499,7 @@ def check_oracles(fast: bool = False) -> CheckResult:
     rng2 = random.Random(91)
     done = 0
     while done < relabels:
-        cx = gen_complex(cfg2, rng2)
+        cx = gen_complex(cfg2, rng2) if done else _unequal_cycles()
         want = canonical_hash(cx)
         for _ in range(20):
             if canonical_hash(_relabelled(cx, rng2)) != want:

@@ -78,6 +78,17 @@ def test_bad_seed_variable_exit_two(monkeypatch, capsys):
     assert err.count("\n") == 1 and "WIDTHCALC_SEED" in err
 
 
+def test_seed_is_read_by_gen_only(instance_file, monkeypatch, capsys):
+    monkeypatch.setenv("WIDTHCALC_SEED", "abc")
+    assert main(["validate", instance_file]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    for command in ("validate", "complexity", "apply", "thin", "explore"):
+        with pytest.raises(SystemExit):
+            main([command, instance_file, "--seed", "1"])
+    with pytest.raises(SystemExit):
+        main(["selftest", "--seed", "1"])
+
+
 def test_validate_non_list_section_exit_two(tmp_path, capsys):
     path = tmp_path / "thick5.json"
     path.write_text(json.dumps({"thick": 5}))

@@ -238,6 +238,58 @@ def test_index_rejects_invalid_body():
         body_index(cx, "nope")
 
 
+def test_body_index_in_a_complex_with_a_closed_flow_line():
+    # the flow H -> J -> H makes the complex invalid; of its bodies only Hd,
+    # a bridge arc under an unpunctured level, fails its own checks
+    cx = build_complex(
+        thick=[thick("H", 2, 0, "Hu", "Hd"), thick("J", 2, 0, "Ju", "Jd")],
+        thin=[thin("F1", 1, 0, from_cb="Hu", to_cb="Jd"),
+              thin("F2", 1, 0, from_cb="Ju", to_cb="Hd")],
+        cbs=[cb("Hu", "H", minus=("F1",)), cb("Hd", "H", minus=("F2",), b=1),
+             cb("Ju", "J", minus=("F2",)), cb("Jd", "J", minus=("F1",))],
+    )
+    assert validate(cx).codes() == {"closed_flow_line", "conservation_up"}
+    assert body_index(cx, "Hu") == 12
+    assert body_index(cx, "Jd") == 12
+    with pytest.raises(ValidationError) as err:
+        body_index(cx, "Hd")
+    assert err.value.report.codes() == {"conservation_up"}
+
+
+def test_each_failing_certificate_condition_reports_its_code(chain_two, spheres_with_four_ends):
+    def change(cx, body, **fields):
+        return replace(cx, cbs={**cx.cbs, body: replace(cx.cbs[body], **fields)})
+
+    torus = build_complex(thick=[thick("H", 1, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+    sphere = build_complex(thick=[thick("H", 0, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+    four = build_complex(thick=[thick("H", 0, 4, "u", "d")],
+                         cbs=[cb("u", "H", b=2), cb("d", "H", b=2)])
+    tori = build_complex(
+        thick=[thick("H", 1, 0, "Hu", "Hd"), thick("J", 1, 0, "Ju", "Jd")],
+        thin=[thin("F", 1, 0, from_cb="Hu", to_cb="Jd")],
+        cbs=[cb("Hu", "H", minus=("F",)), cb("Hd", "H"), cb("Ju", "J"),
+             cb("Jd", "J", minus=("F",))])
+    product, ball = {"product_certificate": True}, {"ball_certificate": True}
+    assert validate(change(tori, "Hu", **product)).ok
+    assert validate(change(sphere, "u", **ball)).ok
+    cases = [
+        # product: no negative level, two of them, unequal surfaces, a bridge arc, a core loop
+        (torus, "u", product, "product_certificate"),
+        (spheres_with_four_ends, "u", product, "product_certificate"),
+        (chain_two, "Jd", product, "product_certificate"),
+        (tori, "Hu", {**product, "tangle": Tangle(0, 1, 0, 0)}, "product_certificate"),
+        (tori, "Hu", {**product, "tangle": Tangle(0, 0, 0, 1)}, "product_certificate"),
+        # ball: a negative level, genus on top, four punctures on top, a core loop
+        (spheres_with_four_ends, "u", ball, "ball_certificate"),
+        (torus, "u", ball, "ball_certificate"),
+        (four, "u", ball, "ball_certificate"),
+        (sphere, "u", {**ball, "tangle": Tangle(0, 0, 0, 1)}, "ball_certificate"),
+    ]
+    for cx, body, fields, code in cases:
+        assert validate(cx).ok
+        assert code in validate(change(cx, body, **fields)).codes(), (body, fields)
+
+
 def _enumerate_valid_profiles():
     """Every valid single-body profile with genus <= 3, punctures <= 6 and at
     most two minus levels drawn from a small port pool."""

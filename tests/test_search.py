@@ -9,7 +9,7 @@ import pytest
 
 from widthcalc.complexity import LT, compare, complexity
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
-from widthcalc.model import parse_complex, emit_complex, validate
+from widthcalc.model import emit_complex, emit_record, parse_complex, validate
 from widthcalc.moves import (
     BodySpec,
     Consolidate,
@@ -235,16 +235,11 @@ def test_rewrite_graph_budget_flagging(spheres_with_four_ends):
 # ---------------------------------------------------------------------------
 
 def _renamed_doc(cx, rename):
-    doc = emit_complex(cx)
-    for section, keys in (("thick", ("id", "upper_cb", "lower_cb")),
-                          ("thin", ("id", "from_cb", "to_cb")),
-                          ("boundary", ("id", "owner")),
-                          ("cbs", ("id", "plus"))):
-        for item in doc[section]:
-            for key in keys:
-                item[key] = rename(item[key])
-            if section == "cbs":
-                item["minus"] = [rename(x) for x in item["minus"]]
+    doc = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
+        for key in sorted(pool):
+            section, item = emit_record(pool[key], rename)
+            doc[section].append(item)
     return doc
 
 
@@ -528,3 +523,21 @@ def test_golden_search_outcomes():
                          [s.move for s in trace.steps], trace.terminal])
     digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
     assert digest == SEARCH_GOLDEN_DIGEST
+
+
+RECORD_GOLDEN_DIGEST = "f33cdc0a29532d40e53e85121635ed094bcd0ef4630a4c7ef013f6a6c1692eee"
+
+
+def test_golden_record_bytes():
+    """The bytes of ``emit_complex`` (keys in emitted order), ``canonical_form``
+    and ``canonical_hash`` on seeded instances, relabellings and unions."""
+    rng = random.Random(5)
+    corpus = [gen_complex(GenConfig(max_thick=1 + i % 6), rng) for i in range(300)]
+    corpus += [_relabel(cx, i) for i, cx in enumerate(corpus[:60])]
+    corpus += [_union([corpus[i], _relabel(corpus[i + 1], i)], rng) for i in range(0, 40, 2)]
+    digest = hashlib.sha256()
+    for cx in corpus:
+        digest.update(json.dumps(emit_complex(cx)).encode())
+        digest.update(canonical_form(cx).encode())
+        digest.update(canonical_hash(cx).encode())
+    assert digest.hexdigest() == RECORD_GOLDEN_DIGEST

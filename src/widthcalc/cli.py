@@ -52,17 +52,19 @@ def _fail_io(message: str) -> int:
 
 
 def _load_valid(args):
-    """The instance at ``args.instance``; exits 2 when it does not parse and 1
-    with the report when it is invalid."""
+    """The instance at ``args.instance`` and the document it was read from;
+    exits 2 when it does not parse and 1 with the report when it is
+    invalid."""
+    doc = _load_json(args.instance)
     try:
-        cx = parse_complex(_load_json(args.instance))
+        cx = parse_complex(doc)
     except SchemaError as err:
         raise SystemExit(_fail_io(f"bad instance document {args.instance}: {err}"))
     report = validate(cx)
     if not report.ok:
         print(report, file=sys.stderr)
         raise SystemExit(DOMAIN_ERROR)
-    return cx
+    return cx, doc
 
 
 def _write_or_print(args, doc: dict) -> None:
@@ -119,7 +121,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    cx = _load_valid(args)
+    cx, _ = _load_valid(args)
     if args.format == "dot":
         print(instance_dot(cx))
         return OK
@@ -135,15 +137,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    doc = _load_json(args.instance)
-    try:
-        cx = parse_complex(doc)
-    except SchemaError as err:
-        return _fail_io(f"bad instance document {args.instance}: {err}")
-    report = validate(cx)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return DOMAIN_ERROR
+    cx, doc = _load_valid(args)
     move_docs = [_load_json(path) for path in args.move or []]
     if not move_docs:
         # instance documents may embed their move sequence
@@ -171,7 +165,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_thin(args) -> int:
-    cx = _load_valid(args)
+    cx, _ = _load_valid(args)
     policy = "greedy-max-drop" if args.policy == "greedy" else "first"
     final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
     print(json.dumps({"start": {"digest": trace.start_digest,
@@ -187,7 +181,7 @@ def cmd_thin(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    cx = _load_valid(args)
+    cx, _ = _load_valid(args)
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=args.cap)
     if args.format == "dot":
         print(rewrite_graph_dot(graph))

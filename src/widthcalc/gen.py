@@ -43,6 +43,8 @@ from .moves import (
     UndoRemovable,
     Untelescope,
     UntelescopeOutcome,
+    _component_bodies,
+    _small_spheres,
     apply_move,
 )
 
@@ -280,14 +282,14 @@ def enumerate_moves(cx: Complex, untelescopes: bool = True) -> list[Move]:
         if cb.product_certificate and len(cb.minus) == 1 and cb.minus[0] in cx.thin:
             moves.append(Consolidate(thick=cb.plus, thin=cb.minus[0]))
 
-    small_sphere = any(b.surface.genus == 0 and b.surface.punctures <= 2
-                       for b in cx.boundary.values())
+    # destabilizing needs a component free of small boundary spheres
+    blocked = _component_bodies(cx, [b.owner for b in _small_spheres(cx)])
     for t_id in sorted(cx.thick):
         t = cx.thick[t_id]
         g, p = t.surface.genus, t.surface.punctures
         up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
 
-        if not small_sphere:
+        if t.upper_cb not in blocked:
             if g >= 1:
                 moves.append(Destabilize("stab", t_id))
                 moves.append(Destabilize("merid_stab", t_id))

@@ -380,17 +380,18 @@ class Validation:
     order: tuple[str, ...]
 
 
-def validation(cx: Complex) -> Validation:
+def validation(cx: Complex, *, base: Complex | None = None) -> Validation:
     """The :class:`Validation` of a complex, computed on first use and kept
-    on the instance; sound because a complex never changes."""
+    on the instance; sound because a complex never changes.  ``base`` is as
+    for :func:`validate`."""
     found = cx.__dict__.get("_validation")
     if found is None:
-        found = _validation(cx)
+        found = _validation(cx, base)
         object.__setattr__(cx, "_validation", found)
     return found
 
 
-def validate(cx: Complex) -> ValidationReport:
+def validate(cx: Complex, *, base: Complex | None = None) -> ValidationReport:
     """Check every structural and numeric invariant; never raises.
 
     Returns an empty report exactly when the complex is well formed: all
@@ -400,11 +401,36 @@ def validate(cx: Complex) -> ValidationReport:
     no once-punctured sphere occurs as a thin or boundary level, and the flow
     digraph on thick levels is acyclic and non-empty.  The checks run once
     per complex; later calls return the same report.
+
+    ``base`` is a complex this one was derived from, such as a move's input.
+    When ``base`` is valid, a body whose record, plus level and minus ports
+    are the very objects ``base`` holds under the same ids has passed its
+    own checks there: they are not run again, and its index is read from
+    ``base``.  Only the bodies whose inputs differ are re-checked; the
+    report, indices and flow digraph are the same as without ``base``.
     """
-    return validation(cx).report
+    return validation(cx, base=base).report
 
 
-def _validation(cx: Complex) -> Validation:
+def _same_inputs(cx: Complex, base: Complex, cb: CompressionBody) -> bool:
+    """Whether every record :func:`_check_cb` reads for ``cb`` is the same
+    object in ``base``, under the same id."""
+    if base.cbs.get(cb.id) is not cb or cx.thick.get(cb.plus) is not base.thick.get(cb.plus):
+        return False
+    for port in cb.minus:
+        if cx.thin.get(port) is not base.thin.get(port) \
+                or cx.boundary.get(port) is not base.boundary.get(port):
+            return False
+    return True
+
+
+def _validation(cx: Complex, base: Complex | None = None) -> Validation:
+    # A valid base proves that a body with the same inputs passes its checks.
+    known = None
+    if base is not None:
+        checked = validation(base)
+        if checked.report.ok:
+            known = checked.body
     out: list[Violation] = []
 
     for t in cx.thick.values():
@@ -443,7 +469,10 @@ def _validation(cx: Complex) -> Validation:
 
     body: dict[str, int] = {}
     for cb in cx.cbs.values():
-        index = _check_cb(cx, cb, out)
+        if known is not None and _same_inputs(cx, base, cb):
+            index = known[cb.id]
+        else:
+            index = _check_cb(cx, cb, out)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
@@ -582,11 +611,26 @@ def topological_order(edges: Mapping[str, list[str]]) -> tuple[tuple[str, ...], 
     first; or ``((), cycle)`` with some directed cycle as a node list whose
     first node is repeated at its end.
 
-    Uses :class:`graphlib.TopologicalSorter`, which recurses on nothing, so
-    digraphs of any depth are fine.  Nodes are entered in sorted order and
-    out-edges in the order given, which makes the cycle reported
-    deterministic.
+    The order is Kahn's, first in first out: nodes enter in sorted order
+    (a node that only appears as a target, where it first appears) and each
+    node's out-edges in the order given.  That is exactly the order
+    :meth:`graphlib.TopologicalSorter.static_order` yields for the same
+    insertions.  When a cycle is left, graphlib names it, which makes the
+    cycle reported deterministic.  Nothing recurses, so digraphs of any
+    depth are fine.
     """
+    indegree = dict.fromkeys(sorted(edges), 0)
+    for src in list(indegree):
+        for dst in edges[src]:
+            indegree[dst] = indegree.get(dst, 0) + 1
+    order = [node for node, n in indegree.items() if n == 0]
+    for node in order:  # grows while it is read: a FIFO queue
+        for dst in edges.get(node, ()):
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                order.append(dst)
+    if len(order) == len(indegree):
+        return tuple(order), None
     sorter = graphlib.TopologicalSorter()
     for src in sorted(edges):
         sorter.add(src)

@@ -38,6 +38,13 @@ strictly smaller complexity vector (``<kind>.monotone``).  The untelescope
 sequence, :func:`elementary_thinning_sequence`, uses the prefix
 ``elementary``.
 
+A result is validated against the move's valid input
+(:func:`~widthcalc.model.validate` with ``base``): the build functions copy
+the maps but keep every record they do not change, so a body whose record,
+plus level and minus ports are all unchanged is not checked again.  Only the
+bodies whose inputs differ from the input's, usually 2 to 4, are re-checked,
+and the report, quoted by ``result_invalid``, is that of a full validation.
+
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
 its JSON key, its type and, for an optional field, its default.  A required
@@ -55,6 +62,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields, replace
 
 from .model import (
+    BoundaryLevel,
     Complex,
     CompressionBody,
     SchemaError,
@@ -375,7 +383,7 @@ def _gated(rule: str):
             out, rebuilt, check = build(cx, m)
             if rebuilt:  # no copy otherwise: a copy drops the cached analysis
                 out = _refresh_certificates(out, rebuilt)
-            report = validate(out)
+            report = validate(out, base=cx)
             if not report.ok:
                 raise MoveRejected(f"{rule}.result_invalid", str(report))
             before, after = analyze(cx), analyze(out)
@@ -405,6 +413,30 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
     if side == "down":
         return t.lower_cb, t.upper_cb
     raise MoveRejected("move.side", f"side must be 'up' or 'down', not {side!r}")
+
+
+def _small_spheres(cx: Complex) -> list[BoundaryLevel]:
+    """Boundary levels that are spheres with two or fewer punctures."""
+    return [b for b in cx.boundary.values() if b.surface.genus == 0 and b.surface.punctures <= 2]
+
+
+def _component_bodies(cx: Complex, starts: Iterable[str]) -> set[str]:
+    """The bodies of a valid complex that thick and thin levels connect to
+    any of ``starts``: the bodies of their connected components."""
+    seen: set[str] = set()
+    stack = list(starts)
+    while stack:
+        cb_id = stack.pop()
+        if cb_id in seen:
+            continue
+        seen.add(cb_id)
+        cb = cx.cbs[cb_id]
+        t = cx.thick[cb.plus]
+        stack += (t.upper_cb, t.lower_cb)
+        for port in cb.minus:
+            if port in cx.thin:
+                stack += (cx.thin[port].from_cb, cx.thin[port].to_cb)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -657,19 +689,23 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     the ``side`` body across to the other side, compressing the level by
     ``chi(S) - 2*ghosts - 2`` worth of euler characteristic and adjusting
     punctures by ``2*ghosts - p(S) + 2q``.  Requires that no boundary level
-    anywhere is a sphere with two or fewer punctures.  Both body indices must
-    drop strictly and the complexity vector decreases.
+    in the thick level's connected component is a sphere with two or fewer
+    punctures; other components are separate pairs and do not matter.  Both
+    body indices must drop strictly and the complexity vector decreases.
     """
     if m.variant not in DESTAB_VARIANTS:
         raise MoveRejected("destabilize.variant", f"unknown variant {m.variant!r}")
     if m.thick not in cx.thick:
         raise MoveRejected("destabilize.thick", f"unknown thick level {m.thick!r}")
-    for b in cx.boundary.values():
-        if b.surface.genus == 0 and b.surface.punctures <= 2:
-            raise MoveRejected("destabilize.boundary_sphere",
-                               f"boundary level {b.id!r} is a sphere with <= 2 punctures")
-
     H = cx.thick[m.thick]
+    small = _small_spheres(cx)
+    if small:
+        own = _component_bodies(cx, (H.upper_cb,))
+        for b in small:
+            if b.owner in own:
+                raise MoveRejected("destabilize.boundary_sphere",
+                                   f"boundary level {b.id!r} is a sphere with <= 2 punctures")
+
     side_id, far_id = _side_cbs(cx, m.thick, m.side)
     side_cb, far_cb = cx.cbs[side_id], cx.cbs[far_id]
     g, p = H.surface.genus, H.surface.punctures

@@ -310,5 +310,6 @@ def test_cli_exits_cleanly_on_any_document(instance, move):
         for argv in (["validate", str(inst)], ["complexity", str(inst)],
                      ["complexity", str(inst), "--format", "dot"],
                      ["apply", str(inst)], ["apply", str(inst), "--move", str(mv)],
-                     ["explore", str(inst), "--cap", "5", "--format", "json"]):
+                     ["explore", str(inst), "--cap", "5", "--format", "json"],
+                     ["thin", str(inst), "--cap", "3"]):
             assert main(argv + ["--quiet"]) in (0, 1, 2)

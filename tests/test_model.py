@@ -1,4 +1,6 @@
+import graphlib
 import pickle
+import random
 from dataclasses import replace
 
 import pytest
@@ -20,8 +22,11 @@ from widthcalc.model import (
     euler_char,
     parse_complex,
     thick_digraph,
+    topological_order,
     validate,
 )
+from widthcalc import model
+from widthcalc.gen import GenConfig, gen_complex
 from conftest import bdy, cb, sphere_chain, thick, thin
 
 
@@ -168,6 +173,49 @@ def test_validate_is_idempotent(one_bridge_sphere):
     assert validate(one_bridge_sphere) == validate(one_bridge_sphere)
 
 
+def _perturbed(cx, rng):
+    """``cx`` with one record replaced by a changed copy, or by an equal but
+    distinct copy, or deleted; every other record is the same object."""
+    maps = {name: dict(getattr(cx, name)) for name in ("thick", "thin", "boundary", "cbs")}
+    name = rng.choice([n for n in maps if maps[n]])
+    key = rng.choice(sorted(maps[name]))
+    rec = maps[name][key]
+    how = rng.randrange(4)
+    if how == 0:
+        del maps[name][key]
+    elif how == 1:
+        maps[name][key] = replace(rec)
+    elif name == "cbs":
+        if how == 2:
+            maps[name][key] = replace(rec, tangle=replace(rec.tangle, verticals=rec.tangle.verticals + 2))
+        else:
+            maps[name][key] = replace(rec, minus=rec.minus[1:])
+    else:
+        s = rec.surface
+        bumped = Surface(s.genus + rng.choice((-1, 1)), s.punctures) if how == 2 \
+            else Surface(s.genus, s.punctures + rng.choice((-2, -1, 2)))
+        maps[name][key] = replace(rec, surface=bumped)
+    return Complex(**maps)
+
+
+def test_validation_against_a_base_equals_a_full_validation():
+    """Whatever one record changes, validating against the complex it came
+    from gives the full validation: report, indices, digraph and order.
+    Bases are valid or invalid; a changed level must re-check the bodies
+    whose plus level or minus port it is, even when their records stay."""
+    rng = random.Random(13)
+    outcomes = {True: 0, False: 0}
+    for seed in range(80):
+        cx = gen_complex(GenConfig(max_thick=4, seed=seed))
+        for trial in range(12):
+            base = _perturbed(cx, rng) if trial % 4 == 0 else cx
+            out = _perturbed(base, rng)
+            got = model.validation(out, base=base)
+            assert got == model._validation(out)
+            outcomes[got.report.ok] += 1
+    assert outcomes[True] > 150 and outcomes[False] > 500
+
+
 @pytest.mark.parametrize("n", [2, 2000])
 def test_closed_flow_line_names_the_cycle(n):
     # 2000 levels is past the default recursion limit
@@ -176,6 +224,42 @@ def test_closed_flow_line_names_the_cycle(n):
     (violation,) = report.violations
     cycle = [f"L{i:04d}" for i in range(n)]
     assert violation.subject == "->".join(cycle + cycle[:1])
+
+
+def _graphlib_order(edges):
+    """Reference: graphlib's static order, with the nodes entered in sorted
+    order and each node's out-edges in the order given."""
+    sorter = graphlib.TopologicalSorter()
+    for src in sorted(edges):
+        sorter.add(src)
+    for src in sorted(edges):
+        for dst in edges[src]:
+            sorter.add(dst, src)
+    try:
+        return tuple(sorter.static_order()), None
+    except graphlib.CycleError as err:
+        return (), err.args[1]
+
+
+def test_topological_order_matches_graphlib():
+    """Same order on acyclic multi-digraphs, same cycle on cyclic ones,
+    including self-loops, repeated edges and targets that are not keys."""
+    rng = random.Random(11)
+    cyclic = 0
+    for trial in range(4000):
+        nodes = [f"v{rng.randrange(100):02d}" for _ in range(rng.randint(0, 10))]
+        rank = {v: rng.random() for v in nodes}
+        edges = {v: [] for v in nodes}
+        for _ in range(rng.randint(0, 3 * len(nodes))):
+            src = rng.choice(nodes)
+            dst = rng.choice(nodes) if rng.random() < 0.9 else f"w{rng.randrange(3)}"
+            if trial % 2 == 0 and dst in rank and rank[dst] <= rank[src]:
+                continue  # even trials are acyclic
+            edges[src].append(dst)
+        got = topological_order(edges)
+        assert got == _graphlib_order(edges)
+        cyclic += got[1] is not None
+    assert 500 < cyclic < 2000
 
 
 def test_orientation_coherence():

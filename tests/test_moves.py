@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from widthcalc import model, moves
 from widthcalc.complexity import LT, compare, complexity, index_down, index_up
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import (
@@ -40,6 +41,7 @@ from widthcalc.moves import (
     is_reduced,
     parse_move,
 )
+from widthcalc.search import thin as thin_run
 from conftest import bdy, cb, thick, thin
 
 
@@ -440,6 +442,32 @@ def test_destabilize_global_boundary_sphere_guard():
     assert err.value.rule == "destabilize.boundary_sphere"
 
 
+def _sphere_blocked_and_free():
+    """Two components: A, whose upper body owns a twice-punctured boundary
+    sphere, and B, a genus-1 level with empty tangles."""
+    return build_complex(
+        thick=[thick("HA", 1, 2, "ua", "da"), thick("HB", 1, 0, "ub", "db")],
+        boundary=[bdy("S", 0, 2, "ua")],
+        cbs=[cb("ua", "HA", minus=("S",), v=2), cb("da", "HA", b=1),
+             cb("ub", "HB"), cb("db", "HB")],
+    )
+
+
+def test_destabilize_boundary_sphere_guard_is_per_component():
+    cx = _sphere_blocked_and_free()
+    assert validate(cx).ok
+    for variant in ("stab", "merid_stab"):
+        with pytest.raises(MoveRejected) as err:
+            apply_destabilize(cx, Destabilize(variant, "HA"))
+        assert err.value.rule == "destabilize.boundary_sphere"
+        assert "'S'" in str(err.value)
+    assert complexity(apply_destabilize(cx, Destabilize("stab", "HB"))) == (22, 0)
+    assert complexity(apply_destabilize(cx, Destabilize("merid_stab", "HB"))) == (22, 8)
+    # the proposer offers destabilizations exactly where the rule allows them
+    offered = {m.thick for m in enumerate_moves(cx) if isinstance(m, Destabilize)}
+    assert offered == {"HB"}
+
+
 def test_destabilize_ghost_needs_ghost_arcs():
     cx = build_complex(
         thick=[thick("H", 2, 3, "u", "d")],
@@ -651,3 +679,34 @@ def test_golden_decisions_on_seeded_corpus():
             digest.update(json.dumps([doc, outcome], sort_keys=True).encode())
     assert (candidates, accepted) == (4609, 1854)
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
+    """Whatever path the gate takes to validate a move's result, what it
+    keeps on the result equals a fresh full validation: the report with every
+    violation in order, the body indices, the flow digraph and its order.
+    Covers every gate result of the golden corpus and of the first ten steps
+    of a 13-level ``thin`` run, valid and invalid."""
+    real = moves.validate
+    counts = {"valid": 0, "invalid": 0}
+
+    def recording(out, **kwargs):
+        report = real(out, **kwargs)
+        assert model.validation(out) == model._validation(out)
+        counts["valid" if report.ok else "invalid"] += 1
+        return report
+
+    monkeypatch.setattr(moves, "validate", recording)
+    rng = random.Random(7)
+    cfg = GenConfig(max_thick=4, seed=7)
+    for _ in range(200):
+        cx = gen_complex(cfg, rng)
+        for m in enumerate_moves(cx):
+            try:
+                apply_move(cx, m)
+            except MoveRejected:
+                pass
+    assert counts == {"valid": 2660, "invalid": 614}
+    _final, trace = thin_run(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves, cap=10)
+    assert len(trace.steps) == 10
+    assert counts["valid"] > 2660 and counts["invalid"] > 614

@@ -61,6 +61,7 @@ __all__ = [
     "require_valid",
     "profile_index",
     "body_index",
+    "body_passes",
     "is_product_profile",
     "is_ball_profile",
     "thick_digraph",
@@ -561,6 +562,14 @@ def body_index(cx: Complex, cb_id: str) -> int:
         raise ValidationError(ValidationReport(
             tuple(v for v in checked.report.violations if v.subject == cb_id)))
     return checked.body[cb_id]
+
+
+def body_passes(cx: Complex, cb_id: str) -> bool:
+    """Whether one body of ``cx`` passes its own checks, the ones
+    :func:`validate` runs on every body.  A body that fails appends at least
+    one violation there, so ``cx`` is then invalid; the converse needs the
+    whole-complex checks too."""
+    return _check_cb(cx, cx.cbs[cb_id], []) is not None
 
 
 def is_product_profile(cx: Complex, cb: CompressionBody) -> bool:

@@ -31,19 +31,28 @@ Every kind is accepted by the same gate, in the same order.  The input must
 be valid.  Then come the kind's own pre-checks (ids, sides, profiles, disc
 accounting), which may reject under their own rule names, and the result is
 built; bodies the move rebuilt get their certificate flags from their
-profiles.  The result must validate (``<kind>.result_invalid``), satisfy the
+profiles.  The result must be valid (``<kind>.result_invalid``), satisfy the
 kind's exact index identities, read from :func:`~widthcalc.complexity.analyze`
 of input and result (for example ``consolidate.merge_index``), and have a
 strictly smaller complexity vector (``<kind>.monotone``).  The untelescope
 sequence, :func:`elementary_thinning_sequence`, uses the prefix
 ``elementary``.
 
-A result is validated against the move's valid input
+Validity is decided in two steps, cheap first.  Each rebuilt body runs its
+own checks (:func:`~widthcalc.model.body_passes`); a body that fails puts a
+violation in the result's report, so the move is rejected at once, and most
+rejected candidates end here.  A result whose rebuilt bodies pass is then
+validated whole against the move's valid input
 (:func:`~widthcalc.model.validate` with ``base``): the build functions copy
 the maps but keep every record they do not change, so a body whose record,
 plus level and minus ports are all unchanged is not checked again.  Only the
-bodies whose inputs differ from the input's, usually 2 to 4, are re-checked,
-and the report, quoted by ``result_invalid``, is that of a full validation.
+bodies whose inputs differ from the input's, usually 2 to 4, are re-checked.
+
+A :class:`MoveRejected` formats its message when it is first read: the
+message of ``result_invalid`` is the report of that whole validation, the
+same as a full validation's, and it is only worked out when someone prints
+it.  A caller that only counts rules, like :func:`~widthcalc.search.thin`,
+pays for none of it.
 
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
@@ -58,7 +67,7 @@ document raises :class:`~widthcalc.model.SchemaError` naming the field.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, fields, replace
 
 from .model import (
@@ -73,6 +82,7 @@ from .model import (
     _id_list,
     _need,
     body_index,
+    body_passes,
     emit_tangle,
     euler_char,
     ghost_excess,
@@ -119,11 +129,22 @@ __all__ = [
 
 
 class MoveRejected(Exception):
-    """A certificate failed one of its checks; ``rule`` names which."""
+    """A certificate failed one of its checks; ``rule`` names which.
 
-    def __init__(self, rule: str, message: str):
-        super().__init__(f"{rule}: {message}")
+    ``message`` may be a callable taking no arguments: it is called when the
+    error is first turned into a string, ``"<rule>: <message>"``, so that a
+    rejection nobody prints costs no formatting.
+    """
+
+    def __init__(self, rule: str, message: str | Callable[[], str]):
+        super().__init__(rule)
         self.rule = rule
+        self._message = message
+
+    def __str__(self) -> str:
+        if callable(self._message):
+            self._message = self._message()
+        return f"{self.rule}: {self._message}"
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +372,19 @@ def solve_tangle(plus: Surface, minus: list[Surface], loops: int = 0) -> Tangle 
 
 
 def _refresh_certificates(cx: Complex, cb_ids: Iterable[str]) -> Complex:
-    """Recompute triviality flags from profile data on engine-built bodies."""
-    cbs = dict(cx.cbs)
+    """Recompute triviality flags from profile data on engine-built bodies;
+    ``cx`` itself when no flag changes."""
+    changed = {}
     for cb_id in cb_ids:
-        cb = cbs[cb_id]
-        cbs[cb_id] = replace(
-            cb,
-            product_certificate=is_product_profile(cx, cb),
-            ball_certificate=is_ball_profile(cx, cb),
-        )
-    return replace(cx, cbs=cbs)
+        cb = cx.cbs[cb_id]
+        flags = is_product_profile(cx, cb), is_ball_profile(cx, cb)
+        if flags != (cb.product_certificate, cb.ball_certificate):
+            changed[cb_id] = replace(cb, product_certificate=flags[0], ball_certificate=flags[1])
+    return replace(cx, cbs={**cx.cbs, **changed}) if changed else cx
 
 
 Check = Callable[[Analysis, Analysis], None]
-Built = tuple[Complex, Iterable[str], Check | None]
+Built = tuple[Complex, Collection[str], Check | None]
 
 
 def _gated(rule: str):
@@ -381,11 +401,11 @@ def _gated(rule: str):
         def apply(cx: Complex, m: Move) -> Complex:
             require_valid(cx)
             out, rebuilt, check = build(cx, m)
-            if rebuilt:  # no copy otherwise: a copy drops the cached analysis
-                out = _refresh_certificates(out, rebuilt)
-            report = validate(out, base=cx)
-            if not report.ok:
-                raise MoveRejected(f"{rule}.result_invalid", str(report))
+            out = _refresh_certificates(out, rebuilt)
+            # a rebuilt body that fails its own checks makes the whole report non-empty
+            if not all(body_passes(out, cb_id) for cb_id in rebuilt) \
+                    or not validate(out, base=cx).ok:
+                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out, base=cx)))
             before, after = analyze(cx), analyze(out)
             if check is not None:
                 check(before, after)
@@ -397,10 +417,9 @@ def _gated(rule: str):
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
-    pool: set[str] = set(cx.thick) | set(cx.thin) | set(cx.boundary) | set(cx.cbs)
     seen: set[str] = set()
     for i in ids:
-        if i in pool or i in seen:
+        if i in cx.thick or i in cx.thin or i in cx.boundary or i in cx.cbs or i in seen:
             raise MoveRejected(f"{rule}.fresh_ids", f"id {i!r} is not fresh")
         seen.add(i)
 
@@ -644,12 +663,14 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
 
 
 def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
-    """First (thick, thin) pair with a product-certified body between them."""
-    for cb_id in sorted(cx.cbs):
-        cb = cx.cbs[cb_id]
-        if cb.product_certificate and len(cb.minus) == 1 and cb.minus[0] in cx.thin:
-            return cb.plus, cb.minus[0]
-    return None
+    """The (thick, thin) pair of the least body id that is product-certified
+    and has a thin level as its only minus level; None if there is none."""
+    first = min((cb_id for cb_id, cb in cx.cbs.items() if cb.product_certificate
+                 and len(cb.minus) == 1 and cb.minus[0] in cx.thin), default=None)
+    if first is None:
+        return None
+    cb = cx.cbs[first]
+    return cb.plus, cb.minus[0]
 
 
 @_gated("elementary")

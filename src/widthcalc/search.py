@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .complexity import LT, compare, complexity
@@ -31,6 +31,7 @@ from .moves import (
     Unperturb,
     UndoRemovable,
     Untelescope,
+    _KIND,
     apply_move,
     emit_move,
     find_product_on_thin,
@@ -63,22 +64,32 @@ class TraceStep:
 
 @dataclass
 class ThinningTrace:
+    """What a :func:`thin` run did.
+
+    ``steps`` holds each applied move with the digest and vector of its
+    result.  ``terminal`` says that no move applied at the end;
+    ``cap_reached`` that the run stopped at its step cap instead.
+    ``diagnostics`` counts the skipped candidates by (move document
+    ``kind``, the rule that rejected it); the messages are never formatted.
+    """
+
     start_digest: str
     start_vector: tuple[int, ...]
     steps: list[TraceStep] = field(default_factory=list)
     terminal: bool = False
-    diagnostics: list[str] = field(default_factory=list)
+    cap_reached: bool = False
+    diagnostics: Counter[tuple[str, str]] = field(default_factory=Counter)
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [self.start_vector] + [s.vector for s in self.steps]
 
 
-def _first_applicable(cx: Complex, moves, diagnostics: list[str]):
+def _first_applicable(cx: Complex, moves, diagnostics: Counter[tuple[str, str]]):
     for move in moves:
         try:
             return move, apply_move(cx, move)
         except MoveRejected as err:
-            diagnostics.append(f"skipped {type(move).__name__}: {err}")
+            diagnostics[_KIND[type(move)], err.rule] += 1
     return None, None
 
 
@@ -90,7 +101,8 @@ def thin(cx: Complex, proposer, policy: str = "first",
     them in proposer order, ``greedy-max-drop`` the one whose result has the
     smallest complexity vector (ties broken by canonical hash).  Reducing
     moves always run first, so the terminal complex is reduced with respect
-    to the proposer.  Invalid certificates are skipped with a diagnostic.
+    to the proposer.  Invalid certificates are skipped and counted in the
+    trace's ``diagnostics``.
     """
     if policy not in ("first", "greedy-max-drop"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -129,8 +141,7 @@ def thin(cx: Complex, proposer, policy: str = "first",
                         try:
                             result = apply_move(current, cand)
                         except MoveRejected as err:
-                            trace.diagnostics.append(
-                                f"skipped {type(cand).__name__}: {err}")
+                            trace.diagnostics[_KIND[type(cand)], err.rule] += 1
                             continue
                         vec = complexity(result)
                         if best is None or vec < best[0]:
@@ -147,7 +158,7 @@ def thin(cx: Complex, proposer, policy: str = "first",
             trace.terminal = True
             return current, trace
         if len(trace.steps) >= cap:
-            trace.diagnostics.append("cap reached")
+            trace.cap_reached = True
             return current, trace
         record(move, after, digest)
         current = after

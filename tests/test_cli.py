@@ -202,6 +202,25 @@ def test_apply_chained_moves(tmp_path, capsys):
     assert "[24] -> [12]" in out and "[12] -> [0]" in out
 
 
+def test_apply_prints_the_whole_report_of_an_invalid_result(tmp_path, capsys):
+    # destabilizing leaves genus 0 above two genus-1 boundary levels: both
+    # bodies fail, and the message quotes the result's whole report
+    cx = build_complex(thick=[thick("H", 1, 0, "u", "d")],
+                       boundary=[bdy("B1", 1, 0, "u"), bdy("B2", 1, 0, "d")],
+                       cbs=[cb("u", "H", minus=("B1",)), cb("d", "H", minus=("B2",))])
+    inst = tmp_path / "genus1.json"
+    inst.write_text(json.dumps(emit_complex(cx)))
+    move = tmp_path / "stab.json"
+    move.write_text(json.dumps({"kind": "destabilize", "variant": "stab", "thick": "H"}))
+    assert main(["apply", str(inst), "--move", str(move)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "rejected: destabilize.result_invalid: "
+        "[genus_feasibility] d: positive genus 0 < total negative genus 1\n"
+        "[genus_feasibility] u: positive genus 0 < total negative genus 1\n")
+
+
 def test_thin_command(tmp_path, four_ended_file, capsys):
     assert main(["thin", four_ended_file, "--quiet", "--out",
                  str(tmp_path / "thin.json")]) == 0

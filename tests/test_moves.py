@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from widthcalc import model, moves
+from widthcalc import model, moves, search
 from widthcalc.complexity import LT, compare, complexity, index_down, index_up
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import (
+    BoundaryLevel,
     Surface,
     Tangle,
     body_index,
@@ -685,28 +686,94 @@ def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
     """Whatever path the gate takes to validate a move's result, what it
     keeps on the result equals a fresh full validation: the report with every
     violation in order, the body indices, the flow digraph and its order.
-    Covers every gate result of the golden corpus and of the first ten steps
-    of a 13-level ``thin`` run, valid and invalid."""
+    A result whose rebuilt bodies fail their own checks is rejected without
+    a validation; its message, formatted when read, quotes the report of a
+    fresh full validation.  Covers every gate result of the golden corpus and
+    of the first ten steps of a 25-level ``thin`` run, valid and invalid."""
     real = moves.validate
-    counts = {"valid": 0, "invalid": 0}
+    counts = {"valid": 0, "invalid": 0, "formatted": 0}
+    reading = {"message": False, "out": None}  # the result a message validates
 
     def recording(out, **kwargs):
         report = real(out, **kwargs)
         assert model.validation(out) == model._validation(out)
-        counts["valid" if report.ok else "invalid"] += 1
+        if reading["message"]:
+            reading["out"] = out
+        else:
+            counts["valid" if report.ok else "invalid"] += 1
         return report
 
+    def checked_apply(cx, m):
+        try:
+            return apply_move(cx, m)
+        except MoveRejected as err:
+            if err.rule.endswith(".result_invalid"):
+                reading.update(message=True, out=None)
+                message = str(err)
+                reading["message"] = False
+                assert reading["out"] is not None
+                assert message == f"{err.rule}: {model._validation(reading['out']).report}"
+                counts["formatted"] += 1
+            raise
+
     monkeypatch.setattr(moves, "validate", recording)
+    monkeypatch.setattr(search, "apply_move", checked_apply)
     rng = random.Random(7)
     cfg = GenConfig(max_thick=4, seed=7)
     for _ in range(200):
         cx = gen_complex(cfg, rng)
         for m in enumerate_moves(cx):
             try:
-                apply_move(cx, m)
+                checked_apply(cx, m)
             except MoveRejected:
                 pass
-    assert counts == {"valid": 2660, "invalid": 614}
+    assert counts == {"valid": 2660, "invalid": 0, "formatted": 614}
     _final, trace = thin_run(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves, cap=10)
     assert len(trace.steps) == 10
-    assert counts["valid"] > 2660 and counts["invalid"] > 614
+    assert counts["valid"] > 2660 and counts["formatted"] > 614
+
+
+def test_gate_checks_rebuilt_bodies_first_and_formats_the_report_when_read(one_bridge_sphere):
+    """A result whose rebuilt body fails its own checks is rejected before
+    the result is validated, and the message validates it when first read.
+    A result whose rebuilt bodies pass but which fails a whole-complex check
+    is validated and rejected under the same rule."""
+    cx = one_bridge_sphere
+    broken = replace(cx.cbs["u"], tangle=Tangle(bridges=2), ball_certificate=False)
+    bad_body = replace(cx, cbs={**cx.cbs, "u": broken})
+    stray = replace(cx, boundary={"S": BoundaryLevel("S", Surface(0, 1), owner="u")})
+    for out, rebuilt, validated in ((bad_body, ("d", "u"), False), (stray, ("d", "u"), True)):
+        @moves._gated("probe")
+        def probe(_cx, _m):
+            return out, rebuilt, None
+
+        with pytest.raises(MoveRejected) as err:
+            probe(cx, None)
+        assert err.value.rule == "probe.result_invalid"
+        assert ("_validation" in out.__dict__) == validated
+        assert str(err.value) == f"probe.result_invalid: {model._validation(out).report}"
+        assert "_validation" in out.__dict__
+        assert not model.validate(out).ok
+
+
+GOLDEN_REJECTIONS_DIGEST = "a7185dbfd95ade00be4e151dddaac52fd03e8c3e237620ba88fd43675232c788"
+
+
+def test_golden_rejection_messages():
+    """Every rejected candidate of the golden corpus keeps its rule and its
+    message, byte for byte, however late the message is formatted."""
+    rng = random.Random(7)
+    cfg = GenConfig(max_thick=4, seed=7)
+    digest = hashlib.sha256()
+    rejected = 0
+    for _ in range(200):
+        cx = gen_complex(cfg, rng)
+        for m in enumerate_moves(cx):
+            try:
+                apply_move(cx, m)
+            except MoveRejected as err:
+                digest.update(json.dumps([emit_move(m), err.rule, str(err)],
+                                         sort_keys=True).encode())
+                rejected += 1
+    assert rejected == 4609 - 1854
+    assert digest.hexdigest() == GOLDEN_REJECTIONS_DIGEST

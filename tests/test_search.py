@@ -9,7 +9,7 @@ import pytest
 
 from widthcalc import model
 from widthcalc.complexity import LT, compare, complexity
-from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
+from widthcalc.gen import GenConfig, enumerate_moves, gen_complex, gen_move
 from widthcalc.model import emit_complex, emit_record, parse_complex, validate
 from widthcalc.moves import (
     BodySpec,
@@ -21,6 +21,7 @@ from widthcalc.moves import (
     Untelescope,
     UntelescopeOutcome,
     apply_move,
+    emit_move,
     find_product_on_thin,
     is_reduced,
     parse_move,
@@ -603,3 +604,60 @@ def test_golden_record_bytes():
         digest.update(canonical_form(cx).encode())
         digest.update(canonical_hash(cx).encode())
     assert digest.hexdigest() == RECORD_GOLDEN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Golden driver outcomes
+# ---------------------------------------------------------------------------
+
+DRIVER_GOLDEN_DIGEST = "6bb650c6642cf520c6f4e77d2eebfe3bcc15eb391b86b3dc7c489f110f878d8f"
+
+
+def _small_sphere_part():
+    """One genus-1 level whose upper body owns a twice-punctured boundary
+    sphere, so that no level of its component may be destabilized."""
+    return build_complex(thick=[thick("H", 1, 2, "u", "d")],
+                         boundary=[bdy("S", 0, 2, "u")],
+                         cbs=[cb("u", "H", minus=("S",), v=2), cb("d", "H", b=1)])
+
+
+def test_golden_driver_outcomes():
+    """What every driver of the candidate loop decides on a seeded corpus:
+    the step documents and digests and the sorted rejection counts of
+    ``thin`` under both policies; the edges in order, truncated nodes,
+    completeness and sinks of ``rewrite_graph`` (budget 30), also on unions
+    with a component that owns a small boundary sphere; the witnesses of
+    ``is_reduced``; and the picks of ``gen_move`` with a seeded rng."""
+    outcomes = []
+    for i in range(16):
+        cx = gen_complex(GenConfig(max_thick=4, seed=8000 + i))
+        for policy in ("first", "greedy-max-drop"):
+            _final, trace = thin(cx, enumerate_moves, policy=policy)
+            outcomes.append([trace.start_digest, trace.terminal, trace.cap_reached,
+                             [[s.digest, s.move] for s in trace.steps],
+                             sorted([*key, n] for key, n in trace.diagnostics.items())])
+    rng = random.Random(8)
+    corpus = [gen_complex(GenConfig(max_thick=3, seed=8100 + i)) for i in range(8)]
+    corpus += [_union([_small_sphere_part(), cx], rng) for cx in corpus[:4]]
+    for cx in corpus:
+        graph = rewrite_graph(cx, enumerate_moves, max_nodes=30)
+        outcomes.append([graph.root, graph.edges, sorted(graph.truncated),
+                         graph.complete, graph.sinks()])
+    for i in range(40):
+        cx = gen_complex(GenConfig(max_thick=3, seed=8200 + i))
+        if i % 4 == 0:
+            cx = _union([_small_sphere_part(), cx], rng)
+        reduced, witness = is_reduced(cx, enumerate_moves)
+        outcomes.append([reduced, None if witness is None else emit_move(witness)])
+        move = gen_move(cx, rng)
+        outcomes.append(None if move is None else emit_move(move))
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+    assert digest == DRIVER_GOLDEN_DIGEST
+
+
+def test_rewrite_graph_skips_offers_that_are_not_moves(one_bridge_sphere):
+    """A proposer may offer anything; an offer that is not a move is
+    rejected like an invalid certificate, not looked up."""
+    graph = rewrite_graph(one_bridge_sphere, lambda cx: [object()])
+    assert len(graph.nodes) == 1 and graph.complete
+    assert graph.edges == [] and graph.sinks() == [graph.root]

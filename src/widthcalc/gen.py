@@ -16,6 +16,7 @@ validation layer wants.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .model import (
@@ -36,16 +37,14 @@ from .moves import (
     Destabilize,
     DiscData,
     Move,
-    MoveRejected,
     SplitData,
     ThickSpec,
     Unperturb,
     UndoRemovable,
     Untelescope,
     UntelescopeOutcome,
-    _component_bodies,
-    _small_spheres,
-    apply_move,
+    _sphere_blocks,
+    applicable,
 )
 
 __all__ = ["GenConfig", "gen_complex", "gen_move", "enumerate_moves"]
@@ -270,7 +269,7 @@ def _untelescope_candidates(cx: Complex, t: ThickLevel) -> list[Untelescope]:
     return out
 
 
-def enumerate_moves(cx: Complex, untelescopes: bool = True) -> list[Move]:
+def enumerate_moves(cx: Complex) -> list[Move]:
     """Every certificate the summary data suggests, in a deterministic order.
 
     Candidates are not pre-filtered through the full engine; callers apply
@@ -283,13 +282,13 @@ def enumerate_moves(cx: Complex, untelescopes: bool = True) -> list[Move]:
             moves.append(Consolidate(thick=cb.plus, thin=cb.minus[0]))
 
     # destabilizing needs a component free of small boundary spheres
-    blocked = _component_bodies(cx, [b.owner for b in _small_spheres(cx)])
+    blocked = _sphere_blocks(cx)
     for t_id in sorted(cx.thick):
         t = cx.thick[t_id]
         g, p = t.surface.genus, t.surface.punctures
         up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
 
-        if t.upper_cb not in blocked:
+        if t_id not in blocked:
             if g >= 1:
                 moves.append(Destabilize("stab", t_id))
                 moves.append(Destabilize("merid_stab", t_id))
@@ -316,8 +315,7 @@ def enumerate_moves(cx: Complex, untelescopes: bool = True) -> list[Move]:
                 for side in ("up", "down"):
                     moves.append(UndoRemovable(t_id, loop_side=side))
 
-        if untelescopes:
-            moves.extend(_untelescope_candidates(cx, t))
+        moves.extend(_untelescope_candidates(cx, t))
     return moves
 
 
@@ -325,11 +323,5 @@ def gen_move(cx: Complex, rng: random.Random) -> Move | None:
     """A random certificate that the engine accepts, or None."""
     candidates = enumerate_moves(cx)
     rng.shuffle(candidates)
-    for move in candidates:
-        try:
-            apply_move(cx, move)
-        except MoveRejected:
-            continue
-        return move
-    return None
+    return next((move for move, _result in applicable(cx, candidates, Counter())), None)
 

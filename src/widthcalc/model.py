@@ -67,6 +67,7 @@ __all__ = [
     "thick_digraph",
     "topological_order",
     "digraph_cycle",
+    "components",
     "parse_complex",
     "emit_record",
     "emit_complex",
@@ -655,6 +656,38 @@ def topological_order(edges: Mapping[str, list[str]]) -> tuple[tuple[str, ...], 
 def digraph_cycle(edges: Mapping[str, list[str]]) -> list[str] | None:
     """Return some directed cycle as a node list, or None if acyclic."""
     return topological_order(edges)[1]
+
+
+def components(cx: Complex) -> list[list]:
+    """The records of each connected component, a record joined to each
+    record it names: a union-find, giving records in map order (thick, thin,
+    boundary, bodies) and components in the order of their first record."""
+    records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
+    parent = {rec.id: rec.id for rec in records}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(a: str, *named: str) -> None:
+        root = find(a)
+        for b in named:
+            if b in parent:
+                parent[find(b)] = root
+
+    for t in cx.thick.values():
+        join(t.id, t.upper_cb, t.lower_cb)
+    for f in cx.thin.values():
+        join(f.id, f.from_cb, f.to_cb)
+    for b in cx.boundary.values():
+        join(b.id, b.owner)
+    for c in cx.cbs.values():
+        join(c.id, c.plus, *c.minus)
+    groups: dict[str, list] = {}
+    for rec in records:
+        groups.setdefault(find(rec.id), []).append(rec)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ document raises :class:`~widthcalc.model.SchemaError` naming the field.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Collection, Iterable
+from collections import Counter
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 
 from .model import (
@@ -83,6 +84,7 @@ from .model import (
     _need,
     body_index,
     body_passes,
+    components,
     emit_tangle,
     euler_char,
     ghost_excess,
@@ -121,6 +123,8 @@ __all__ = [
     "apply_unperturb",
     "apply_undo_removable",
     "apply_move",
+    "REDUCING",
+    "applicable",
     "find_product_on_thin",
     "is_reduced",
     "parse_move",
@@ -434,28 +438,19 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
     raise MoveRejected("move.side", f"side must be 'up' or 'down', not {side!r}")
 
 
-def _small_spheres(cx: Complex) -> list[BoundaryLevel]:
-    """Boundary levels that are spheres with two or fewer punctures."""
-    return [b for b in cx.boundary.values() if b.surface.genus == 0 and b.surface.punctures <= 2]
-
-
-def _component_bodies(cx: Complex, starts: Iterable[str]) -> set[str]:
-    """The bodies of a valid complex that thick and thin levels connect to
-    any of ``starts``: the bodies of their connected components."""
-    seen: set[str] = set()
-    stack = list(starts)
-    while stack:
-        cb_id = stack.pop()
-        if cb_id in seen:
-            continue
-        seen.add(cb_id)
-        cb = cx.cbs[cb_id]
-        t = cx.thick[cb.plus]
-        stack += (t.upper_cb, t.lower_cb)
-        for port in cb.minus:
-            if port in cx.thin:
-                stack += (cx.thin[port].from_cb, cx.thin[port].to_cb)
-    return seen
+def _sphere_blocks(cx: Complex) -> dict[str, BoundaryLevel]:
+    """Thick level id -> the first boundary level of its connected component
+    that is a sphere with two or fewer punctures, for the components that
+    have one.  The components are split only when such a sphere exists."""
+    small = {b.id for b in cx.boundary.values() if b.surface.genus == 0 and b.surface.punctures <= 2}
+    if not small:
+        return {}
+    blocks = {}
+    for records in components(cx):
+        sphere = next((rec for rec in records if rec.id in small), None)
+        if sphere is not None:
+            blocks.update((rec.id, sphere) for rec in records if isinstance(rec, ThickLevel))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +714,10 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     if m.thick not in cx.thick:
         raise MoveRejected("destabilize.thick", f"unknown thick level {m.thick!r}")
     H = cx.thick[m.thick]
-    small = _small_spheres(cx)
-    if small:
-        own = _component_bodies(cx, (H.upper_cb,))
-        for b in small:
-            if b.owner in own:
-                raise MoveRejected("destabilize.boundary_sphere",
-                                   f"boundary level {b.id!r} is a sphere with <= 2 punctures")
+    sphere = _sphere_blocks(cx).get(m.thick)
+    if sphere is not None:
+        raise MoveRejected("destabilize.boundary_sphere",
+                           f"boundary level {sphere.id!r} is a sphere with <= 2 punctures")
 
     side_id, far_id = _side_cbs(cx, m.thick, m.side)
     side_cb, far_cb = cx.cbs[side_id], cx.cbs[far_id]
@@ -920,6 +912,27 @@ def apply_move(cx: Complex, m: Move) -> Complex:
     return apply(cx, m)
 
 
+REDUCING = (Destabilize, Unperturb, UndoRemovable)
+
+
+def applicable(cx: Complex, moves: Iterable[Move],
+               rejected: Counter[tuple[str | None, str]]) -> Iterator[tuple[Move, Complex]]:
+    """``(move, result)`` for each of ``moves`` that applies to ``cx``, in order.
+
+    Each rejection is counted in ``rejected`` under (move document ``kind``,
+    rule), and its message is never formatted; an offer that is not a move
+    counts under ``(None, "move.kind")``.  Moves are applied as they are
+    asked for, so a caller that stops early applies no more.
+    """
+    for move in moves:
+        try:
+            result = apply_move(cx, move)
+        except MoveRejected as err:
+            rejected[_KIND.get(type(move)), err.rule] += 1
+            continue
+        yield move, result
+
+
 def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
     """No certified product touches a thin level and the proposer offers no
     applicable destabilize/unperturb/undo-removable certificate.  The witness
@@ -929,13 +942,8 @@ def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
     if hit is not None:
         return False, Consolidate(thick=hit[0], thin=hit[1])
     if proposer is not None:
-        for move in proposer(cx):
-            if not isinstance(move, (Destabilize, Unperturb, UndoRemovable)):
-                continue
-            try:
-                apply_move(cx, move)
-            except MoveRejected:
-                continue
+        reducing = (m for m in proposer(cx) if isinstance(m, REDUCING))
+        for move, _result in applicable(cx, reducing, Counter()):
             return False, move
     return True, None
 

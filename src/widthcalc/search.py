@@ -2,7 +2,9 @@
 
 A proposer is any callable producing a finite list of candidate moves for a
 complex; the engine validates every candidate independently, so a proposer is
-free to over-offer.  :func:`thin` repeatedly reduces (consolidations and the
+free to over-offer.  Both drivers read them through
+:func:`~widthcalc.moves.applicable`, counting rejections in ``diagnostics``.
+:func:`thin` repeatedly reduces (consolidations and the
 destabilize/unperturb/undo family) and then applies staged untelescope
 sequences until nothing applies; strict decrease of the complexity vector
 over a well-founded order makes termination unconditional, and a step cap
@@ -12,26 +14,34 @@ guards against certificate bugs anyway.
 keying nodes by a canonical hash so that relabelled copies of a complex
 collapse to one node.  Every edge strictly decreases complexity, hence the
 graph is a DAG and its sinks are exactly the locally thin elements reached.
+The hash canonizes each of :func:`~widthcalc.model.components` on its own,
+and a run keeps one memo of component forms keyed on their records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .complexity import LT, compare, complexity
-from .model import Complex, digraph_cycle, emit_record, require_valid
+from .model import (
+    BoundaryLevel,
+    Complex,
+    ThickLevel,
+    ThinLevel,
+    components,
+    digraph_cycle,
+    emit_record,
+    require_valid,
+)
 from .moves import (
+    REDUCING,
     Consolidate,
-    Destabilize,
     Move,
-    MoveRejected,
-    Unperturb,
-    UndoRemovable,
     Untelescope,
-    _KIND,
+    applicable,
     apply_move,
     emit_move,
     find_product_on_thin,
@@ -47,9 +57,6 @@ __all__ = [
     "canonical_hash",
     "rewrite_graph_dot",
 ]
-
-_REDUCING = (Destabilize, Unperturb, UndoRemovable)
-
 
 # ---------------------------------------------------------------------------
 # Thinning runs
@@ -84,22 +91,14 @@ class ThinningTrace:
         return [self.start_vector] + [s.vector for s in self.steps]
 
 
-def _first_applicable(cx: Complex, moves, diagnostics: Counter[tuple[str, str]]):
-    for move in moves:
-        try:
-            return move, apply_move(cx, move)
-        except MoveRejected as err:
-            diagnostics[_KIND[type(move)], err.rule] += 1
-    return None, None
-
-
 def thin(cx: Complex, proposer, policy: str = "first",
          cap: int = 1_000_000) -> tuple[Complex, ThinningTrace]:
     """Apply moves until none applies; returns the final complex and a trace.
 
     ``policy`` picks among applicable untelescope candidates: ``first`` takes
     them in proposer order, ``greedy-max-drop`` the one whose result has the
-    smallest complexity vector (ties broken by canonical hash).  Reducing
+    smallest complexity vector (ties broken by canonical hash, and equal
+    hashes by proposer order).  Reducing
     moves always run first, so the terminal complex is reduced with respect
     to the proposer.  Invalid certificates are skipped and counted in the
     trace's ``diagnostics``.
@@ -126,34 +125,27 @@ def thin(cx: Complex, proposer, policy: str = "first",
             after = apply_move(current, move)
         else:
             candidates = list(proposer(current))
-            move, after = _first_applicable(
-                current, [m for m in candidates if isinstance(m, _REDUCING)],
-                trace.diagnostics)
+            reducing = [m for m in candidates if isinstance(m, REDUCING)]
+            move, after = next(applicable(current, reducing, trace.diagnostics), (None, None))
             if move is None:
-                untels = [m for m in candidates
-                          if isinstance(m, (Untelescope, Consolidate))]
+                untels = applicable(current, [m for m in candidates
+                                              if isinstance(m, (Untelescope, Consolidate))],
+                                    trace.diagnostics)
                 if policy == "first":
-                    move, after = _first_applicable(current, untels, trace.diagnostics)
+                    move, after = next(untels, (None, None))
                 else:
-                    # least (vector, digest); a digest is needed only on a tie
-                    best = None  # [vector, digest or None, move, result]
-                    for cand in untels:
-                        try:
-                            result = apply_move(current, cand)
-                        except MoveRejected as err:
-                            trace.diagnostics[_KIND[type(cand)], err.rule] += 1
-                            continue
+                    # the least vector; among results tied on it, the least digest
+                    least, tied = None, []
+                    for cand, result in untels:
                         vec = complexity(result)
-                        if best is None or vec < best[0]:
-                            best = [vec, None, cand, result]
-                        elif vec == best[0]:
-                            if best[1] is None:
-                                best[1] = canonical_hash(best[3], _forms=forms)
-                            found = canonical_hash(result, _forms=forms)
-                            if found < best[1]:
-                                best = [vec, found, cand, result]
-                    if best is not None:
-                        digest, move, after = best[1:]
+                        if least is None or vec < least:
+                            least, tied = vec, []
+                        if vec == least:
+                            tied.append((cand, result))
+                    if tied:
+                        digest, _k, move, after = min(
+                            (canonical_hash(result, _forms=forms), k, cand, result)
+                            for k, (cand, result) in enumerate(tied))
         if move is None:
             trace.terminal = True
             return current, trace
@@ -170,13 +162,17 @@ def thin(cx: Complex, proposer, policy: str = "first",
 
 @dataclass
 class RewriteGraph:
+    """Every node is expanded; ``truncated`` holds those that lost an edge to
+    a new node to the budget.  ``diagnostics`` counts rejected offers like
+    :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``."""
+
     root: str
     nodes: dict[str, Complex]
     vectors: dict[str, tuple[int, ...]]
     edges: list[tuple[str, dict, str]]
-    expanded: set[str]
-    truncated: set[str]  # expanded nodes with edges dropped by the budget
+    truncated: set[str]
     complete: bool
+    diagnostics: Counter[tuple[str | None, str]] = field(default_factory=Counter)
 
     def successors(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -186,41 +182,29 @@ class RewriteGraph:
 
     def sinks(self) -> list[str]:
         succ = self.successors()
-        return sorted(n for n in self.expanded - self.truncated if not succ[n])
+        return sorted(n for n in self.nodes if n not in self.truncated and not succ[n])
 
     def is_acyclic(self) -> bool:
         return digraph_cycle(self.successors()) is None
 
 
-def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200,
-                  max_depth: int | None = None) -> RewriteGraph:
+def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     """Breadth-first expansion of every applicable move, up to a node budget.
 
     Nodes are keyed by canonical hash; the graph is incomplete when the
-    budget stops expansion, in which case unexpanded nodes are not counted as
-    sinks.
+    budget drops an edge to a new node, and a node that lost an edge so is
+    not counted as a sink.
     """
     require_valid(cx)
     forms: dict = {}
     root = canonical_hash(cx, _forms=forms)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
-                         edges=[], expanded=set(), truncated=set(), complete=True)
+                         edges=[], truncated=set(), complete=True)
     seen_edges: set[tuple[str, str, str]] = set()
-    queue: deque[tuple[str, int]] = deque([(root, 0)])
-    while queue:
-        digest, depth = queue.popleft()
-        if digest in graph.expanded:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            graph.complete = False
-            continue
-        graph.expanded.add(digest)
+    order = [root]
+    for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
-        for move in proposer(node):
-            try:
-                result = apply_move(node, move)
-            except MoveRejected:
-                continue
+        for move, result in applicable(node, proposer(node), graph.diagnostics):
             dst = canonical_hash(result, _forms=forms)
             vec = complexity(result)
             assert compare(vec, graph.vectors[digest]) == LT
@@ -231,7 +215,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200,
                     continue
                 graph.nodes[dst] = result
                 graph.vectors[dst] = vec
-                queue.append((dst, depth + 1))
+                order.append(dst)
             doc = emit_move(move)
             key = (digest, json.dumps(doc, sort_keys=True), dst)
             if key not in seen_edges:
@@ -257,48 +241,24 @@ def rewrite_graph_dot(graph: RewriteGraph) -> str:
 # Canonical hashing
 # ---------------------------------------------------------------------------
 
-def _records(cx: Complex):
-    """Each record with its id-free attributes and its references.
+def _describe(rec) -> tuple[tuple, tuple]:
+    """A record's id-free attributes and its references.
 
     Attributes open with the record kind, so that tuples of different kinds
     never compare past their first entry.  A reference is ``(slot, id)``;
     the kind of the referring record tells which field the slot names.
     """
-    for t in cx.thick.values():
-        yield t, (0, t.surface.genus, t.surface.punctures), \
-            ((0, t.upper_cb), (1, t.lower_cb))
-    for f in cx.thin.values():
-        yield f, (1, f.surface.genus, f.surface.punctures), \
-            ((0, f.from_cb), (1, f.to_cb))
-    for b in cx.boundary.values():
-        yield b, (2, b.surface.genus, b.surface.punctures, b.is_drilled_vertex), \
-            ((0, b.owner),)
-    for c in cx.cbs.values():
-        yield c, (3, *c.tangle.counts(), c.product_certificate, c.ball_certificate), \
-            ((0, c.plus),) + tuple((1, port) for port in c.minus)
-
-
-def _components(cx: Complex) -> list[list[tuple]]:
-    """The records of each connected component (union-find over references)."""
-    items = list(_records(cx))
-    parent = {rec.id: rec.id for rec, _attrs, _refs in items}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for rec, _attrs, refs in items:
-        root = find(rec.id)
-        for _slot, ref in refs:
-            if ref in parent:
-                other = find(ref)
-                if other != root:
-                    parent[other] = root
-    groups: dict[str, list[tuple]] = {}
-    for item in items:
-        groups.setdefault(find(item[0].id), []).append(item)
-    return list(groups.values())
+    if isinstance(rec, ThickLevel):
+        return (0, rec.surface.genus, rec.surface.punctures), \
+            ((0, rec.upper_cb), (1, rec.lower_cb))
+    if isinstance(rec, ThinLevel):
+        return (1, rec.surface.genus, rec.surface.punctures), \
+            ((0, rec.from_cb), (1, rec.to_cb))
+    if isinstance(rec, BoundaryLevel):
+        return (2, rec.surface.genus, rec.surface.punctures, rec.is_drilled_vertex), \
+            ((0, rec.owner),)
+    return (3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate), \
+        ((0, rec.plus),) + tuple((1, port) for port in rec.minus)
 
 
 def _refine(colors: list[int], outs, ins) -> list[int]:
@@ -343,7 +303,7 @@ def _in_orbit(v: int, others: list[int], gens: list[list[int]], prefix) -> bool:
     return not orbit.isdisjoint(others)
 
 
-def _component_form(items: list[tuple]) -> tuple[tuple, list]:
+def _component_form(records: list) -> tuple[tuple, list]:
     """Certificate and canonically ordered records of one connected component.
 
     Individualization-refinement: refine the colouring, then branch on each
@@ -356,11 +316,10 @@ def _component_form(items: list[tuple]) -> tuple[tuple, list]:
     "Practical graph isomorphism II", 2014): its subtree maps onto the
     sibling's, leaf certificates and all.
     """
-    index = {rec.id: v for v, (rec, _attrs, _refs) in enumerate(items)}
-    attrs = [a for _rec, a, _refs in items]
-    outs = [[(slot, index[ref]) for slot, ref in refs if ref in index]
-            for _rec, _attrs, refs in items]
-    ins: list[list[tuple[int, int]]] = [[] for _ in items]
+    index = {rec.id: v for v, rec in enumerate(records)}
+    attrs, refs = zip(*map(_describe, records))
+    outs = [[(slot, index[ref]) for slot, ref in named if ref in index] for named in refs]
+    ins: list[list[tuple[int, int]]] = [[] for _ in records]
     for v, edges in enumerate(outs):
         for slot, j in edges:
             ins[j].append((slot, v))
@@ -378,7 +337,7 @@ def _component_form(items: list[tuple]) -> tuple[tuple, list]:
     else:
         best = first = None
         gens: list[list[int]] = []
-        identity = list(range(len(items)))
+        identity = list(range(len(records)))
         # a node is (individualized prefix, colours, its cell's members left, children explored)
         stack = [((), root, iter(cell), [])]
         while stack:
@@ -419,18 +378,18 @@ def _component_form(items: list[tuple]) -> tuple[tuple, list]:
                     del stack[depth + 1:]
                     break
     cert, order = best
-    return cert, [items[v][0] for v in order]
+    return cert, [records[v] for v in order]
 
 
 def _canonical_document(cx: Complex, forms: dict) -> str:
     """The canonical form, reusing and filling ``forms``: component records
     (a frozenset, so a hit is an identical component) -> its form."""
     parts = []
-    for items in _components(cx):
-        key = frozenset(rec for rec, _attrs, _refs in items)
+    for records in components(cx):
+        key = frozenset(records)
         form = forms.get(key)
         if form is None:
-            form = forms[key] = _component_form(items)
+            form = forms[key] = _component_form(records)
         parts.append(form)
     parts.sort(key=lambda form: form[0])
     ordered = [rec for _cert, recs in parts for rec in recs]

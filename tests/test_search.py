@@ -242,8 +242,7 @@ def test_rewrite_graph_diamond_confluence():
     assert validate(cx).ok
 
     def proposer(c):
-        return [m for m in enumerate_moves(c, untelescopes=False)
-                if isinstance(m, Consolidate)]
+        return [m for m in enumerate_moves(c) if isinstance(m, Consolidate)]
 
     graph = rewrite_graph(cx, proposer)
     assert graph.complete
@@ -272,6 +271,25 @@ def test_rewrite_graph_budget_flagging(spheres_with_four_ends):
                           lambda cx: [move] if "H" in cx.thick else [],
                           max_nodes=1)
     assert not graph.complete
+
+
+def test_rewrite_graph_counts_rejections_by_kind_and_rule():
+    """Every node is expanded once, and every offer made there that is
+    rejected is counted once, under its move kind and rule; offers that are
+    not moves count under no kind."""
+    cx = gen_complex(GenConfig(max_thick=3, seed=8100))
+    graph = rewrite_graph(cx, lambda c: [*enumerate_moves(c), object()], max_nodes=30)
+    assert not graph.complete and graph.truncated
+    by_hand = Counter()
+    for node in graph.nodes.values():
+        for move in enumerate_moves(node):
+            try:
+                apply_move(node, move)
+            except MoveRejected as err:
+                by_hand[emit_move(move)["kind"], err.rule] += 1
+        by_hand[None, "move.kind"] += 1
+    assert graph.diagnostics == by_hand
+    assert len(by_hand) > 3
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +328,25 @@ def _union(parts, rng):
     for records in out.values():
         rng.shuffle(records)
     return parse_complex(out)
+
+
+def test_components_of_a_union_are_its_parts():
+    """A shuffled union of k relabelled one-level parts has exactly k
+    components, each the records of one part, in map order."""
+    rng = random.Random(9)
+    for k in (1, 2, 5):
+        parts = [_relabel(gen_complex(GenConfig(max_thick=1, seed=900 + i)), i)
+                 for i in range(k)]
+        cx = _union(parts, rng)
+        records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(),
+                   *cx.cbs.values()]
+        found = model.components(cx)
+        assert len(found) == k
+        assert {component[0].id.split(".")[0] for component in found} == {
+            f"k{i}" for i in range(k)}
+        for component in found:
+            prefix = component[0].id.split(".")[0]
+            assert component == [rec for rec in records if rec.id.startswith(prefix + ".")]
 
 
 def test_small_boundary_sphere_blocks_only_its_own_component():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from widthcalc import model
+from widthcalc import model, search
 from widthcalc.complexity import LT, compare, complexity
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex, gen_move
 from widthcalc.model import emit_complex, emit_record, parse_complex, validate
@@ -576,6 +576,61 @@ def test_canonical_hash_has_no_factorial_blow_up():
         for _ in range(3):
             assert canonical_hash(_relabel(cx, rng.randrange(10**6))) == digests[-1]
     assert len(set(digests)) == len(cases)
+
+
+def test_memo_digests_equal_fresh_hashes_on_unions(monkeypatch):
+    """Every digest ``rewrite_graph`` takes under its run's shared memo, of
+    the root and of each applicable result, equals a fresh
+    ``canonical_hash``.  A move on one copy shifts the offsets of the
+    components laid out after it, so a memo hit must render its text at the
+    offset it lands on."""
+    seen = []
+    fresh = canonical_hash
+
+    def recording(cx, **kwargs):
+        digest = fresh(cx, **kwargs)
+        seen.append((cx, digest))
+        return digest
+
+    monkeypatch.setattr(search, "canonical_hash", recording)
+    rng = random.Random(21)
+    for copies in range(2, 13):
+        base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4,
+                                     seed=2100 + copies))
+        parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
+        rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=6)
+    assert len(seen) > 200
+    assert max(len(model.components(cx)) for cx, _digest in seen) == 12
+    for cx, digest in seen:
+        assert fresh(cx) == digest
+
+
+def _filler():
+    """A genus-0 level with empty bodies: its certificate sorts before that
+    of any component whose least thick level has a positive genus."""
+    return build_complex(thick=[thick("H", 0, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+
+
+def test_memo_text_follows_the_offset_across_digit_boundaries():
+    """One star whose body has four ports recurs, as one memo key, behind 0
+    to 34 fillers of three records, so its ids start at every multiple of 3
+    up to n102.  At offsets 6 and 96 its ports are sorted as strings across
+    n9/n10 and n99/n100, unlike at offset 0; each document under the shared
+    memo equals a fresh one, on first render and on a hit."""
+    star = _star(4)
+    assert validate(star).ok and validate(_filler()).ok
+    rng = random.Random(22)
+    unions = [_union([star] + [_filler() for _ in range(k)], rng) for k in range(35)]
+    forms: dict = {}
+    for cx in unions + unions[::-1]:
+        assert canonical_hash(cx, _forms=forms) == canonical_hash(cx)
+    ports = {}
+    for k in (0, 2, 32):
+        doc = json.loads(canonical_form(unions[k]))
+        ports[k] = next(body["minus"] for body in doc["cbs"] if body["minus"])
+    assert ports == {0: ["n1", "n2", "n3", "n4"], 2: ["n10", "n7", "n8", "n9"],
+                     32: ["n100", "n97", "n98", "n99"]}
+    assert len(forms) == 35
 
 
 def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix():

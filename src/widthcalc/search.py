@@ -15,7 +15,8 @@ keying nodes by a canonical hash so that relabelled copies of a complex
 collapse to one node.  Every edge strictly decreases complexity, hence the
 graph is a DAG and its sinks are exactly the locally thin elements reached.
 The hash canonizes each of :func:`~widthcalc.model.components` on its own,
-and a run keeps one memo of component forms keyed on their records.
+and a run keeps one memo of component forms and their rendered text keyed
+on their records.
 """
 
 from __future__ import annotations
@@ -381,24 +382,53 @@ def _component_form(records: list) -> tuple[tuple, list]:
     return cert, [records[v] for v in order]
 
 
+def _render(records: list, offset: int) -> list[str]:
+    """The thick, thin, boundary and cbs entries of canonically ordered
+    ``records`` named ``n{offset}``, ``n{offset+1}``, ..., each section as
+    ``json.dumps`` writes it between the brackets of its list."""
+    rename = {rec.id: f"n{offset + i}" for i, rec in enumerate(records)}.__getitem__
+    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for rec in records:
+        section, item = emit_record(rec, rename)
+        doc[section].append(item)
+    # One encoder call for the four lists, whose fixed per-call cost dominates
+    # a small component.  An entry closes a list only after its ports, where a
+    # key follows, so "], [" occurs only between two of the four.
+    return json.dumps(list(doc.values()))[2:-2].split("], [")
+
+
 def _canonical_document(cx: Complex, forms: dict) -> str:
-    """The canonical form, reusing and filling ``forms``: component records
-    (a frozenset, so a hit is an identical component) -> its form."""
+    """The canonical form, reusing and filling ``forms``.
+
+    ``forms`` maps a component's records (a frozenset, so a hit is an
+    identical component) to its certificate, its canonically ordered records
+    and its rendered section texts by offset.  The text depends on the
+    offset, the number of records laid out before the component: ids are
+    ``n{offset+i}``, and ports are sorted as strings, so their order changes
+    where an id gains a digit.  A hit renders nothing; the document is the
+    section texts joined inside a fixed envelope, byte for byte the
+    ``json.dumps`` of the whole instance document.
+    """
     parts = []
     for records in components(cx):
         key = frozenset(records)
         form = forms.get(key)
         if form is None:
-            form = forms[key] = _component_form(records)
+            form = forms[key] = (*_component_form(records), {})
         parts.append(form)
     parts.sort(key=lambda form: form[0])
-    ordered = [rec for _cert, recs in parts for rec in recs]
-    rename = {rec.id: f"n{i}" for i, rec in enumerate(ordered)}.__getitem__
-    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
-    for rec in ordered:
-        section, item = emit_record(rec, rename)
-        doc[section].append(item)
-    return json.dumps(doc)
+    sections: tuple[list[str], ...] = ([], [], [], [])
+    offset = 0
+    for _cert, records, texts in parts:
+        rendered = texts.get(offset)
+        if rendered is None:
+            rendered = texts[offset] = _render(records, offset)
+        for out, text in zip(sections, rendered):
+            if text:
+                out.append(text)
+        offset += len(records)
+    thick, thin, boundary, cbs = (", ".join(out) for out in sections)
+    return f'{{"thick": [{thick}], "thin": [{thin}], "boundary": [{boundary}], "cbs": [{cbs}]}}'
 
 
 def canonical_form(cx: Complex) -> str:
@@ -420,7 +450,8 @@ def canonical_hash(cx: Complex, *, _forms: dict | None = None) -> str:
 
     ``_forms`` is internal: :func:`thin` and :func:`rewrite_graph` pass one
     dict per run, so that a component the complexes of a run share is
-    canonized once.
+    canonized once and rendered once per offset; a complex made of
+    components seen at their offsets hashes a join of cached text.
 
     >>> from .model import parse_complex
     >>> doc = {"thick": [{"id": "H", "surface": {"genus": 2, "punctures": 0},

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from widthcalc import selftest
+from widthcalc import moves, selftest
 
 
 def _run(check):
@@ -51,6 +51,28 @@ def test_criterion_05_index_nonnegative():
 def test_criterion_06_monotone_decrease():
     result, _ = _run(selftest.check_monotone_decrease)
     assert result.ok, result.detail
+
+
+def test_criterion_06_applies_each_accepted_move_once(monkeypatch):
+    """The check keeps the result its candidate loop built: in fast mode
+    ``apply_move`` accepts exactly one move per counted move, and the line
+    it reports is unchanged."""
+    accepted = []
+    apply_move = moves.apply_move
+
+    def counted(cx, move):
+        out = apply_move(cx, move)
+        accepted.append(move)
+        return out
+
+    monkeypatch.setattr(moves, "apply_move", counted)
+    monkeypatch.setattr(selftest, "apply_move", counted)
+    result = selftest.check_monotone_decrease(fast=True)
+    assert result == selftest.CheckResult(
+        "monotone-decrease", True,
+        "500 accepted moves, kinds [('Consolidate', 16), ('Destabilize', 187), "
+        "('UndoRemovable', 46), ('Unperturb', 85), ('Untelescope', 166)]")
+    assert len(accepted) == 500
 
 
 def test_criterion_07_termination():

@@ -633,6 +633,26 @@ def test_memo_text_follows_the_offset_across_digit_boundaries():
     assert len(forms) == 35
 
 
+def test_memo_hit_renders_nothing(monkeypatch):
+    """Work-count gate: ``rewrite_graph`` on a union of four relabelled
+    copies encodes a record only when a component's text at its offset is
+    new, not once per record of every hashed complex."""
+    calls = Counter()
+    encode = search.emit_record
+
+    def counted(rec, name=str):
+        calls["emit_record"] += 1
+        return encode(rec, name)
+
+    monkeypatch.setattr(search, "emit_record", counted)
+    base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4, seed=4001))
+    rng = random.Random(23)
+    cx = _union([_relabel(base, rng.randrange(10**6)) for _ in range(4)], rng)
+    graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
+    assert len(graph.nodes) == 20
+    assert calls["emit_record"] <= 400  # 234 here; 4,320 when a hit re-encodes every record
+
+
 def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix():
     swap = [1, 0, 3, 2]  # exchanges 0 with 1 and 2 with 3
     assert _in_orbit(0, [1], [swap], ())

@@ -7,13 +7,23 @@ from collections import Counter
 
 import pytest
 
-from widthcalc import model, search
+from widthcalc import model, moves, search
 from widthcalc.complexity import LT, compare, complexity
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex, gen_move
-from widthcalc.model import emit_complex, emit_record, parse_complex, validate
+from widthcalc.model import (
+    BoundaryLevel,
+    CompressionBody,
+    ThickLevel,
+    ThinLevel,
+    emit_complex,
+    emit_record,
+    parse_complex,
+    validate,
+)
 from widthcalc.moves import (
     BodySpec,
     Consolidate,
+    Destabilize,
     DiscData,
     MoveRejected,
     SplitData,
@@ -658,6 +668,215 @@ def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix():
     assert _in_orbit(0, [1], [swap], ())
     assert not _in_orbit(0, [1], [swap], (2,))
     assert not _in_orbit(0, [2, 3], [swap], ())
+
+
+# ---------------------------------------------------------------------------
+# Components are independent
+# ---------------------------------------------------------------------------
+
+def _records(cx):
+    return [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
+
+
+def _from_records(records):
+    """The complex holding exactly ``records``."""
+    pools = {ThickLevel: [], ThinLevel: [], BoundaryLevel: [], CompressionBody: []}
+    for rec in records:
+        pools[type(rec)].append(rec)
+    return build_complex(*pools.values())
+
+
+def _other_ids(move):
+    """The ids an offer names besides its thick level: a consolidation's thin
+    level, the split ports and fresh outcome ids of an untelescope and the
+    boundary levels of a destabilization."""
+    if isinstance(move, Consolidate):
+        return [move.thin]
+    if isinstance(move, Untelescope):
+        out = move.outcome
+        ports = [port for disc in (move.disc_minus, move.disc_plus) if disc.split is not None
+                 for side in disc.split.ports for port in side]
+        return ports + [out.h_minus.id, out.h_plus.id, out.thin_id, out.h_minus.lower.id,
+                        out.h_minus.upper.id, out.h_plus.lower.id, out.h_plus.upper.id]
+    if isinstance(move, Destabilize):
+        return list(move.boundary_ids)
+    return []
+
+
+def _decision(cx, move):
+    """The rule that rejects ``move`` on ``cx``, or its result."""
+    try:
+        return apply_move(cx, move)
+    except MoveRejected as err:
+        return err.rule
+
+
+def _swapped(vector, old, new):
+    rest = list(vector)
+    for entry in old:
+        rest.remove(entry)
+    return tuple(sorted(rest + list(new), reverse=True))
+
+
+def _check_law_on(node, move, parts, home):
+    """Apply ``move`` to ``node`` and to the component holding its thick
+    level; both reject under one rule, or the component's result spliced back
+    into the node is the node's result, and so is its vector.  Returns the
+    rule or "accepted"."""
+    k = home[move.thick]
+    sub = _from_records(parts[k])
+    whole, alone = _decision(node, move), _decision(sub, move)
+    if isinstance(whole, str):
+        assert alone == whole
+        return whole
+    rest = [rec for j, records in enumerate(parts) if j != k for rec in records]
+    spliced = _from_records(rest + _records(alone))
+    assert spliced == whole
+    assert canonical_hash(spliced) == canonical_hash(whole)
+    assert _swapped(complexity(node), complexity(sub), complexity(alone)) == complexity(whole)
+    return "accepted"
+
+
+def test_a_move_decides_on_its_component_as_on_the_union():
+    """The law of components, per offer: at every node of ``rewrite_graph``
+    on shuffled unions of 2 to 6 relabelled copies (some beside a component
+    with a small boundary sphere), every offer whose ids all lie in its thick
+    level's component, with no certified product on a thin level when it is
+    an untelescope, gets the same rule on that component alone as on the
+    node, or the same result once the component's is spliced back, with the
+    node's vector with the component's entries swapped for the new ones."""
+    rng = random.Random(10)
+    seen = Counter()
+    for copies in range(2, 7):
+        for seed in (1000 + copies, 1010 + copies):
+            base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=seed))
+            parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
+            if seed % 2:
+                parts.append(_small_sphere_part())
+            graph = rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=4)
+            for node in graph.nodes.values():
+                split = model.components(node)
+                home = {rec.id: k for k, records in enumerate(split) for rec in records}
+                product = find_product_on_thin(node) is not None
+                for move in enumerate_moves(node):
+                    k = home[move.thick]
+                    if any(home.get(i, k) != k for i in _other_ids(move)) \
+                            or (product and isinstance(move, Untelescope)):
+                        seen["whole"] += 1
+                        continue
+                    seen[_check_law_on(node, move, split, home)] += 1
+    assert seen["accepted"] >= 400 and seen["whole"] >= 400
+    assert len(seen) >= 8
+
+
+def test_offers_that_read_the_whole_node_are_decided_on_it(spheres_with_four_ends):
+    """The three offers a component alone would decide differently, and
+    the small boundary sphere, which it decides alike.  ``rewrite_graph``
+    takes the node's decision on each."""
+    spheres = spheres_with_four_ends
+    move = spheres_untelescope()
+    assert isinstance(_decision(spheres, move), model.Complex)
+    # a certified product on a thin level elsewhere: elementary.pre reads the whole node
+    product = build_complex(
+        thick=[thick("K", 1, 4, "Ku", "Kd"), thick("J", 1, 0, "Ju", "Jd")],
+        thin=[thin_level("F", 1, 0, from_cb="Ku", to_cb="Jd")],
+        boundary=[bdy("B1", 0, 4, "Ku")],
+        cbs=[cb("Ku", "K", minus=("F", "B1"), v=4), cb("Kd", "K", b=2),
+             cb("Ju", "J"), cb("Jd", "J", minus=("F",), product=True)])
+    # a fresh outcome id taken elsewhere: untelescope.fresh_ids reads every id
+    taken = build_complex(thick=[thick("Hm", 1, 0, "x", "y")], cbs=[cb("x", "Hm"), cb("y", "Hm")])
+    # a named id elsewhere: the thin level lies in the other component
+    consolidate = Consolidate(thick="H", thin="F")
+    cases = [(product, move, "elementary.pre"), (taken, move, "untelescope.fresh_ids"),
+             (product, consolidate, "consolidate.product")]
+    for other, offer, rule in cases:
+        node = _from_records(_records(spheres) + _records(other))
+        assert validate(node).ok
+        assert _decision(node, offer) == rule
+        assert _decision(spheres, offer) != rule
+        graph = rewrite_graph(node, lambda cx, offer=offer: [offer])
+        assert graph.edges == [] and len(graph.nodes) == 1
+        assert graph.diagnostics == {(emit_move(offer)["kind"], rule): 1}
+    # a small boundary sphere blocks destabilizing its own component only
+    node = _from_records(_records(_small_sphere_part()) + _records(taken))
+    split = model.components(node)
+    home = {rec.id: k for k, records in enumerate(split) for rec in records}
+    assert _check_law_on(node, Destabilize("stab", "H"), split, home) == "destabilize.boundary_sphere"
+    assert _check_law_on(node, Destabilize("stab", "Hm"), split, home) == "accepted"
+    graph = rewrite_graph(node, lambda cx: [Destabilize("stab", t) for t in sorted(cx.thick)])
+    assert graph.complete and len(graph.nodes) == 2
+    assert graph.diagnostics == {("destabilize", "destabilize.boundary_sphere"): 2,
+                                 ("destabilize", "destabilize.genus"): 1}
+
+
+def _pair_corpus(count, rng):
+    """Seeded pairs (A, B): A of up to two levels, B of one, and every fifth
+    A owning a small boundary sphere."""
+    pairs = []
+    for i in range(count):
+        a = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1100 + i))
+        b = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4, seed=1200 + i))
+        if i % 5 == 0:
+            a = _union([a, _small_sphere_part()], rng)
+        pairs.append((a, _relabel(b, i)))
+    return pairs
+
+
+def test_sinks_of_a_union_are_the_unions_of_sinks():
+    """On seeded pairs whose rewrite graphs are complete, the graph of A⊔B
+    is complete within |A|·|B| nodes and sinks(A⊔B) is {a⊔b : a a sink of
+    A, b a sink of B}, by canonical hash."""
+    rng = random.Random(11)
+    complete = 0
+    for a, b in _pair_corpus(30, rng):
+        alone = [rewrite_graph(x, enumerate_moves, max_nodes=40) for x in (a, b)]
+        size = len(alone[0].nodes) * len(alone[1].nodes)
+        if not all(graph.complete for graph in alone) or size > 60:
+            continue
+        union = rewrite_graph(_union([a, b], rng), enumerate_moves, max_nodes=size)
+        assert union.complete
+        complete += 1
+        sinks_a, sinks_b = ([graph.nodes[d] for d in graph.sinks()] for graph in alone)
+        assert set(union.sinks()) == {canonical_hash(_union([x, y], rng))
+                                      for x in sinks_a for y in sinks_b}
+    assert complete >= 15
+
+
+def test_thin_first_on_a_union_ends_in_the_union_of_thin_forms():
+    """``thin`` with policy ``first`` on A⊔B ends in thin(A)⊔thin(B), by
+    canonical hash: each component takes the moves it takes alone."""
+    rng = random.Random(12)
+    for a, b in _pair_corpus(30, rng):
+        final, trace = thin(_union([a, b], rng), enumerate_moves, policy="first")
+        assert trace.terminal
+        alone = [thin(x, enumerate_moves, policy="first")[0] for x in (a, b)]
+        assert canonical_hash(final) == canonical_hash(_union(alone, rng))
+
+
+def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
+    """Work-count gate: on a union of four relabelled copies, an untouched
+    copy pays for an accepted move once per run, not once per node; every
+    rejection is still raised by ``apply_move``."""
+    calls = Counter()
+    real = moves.apply_move
+
+    def counted(cx, move):
+        try:
+            result = real(cx, move)
+        except MoveRejected:
+            calls["rejected"] += 1
+            raise
+        calls["accepted"] += 1
+        return result
+
+    monkeypatch.setattr(moves, "apply_move", counted)
+    base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4, seed=4001))
+    rng = random.Random(23)
+    cx = _union([_relabel(base, rng.randrange(10**6)) for _ in range(4)], rng)
+    graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
+    assert len(graph.nodes) == 20
+    assert calls["rejected"] == 311
+    assert calls["accepted"] <= 359
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,9 @@ def _untelescope_candidates(cx: Complex, t: ThickLevel) -> list[Untelescope]:
                     (rest, (port,)))))
         return discs[:3]
 
+    ups = discs_for(up)
     for dm in discs_for(down):
-        for dp in discs_for(up):
+        for dp in ups:
             out.append(Untelescope(t.id, disc_minus=dm, disc_plus=dp, outcome=outcome))
     return out
 

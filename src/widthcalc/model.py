@@ -68,6 +68,8 @@ __all__ = [
     "topological_order",
     "digraph_cycle",
     "components",
+    "restrict",
+    "disjoint_union",
     "parse_complex",
     "emit_record",
     "emit_complex",
@@ -661,7 +663,20 @@ def digraph_cycle(edges: Mapping[str, list[str]]) -> list[str] | None:
 def components(cx: Complex) -> list[list]:
     """The records of each connected component, a record joined to each
     record it names: a union-find, giving records in map order (thick, thin,
-    boundary, bodies) and components in the order of their first record."""
+    boundary, bodies) and components in the order of their first record.
+
+    Computed on first use and kept on the instance, like :func:`validation`,
+    so that hashing a complex and then expanding it as a rewrite-graph node
+    splits it once.  Callers must not mutate the lists.
+    """
+    found = cx.__dict__.get("_components")
+    if found is None:
+        found = _components(cx)
+        object.__setattr__(cx, "_components", found)
+    return found
+
+
+def _components(cx: Complex) -> list[list]:
     records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
     parent = {rec.id: rec.id for rec in records}
 
@@ -688,6 +703,35 @@ def components(cx: Complex) -> list[list]:
     for rec in records:
         groups.setdefault(find(rec.id), []).append(rec)
     return list(groups.values())
+
+
+_SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
+
+
+def restrict(cx: Complex, records: list) -> Complex:
+    """The complex made of ``records``, one of the :func:`components` of
+    ``cx``, with that one component as its split.  It is validated against
+    ``cx`` (see :func:`validate`), so no body ``cx`` has checked is checked
+    again."""
+    sections: tuple[dict, ...] = ({}, {}, {}, {})
+    for rec in records:
+        sections[_SECTION[type(rec)]][rec.id] = rec
+    sub = Complex(*sections)
+    object.__setattr__(sub, "_components", [records])
+    validation(sub, base=cx)
+    return sub
+
+
+def disjoint_union(parts: list[Complex]) -> Complex:
+    """The union of connected complexes, each with a thick level and all
+    with disjoint ids.  Its :func:`components` are the parts' records, in
+    the order of ``parts``, and are known without a split: the union lists
+    the parts' thick levels first, so each component's first record is its
+    part's first thick level."""
+    cx = Complex(*({k: v for part in parts for k, v in getattr(part, name).items()}
+                   for name in ("thick", "thin", "boundary", "cbs")))
+    object.__setattr__(cx, "_components", [components(part)[0] for part in parts])
+    return cx
 
 
 # ---------------------------------------------------------------------------

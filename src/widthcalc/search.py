@@ -17,6 +17,28 @@ graph is a DAG and its sinks are exactly the locally thin elements reached.
 The hash canonizes each of :func:`~widthcalc.model.components` on its own,
 and a run keeps one memo of component forms and their rendered text keyed
 on their records.
+
+:func:`rewrite_graph` also applies moves per component.  The vector of a
+disjoint union is the sorted merge of its parts' vectors, and comparing
+sorted vectors is the multiset order, where M < N exactly when M + K < N + K
+(Dershowitz & Manna, CACM 22, 1979): a move that touches one component is
+decided on it alone as on the whole node.  An offer goes to the sub-complex
+of the component that holds its thick level when every other id it names
+(a consolidation's thin level, an untelescope's split ports and fresh
+outcome ids, a destabilization's boundary levels) that the node holds lies
+there too.  Three checks read the whole node, so an offer goes to the whole
+node when some id it names lies in another component, when one of its fresh
+ids exists elsewhere (``untelescope.fresh_ids``), or when it is an
+untelescope and a product-certified body touches a thin level anywhere
+(``elementary.pre``).  Every other rule reads only the component, the
+``destabilize.boundary_sphere`` rule included.  A run keeps each accepted
+outcome, keyed by (component records, move); the node's result is its other
+components and the new one side by side, and its vector the node's with the
+component's entries swapped for the new ones, so an untouched copy in a
+symmetric union pays for a move once per run.  Rejections are not kept, on
+purpose: each is applied again on the small sub-complex, so that every
+rejection is still raised by :func:`~widthcalc.moves.apply_move`, where a
+caller that wraps it counts it.
 """
 
 from __future__ import annotations
@@ -34,13 +56,18 @@ from .model import (
     ThinLevel,
     components,
     digraph_cycle,
+    disjoint_union,
     emit_record,
     require_valid,
+    restrict,
 )
 from .moves import (
     REDUCING,
     Consolidate,
+    Destabilize,
     Move,
+    UndoRemovable,
+    Unperturb,
     Untelescope,
     applicable,
     apply_move,
@@ -163,9 +190,11 @@ def thin(cx: Complex, proposer, policy: str = "first",
 
 @dataclass
 class RewriteGraph:
-    """Every node is expanded; ``truncated`` holds those that lost an edge to
-    a new node to the budget.  ``diagnostics`` counts rejected offers like
-    :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``."""
+    """Every node is expanded, one component at a time (see the module
+    docstring); ``truncated`` holds those that lost an edge to a new node to
+    the budget.  ``diagnostics`` counts rejected offers like
+    :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``;
+    a rejection is applied and counted again at every node that offers it."""
 
     root: str
     nodes: dict[str, Complex]
@@ -194,20 +223,23 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
 
     Nodes are keyed by canonical hash; the graph is incomplete when the
     budget drops an edge to a new node, and a node that lost an edge so is
-    not counted as a sink.
+    not counted as a sink.  Offers are applied per component, as the module
+    docstring describes; the nodes' vectors are those of the whole nodes.
     """
     require_valid(cx)
     forms: dict = {}
+    accepted: dict = {}
     root = canonical_hash(cx, _forms=forms)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
                          edges=[], truncated=set(), complete=True)
+    parts_of: dict[str, list | None] = {root: None}
     seen_edges: set[tuple[str, str, str]] = set()
     order = [root]
     for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
-        for move, result in applicable(node, proposer(node), graph.diagnostics):
+        for move, result, vec, split in _outcomes(node, graph.vectors[digest], parts_of.pop(digest),
+                                                  proposer(node), graph.diagnostics, accepted):
             dst = canonical_hash(result, _forms=forms)
-            vec = complexity(result)
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
                 if len(graph.nodes) >= max_nodes:
@@ -216,6 +248,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
                     continue
                 graph.nodes[dst] = result
                 graph.vectors[dst] = vec
+                parts_of[dst] = split
                 order.append(dst)
             doc = emit_move(move)
             key = (digest, json.dumps(doc, sort_keys=True), dst)
@@ -223,6 +256,105 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
                 seen_edges.add(key)
                 graph.edges.append((digest, doc, dst))
     return graph
+
+
+def _parts(cx: Complex) -> list[tuple[frozenset, Complex]]:
+    """Each component of ``cx`` as its records and its complex."""
+    split = components(cx)
+    if len(split) == 1:
+        return [(frozenset(split[0]), cx)]
+    return [(frozenset(records), restrict(cx, records)) for records in split]
+
+
+def _home(move, home: dict[str, int]) -> int | None:
+    """The component an offer goes to: the one holding its thick level, when
+    every other id it names that the node holds lies there too.  None for an
+    offer to apply to the whole node, which includes any offer that is not
+    one of the move records (:func:`~widthcalc.moves.apply_move` dispatches
+    on the exact type too)."""
+    kind = type(move)
+    if kind is Untelescope:
+        out = move.outcome
+        named = [out.thin_id, out.h_minus.id, out.h_minus.lower.id, out.h_minus.upper.id,
+                 out.h_plus.id, out.h_plus.lower.id, out.h_plus.upper.id]
+        for disc in (move.disc_minus, move.disc_plus):
+            if disc.split is not None:
+                for side in disc.split.ports:
+                    named += side
+    elif kind is Destabilize:
+        named = move.boundary_ids
+    elif kind is Consolidate:
+        named = (move.thin,)
+    elif kind is Unperturb or kind is UndoRemovable:
+        named = ()
+    else:
+        return None
+    k = home.get(move.thick)
+    if k is None:
+        return None
+    for name in named:
+        if home.get(name, k) != k:
+            return None
+    return k
+
+
+def _swapped(vector: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
+    """``vector`` with the entries of ``old`` replaced by those of ``new``."""
+    rest = list(vector)
+    for entry in old:
+        rest.remove(entry)
+    return tuple(sorted(rest + list(new), reverse=True))
+
+
+def _outcomes(node: Complex, vector: tuple[int, ...], parts, offers, rejected, accepted):
+    """``(move, result, its vector, its parts)`` for each offer that applies
+    to ``node``, in order.
+
+    ``parts`` are the node's components as ``(records, complex)`` pairs when
+    known, else None.  ``accepted`` maps a component's records to a dict
+    from each move accepted on it to the parts of its result, the
+    component's vector and the result's, for the length of a run.  A node of
+    a single component applies every offer whole: no entry is made and no
+    move is hashed.
+    """
+    if parts is None:
+        parts = _parts(node) if len(components(node)) > 1 else []
+    home = {rec.id: k for k, (records, _sub) in enumerate(parts) for rec in records}
+    product = None
+    for move in offers:
+        k = _home(move, home)
+        if k is not None and type(move) is Untelescope:
+            # elementary.pre reads the whole node
+            if product is None:
+                product = find_product_on_thin(node) is not None
+            if product:
+                k = None
+        if k is None:
+            found = next(applicable(node, (move,), rejected), None)
+            if found is not None:
+                yield move, found[1], complexity(found[1]), None
+            continue
+        records, sub = parts[k]
+        known = accepted.get(records)
+        try:
+            # no move is hashed before one is accepted on the component
+            done = known.get(move) if known else None
+        except TypeError:  # a move holding a list, say, is never a key
+            done = None
+        if done is None:
+            found = next(applicable(sub, (move,), rejected), None)
+            if found is None:
+                continue
+            result = found[1]
+            done = (_parts(result), complexity(sub), complexity(result))
+            try:
+                accepted.setdefault(records, {})[move] = done
+            except TypeError:
+                pass
+        new, old_vec, new_vec = done
+        joined = parts[:k] + new + parts[k + 1:]
+        yield (move, disjoint_union([part for _records, part in joined]),
+               _swapped(vector, old_vec, new_vec), joined)
 
 
 def rewrite_graph_dot(graph: RewriteGraph) -> str:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -876,7 +877,28 @@ def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
     assert len(graph.nodes) == 20
     assert calls["rejected"] == 311
-    assert calls["accepted"] <= 359
+    assert calls["accepted"] <= 100  # 44 here; 359 when every node applies every move whole
+    for digest, node in graph.nodes.items():
+        fresh = model.Complex(node.thick, node.thin, node.boundary, node.cbs)
+        assert model.components(node) == model.components(fresh)
+        assert graph.vectors[digest] == complexity(fresh)
+
+
+def test_rewrite_graph_takes_moves_that_hold_lists():
+    """A move whose ids come in a list cannot key the memo of accepted
+    results; it is still applied to its component, to the same graph."""
+    rng = random.Random(24)
+    base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1137))
+    cx = _union([_relabel(base, rng.randrange(10**6)) for _ in range(3)], rng)
+
+    def listed(c):
+        return [dataclasses.replace(m, boundary_ids=list(m.boundary_ids))
+                if isinstance(m, Destabilize) else m for m in enumerate_moves(c)]
+
+    want = rewrite_graph(cx, enumerate_moves, max_nodes=30)
+    got = rewrite_graph(cx, listed, max_nodes=30)
+    assert any(move.get("boundary_ids") for _src, move, _dst in want.edges)
+    assert (got.edges, got.vectors, got.diagnostics) == (want.edges, want.vectors, want.diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import graphlib
 import pickle
 import random
@@ -499,6 +500,181 @@ def test_parse_accepts_domain_violations():
     codes = validate(cx).codes()
     assert "genus_negative" in codes
     assert "thick_sides" in codes
+
+
+# One record of each kind, every field present; each golden case below
+# changes one field of it.
+SCHEMA_BASE = {
+    "thick": [{"id": "H", "surface": {"genus": 1, "punctures": 2}, "upper_cb": "u", "lower_cb": "d"}],
+    "thin": [{"id": "F", "surface": {"genus": 0, "punctures": 2}, "from_cb": "u", "to_cb": "d"}],
+    "boundary": [{"id": "B", "surface": {"genus": 0, "punctures": 3}, "owner": "d",
+                  "is_drilled_vertex": True}],
+    "cbs": [{"id": "u", "plus": "H", "minus": ["F"], "tangle": {"v": 2, "b": 0, "gh": 0, "loops": 0},
+             "product_certificate": False, "ball_certificate": False}],
+}
+# A value of the wrong JSON type for a field of each type.
+SCHEMA_WRONG = {str: 5, int: 1.5, dict: [], list: {}, bool: "false"}
+# Per field: the SchemaError message when it is missing, null, of the wrong
+# JSON type and (integer fields only) a boolean; None where the document parses.
+SCHEMA_GOLDEN = {
+    "thick": (None, None, "instance.thick: expected list"),
+    "thin": (None, None, "instance.thin: expected list"),
+    "boundary": (None, None, "instance.boundary: expected list"),
+    "cbs": (None, None, "instance.cbs: expected list"),
+    "thick.id": ("thick: missing field 'id'", "thick.id: expected str", "thick.id: expected str"),
+    "thick.surface": ("thick: missing field 'surface'", "thick.surface: expected dict",
+                      "thick.surface: expected dict"),
+    "thick.surface.genus": ("thick.surface: missing field 'genus'", "thick.surface.genus: expected int",
+                            "thick.surface.genus: expected int",
+                            "thick.surface.genus: expected an integer"),
+    "thick.surface.punctures": ("thick.surface: missing field 'punctures'",
+                                "thick.surface.punctures: expected int",
+                                "thick.surface.punctures: expected int",
+                                "thick.surface.punctures: expected an integer"),
+    "thick.upper_cb": ("thick: missing field 'upper_cb'", "thick.upper_cb: expected str",
+                       "thick.upper_cb: expected str"),
+    "thick.lower_cb": ("thick: missing field 'lower_cb'", "thick.lower_cb: expected str",
+                       "thick.lower_cb: expected str"),
+    "thin.id": ("thin: missing field 'id'", "thin.id: expected str", "thin.id: expected str"),
+    "thin.surface": ("thin: missing field 'surface'", "thin.surface: expected dict",
+                     "thin.surface: expected dict"),
+    "thin.surface.genus": ("thin.surface: missing field 'genus'", "thin.surface.genus: expected int",
+                           "thin.surface.genus: expected int", "thin.surface.genus: expected an integer"),
+    "thin.surface.punctures": ("thin.surface: missing field 'punctures'",
+                               "thin.surface.punctures: expected int",
+                               "thin.surface.punctures: expected int",
+                               "thin.surface.punctures: expected an integer"),
+    "thin.from_cb": ("thin: missing field 'from_cb'", "thin.from_cb: expected str",
+                     "thin.from_cb: expected str"),
+    "thin.to_cb": ("thin: missing field 'to_cb'", "thin.to_cb: expected str", "thin.to_cb: expected str"),
+    "boundary.id": ("boundary: missing field 'id'", "boundary.id: expected str",
+                    "boundary.id: expected str"),
+    "boundary.surface": ("boundary: missing field 'surface'", "boundary.surface: expected dict",
+                         "boundary.surface: expected dict"),
+    "boundary.surface.genus": ("boundary.surface: missing field 'genus'",
+                               "boundary.surface.genus: expected int",
+                               "boundary.surface.genus: expected int",
+                               "boundary.surface.genus: expected an integer"),
+    "boundary.surface.punctures": ("boundary.surface: missing field 'punctures'",
+                                   "boundary.surface.punctures: expected int",
+                                   "boundary.surface.punctures: expected int",
+                                   "boundary.surface.punctures: expected an integer"),
+    "boundary.owner": ("boundary: missing field 'owner'", "boundary.owner: expected str",
+                       "boundary.owner: expected str"),
+    "boundary.is_drilled_vertex": (None, None, "boundary.is_drilled_vertex: expected bool"),
+    "cbs.id": ("cbs: missing field 'id'", "cbs.id: expected str", "cbs.id: expected str"),
+    "cbs.plus": ("cbs: missing field 'plus'", "cbs.plus: expected str", "cbs.plus: expected str"),
+    "cbs.minus": (None, None, "cbs.minus: expected list"),
+    "cbs.tangle": ("cbs: missing field 'tangle'", "cbs.tangle: expected dict", "cbs.tangle: expected dict"),
+    "cbs.tangle.v": ("cbs.tangle: missing field 'v'", "cbs.tangle.v: expected int",
+                     "cbs.tangle.v: expected int", "cbs.tangle.v: expected an integer"),
+    "cbs.tangle.b": ("cbs.tangle: missing field 'b'", "cbs.tangle.b: expected int",
+                     "cbs.tangle.b: expected int", "cbs.tangle.b: expected an integer"),
+    "cbs.tangle.gh": ("cbs.tangle: missing field 'gh'", "cbs.tangle.gh: expected int",
+                      "cbs.tangle.gh: expected int", "cbs.tangle.gh: expected an integer"),
+    "cbs.tangle.loops": ("cbs.tangle: missing field 'loops'", "cbs.tangle.loops: expected int",
+                         "cbs.tangle.loops: expected int", "cbs.tangle.loops: expected an integer"),
+    "cbs.product_certificate": (None, None, "cbs.product_certificate: expected bool"),
+    "cbs.ball_certificate": (None, None, "cbs.ball_certificate: expected bool"),
+}
+
+
+def _schema_message(doc) -> str | None:
+    try:
+        parse_complex(doc)
+    except SchemaError as err:
+        return str(err)
+    return None
+
+
+def _holder(doc: dict, path: list[str]) -> dict:
+    """The object that holds the last key of ``path``; a section stands for its one record."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+        if isinstance(node, list):
+            node = node[0]
+    return node
+
+
+@pytest.mark.parametrize("field", sorted(SCHEMA_GOLDEN))
+def test_golden_schema_messages(field):
+    path = field.split(".")
+    kind = type(_holder(SCHEMA_BASE, path)[path[-1]])
+    values = ["missing", None, SCHEMA_WRONG[kind]] + ([True] if kind is int else [])
+    got = []
+    for value in values:
+        doc = copy.deepcopy(SCHEMA_BASE)
+        node = _holder(doc, path)
+        if value == "missing":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        got.append(_schema_message(doc))
+    assert tuple(got) == SCHEMA_GOLDEN[field]
+
+
+def test_golden_schema_messages_for_non_objects():
+    assert _schema_message(["thick"]) == "instance: expected a JSON object"
+    for section in ("thick", "thin", "boundary", "cbs"):
+        doc = copy.deepcopy(SCHEMA_BASE)
+        doc[section] = ["x"]
+        assert _schema_message(doc) == f"{section}: expected an object"
+    doc = copy.deepcopy(SCHEMA_BASE)
+    doc["cbs"][0]["minus"] = ["F", 3]
+    assert _schema_message(doc) == "cbs.minus: expected a list of ids"
+
+
+class _Doc(dict):
+    pass
+
+
+class _Id(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _subclassed(value):
+    """The document with every object, string and array replaced by an
+    instance of a subclass, as a library caller might build it."""
+    if isinstance(value, dict):
+        return _Doc({key: _subclassed(val) for key, val in value.items()})
+    if isinstance(value, list):
+        return _List(_subclassed(val) for val in value)
+    if isinstance(value, str):
+        return _Id(value)
+    return value
+
+
+def test_parse_accepts_dict_str_and_list_subclasses():
+    doc = _subclassed(SCHEMA_BASE)
+    assert isinstance(doc["thick"][0]["id"], _Id)
+    assert parse_complex(doc) == parse_complex(SCHEMA_BASE)
+
+
+@pytest.mark.parametrize("counts, report", [
+    ((-1, 1, 0, 0), "[tangle_negative] u: verticals -1 must be a non-negative integer"),
+    ((0, -1, 0, 0), "[tangle_negative] u: bridges -1 must be a non-negative integer"),
+    ((2, 0, -1, 0), "[tangle_negative] u: ghosts -1 must be a non-negative integer"),
+    ((0, 1, 0, -3), "[tangle_negative] u: loops -3 must be a non-negative integer"),
+    ((-1, -1, -1, -1), "[tangle_negative] u: verticals -1 must be a non-negative integer\n"
+                       "[tangle_negative] u: bridges -1 must be a non-negative integer\n"
+                       "[tangle_negative] u: ghosts -1 must be a non-negative integer\n"
+                       "[tangle_negative] u: loops -1 must be a non-negative integer"),
+])
+def test_golden_reports_for_negative_tangle_counts(counts, report):
+    # A body with a negative count gets no arithmetic and no certificate
+    # check (u claims a ball it is not); its neighbour d is checked in full.
+    v, b, gh, loops = counts
+    cx = build_complex(thick=[thick("H", 1, 2, "u", "d")], boundary=[bdy("B", 1, 0, "d")],
+                       cbs=[cb("u", "H", v=v, b=b, gh=gh, loops=loops, ball=True),
+                            cb("d", "H", minus=("B",), b=1, product=True)])
+    assert str(validate(cx)) == report + (
+        "\n[product_certificate] d: product piece has one negative level, boundary "
+        "surfaces that match and only vertical arcs")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ parse trouble.  The WIDTHCALC_SEED environment variable overrides the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,12 +39,20 @@ def _say(args, *parts) -> None:
 
 def _load_json(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit(_fail_io(f"cannot read {path}: {err}"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise SystemExit(_fail_io(f"cannot parse {path}: {err}"))
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as err:
+        raise SystemExit(_fail_io(f"cannot write {path}: {err}"))
 
 
 def _fail_io(message: str) -> int:
@@ -70,8 +79,7 @@ def _load_valid(args):
 def _write_or_print(args, doc: dict) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        _write(args.out, text)
     elif not args.quiet:
         print(text)
 
@@ -206,8 +214,7 @@ def cmd_gen(args) -> int:
     print(f"seed: {cfg.seed}", file=sys.stderr)
     text = json.dumps(emit_complex(cx), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        _write(args.out, text)
     else:
         print(text)
     return OK
@@ -224,7 +231,10 @@ def cmd_selftest(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command line, built once per process: nothing
+    in it depends on ``argv``, and each ``parse_args`` fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="widthcalc",
         description="Certified rewriting calculus for leveled splittings "

@@ -305,6 +305,7 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | N
     sub = cb.id
     start = len(out)
     _check_tangle(sub, cb.tangle, out)
+    counts_ok = len(out) == start
 
     if cb.plus not in cx.thick:
         out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
@@ -327,11 +328,19 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | N
         out.append(Violation("port_multiplicity", sub, "repeated minus port"))
         return None
 
+    # A count or a surface field that is not a non-negative integer was
+    # reported above or by _check_surface; arithmetic on it would be meaningless.
+    if not counts_ok or not (isinstance(plus.genus, int) and isinstance(plus.punctures, int)):
+        return None
+    g_minus = p_minus = anchors = 0
+    for s in minus:
+        if not (isinstance(s.genus, int) and isinstance(s.punctures, int)):
+            return None
+        g_minus += s.genus
+        p_minus += s.punctures
+        anchors += s.punctures > 0
     t = cb.tangle
-    if any(n < 0 or not isinstance(n, int) for n in t.counts()):
-        return None  # counted above; arithmetic below would be meaningless
     p_plus = plus.punctures
-    p_minus = sum(s.punctures for s in minus)
     if p_plus != t.verticals + 2 * t.bridges:
         out.append(Violation(
             "conservation_up", sub,
@@ -341,13 +350,11 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | N
             "conservation_down", sub,
             f"negative punctures {p_minus} != verticals + 2*ghosts = {t.verticals + 2 * t.ghosts}"))
 
-    g_minus = sum(s.genus for s in minus)
     if plus.genus < g_minus:
         out.append(Violation(
             "genus_feasibility", sub,
             f"positive genus {plus.genus} < total negative genus {g_minus}"))
     else:
-        anchors = sum(1 for s in minus if s.punctures > 0)
         need = g_minus + t.loops + ghost_excess(t.ghosts, anchors)
         if plus.genus < need:
             out.append(Violation(
@@ -449,7 +456,8 @@ def _validation(cx: Complex, base: Complex | None = None) -> Validation:
         if b.surface.genus == 0 and b.surface.punctures == 1:
             out.append(Violation("boundary_once_punctured_sphere", b.id,
                                  "a boundary level may not be a once-punctured sphere"))
-        if b.is_drilled_vertex and (b.surface.genus != 0 or b.surface.punctures < 3):
+        if b.is_drilled_vertex and (b.surface.genus != 0 or (isinstance(b.surface.punctures, int)
+                                                             and b.surface.punctures < 3)):
             out.append(Violation("drilled_vertex_profile", b.id,
                                  "a drilled vertex is a sphere with at least three punctures"))
 
@@ -749,7 +757,17 @@ def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
 
     With a ``default``, the field is optional and a missing or null value
     yields the default.
+
+    Success on a plain ``dict`` holding a value of exactly ``kind`` returns
+    after one ``dict.get`` and one type test of the value.  Everything else
+    (a missing or null field, a wrong type, a subclass of ``dict`` or of
+    ``kind``) falls through to the full checks, which raise the SchemaError
+    or accept the value.
     """
+    if type(obj) is dict:
+        val = obj.get(key)
+        if type(val) is kind:
+            return val
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if key not in obj or (obj[key] is None and default is not _REQUIRED):
@@ -779,7 +797,8 @@ def emit_surface(s: Surface) -> dict:
 
 
 def parse_tangle(obj: dict, where: str = "tangle") -> Tangle:
-    return Tangle(*(_need(obj, k, int, where) for k in _TANGLE_KEYS))
+    return Tangle(_need(obj, "v", int, where), _need(obj, "b", int, where),
+                  _need(obj, "gh", int, where), _need(obj, "loops", int, where))
 
 
 def emit_tangle(t: Tangle) -> dict:

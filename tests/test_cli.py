@@ -1,11 +1,16 @@
+import argparse
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from widthcalc import cli
 from widthcalc.cli import main
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import emit_complex, parse_complex, validate
@@ -113,6 +118,41 @@ def test_truncated_json_exit_two(tmp_path, capsys):
     path.write_text('{"thick": [')
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+def _one_line_error(capsys, start: str) -> None:
+    """stderr ends in one error line that starts ``error: {start}``, with no traceback."""
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert "Traceback" not in err and last.startswith(f"error: {start}") and err.endswith(last + "\n"), err
+
+
+def test_non_utf8_input_exit_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"thick": [], "note": "caf\u00e9"}'.encode("latin-1"))
+    assert main(["validate", str(path)]) == 2
+    _one_line_error(capsys, f"cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_json_deeper_than_the_decoder_allows_exit_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", str(deep)]) == 2
+    _one_line_error(capsys, f"cannot parse {deep}: maximum recursion depth")
+    inst, _ = _consolidatable(tmp_path)
+    assert main(["apply", inst, "--move", str(deep)]) == 2
+    _one_line_error(capsys, f"cannot parse {deep}: maximum recursion depth")
+
+
+@pytest.mark.parametrize("argv", [["thin", "{inst}", "--quiet"],
+                                  ["apply", "{inst}", "--move", "{move}"],
+                                  ["gen", "--seed", "3"]])
+def test_unwritable_out_exit_two(tmp_path, capsys, argv):
+    inst, move = _consolidatable(tmp_path)
+    out = tmp_path / "no-such-directory" / "result.json"
+    argv = [arg.format(inst=inst, move=move) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    _one_line_error(capsys, f"cannot write {out}: [Errno 2]")
 
 
 def test_complexity_vector_output(four_ended_file, instance_file, capsys):
@@ -275,6 +315,64 @@ def test_selftest_fast(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def _outputs(calls, capsys, fresh: bool) -> list:
+    """Exit code and stdout of each call in turn, on the one cached parser or
+    on a parser built anew for each call."""
+    results = []
+    for argv in calls:
+        if fresh:
+            cli.build_parser.cache_clear()
+        results.append((main(argv), capsys.readouterr().out))
+    return results
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, four_ended_file, capsys):
+    cx = build_complex(thick=[thick("H", 2, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+    genus2 = tmp_path / "genus2.json"
+    genus2.write_text(json.dumps(emit_complex(cx)))
+    stab = tmp_path / "stab.json"
+    stab.write_text(json.dumps({"kind": "destabilize", "variant": "stab", "thick": "H"}))
+    for calls in ([["thin", four_ended_file, "--policy", "greedy"], ["thin", four_ended_file]],
+                  [["apply", str(genus2), "--move", str(stab), "--move", str(stab)],
+                   ["apply", str(genus2), "--move", str(stab)]],
+                  [["validate", four_ended_file, "--quiet"], ["validate", four_ended_file]]):
+        reused = _outputs(calls, capsys, fresh=False)
+        assert reused == _outputs(calls, capsys, fresh=True)
+    assert reused == [(0, ""), (0, "valid\n")]
+
+
+def test_twenty_calls_build_one_parser_tree(monkeypatch, four_ended_file, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for _ in range(10):
+        assert main(["validate", four_ended_file]) == 0
+        assert main(["complexity", four_ended_file, "--quiet"]) == 0
+    assert len(built) <= 8  # the top-level parser and one per subcommand
+
+
+def test_python_dash_m_runs_the_cli(instance_file, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("WIDTHCALC_SEED", None)
+    ok = subprocess.run([sys.executable, "-m", "widthcalc", "validate", instance_file],
+                        env=env, capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout) == (0, "valid\n")
+    missing = subprocess.run([sys.executable, "-m", "widthcalc", "validate",
+                              str(tmp_path / "missing.json")], env=env, capture_output=True, text=True)
+    assert missing.returncode == 2 and missing.stderr.startswith("error: cannot read")
 
 
 # ---------------------------------------------------------------------------

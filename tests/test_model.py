@@ -712,3 +712,59 @@ def messy_complexes(draw):
 def test_validate_total_on_arbitrary_structures(cx):
     report = validate(cx)
     assert report == validate(cx)  # idempotent, and it never raised
+
+
+def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
+    return build_complex([ThickLevel("H", surface, "u", "d")], [], [],
+                         [CompressionBody("u", "H", (), tangle),
+                          CompressionBody("d", "H", (), Tangle(0, 1, 0, 0))])
+
+
+@pytest.mark.parametrize("cx, body, report", [
+    (_two_bodies(Surface("x", 2)), "u", "[genus_negative] H: genus 'x' must be a non-negative integer"),
+    (_two_bodies(Surface(None, 2)), "u", "[genus_negative] H: genus None must be a non-negative integer"),
+    (build_complex([thick("H", 1, 0, "Hu", "Hd"), thick("J", 1, 0, "Ju", "Jd")],
+                   [ThinLevel("F", Surface("x", 0), "Hu", "Jd")], [],
+                   [cb("Hu", "H", minus=("F",)), cb("Hd", "H"), cb("Ju", "J"), cb("Jd", "J", minus=("F",))]),
+     "Jd", "[genus_negative] F: genus 'x' must be a non-negative integer"),
+    (_two_bodies(Surface(0, 2), Tangle("x", 1, 0, 0)), "u",
+     "[tangle_negative] u: verticals 'x' must be a non-negative integer"),
+    (build_complex([thick("H", 0, 4, "u", "d")], [],
+                   [BoundaryLevel("B", Surface(0, None), "u", is_drilled_vertex=True)],
+                   [cb("u", "H", minus=("B",), v=4), cb("d", "H", b=2)]),
+     "u", "[punctures_negative] B: punctures None must be a non-negative integer"),
+], ids=["str-genus", "none-genus", "thin-str-genus", "str-count", "drilled-none-punctures"])
+def test_validate_reports_non_integer_fields_of_library_records(cx, body, report):
+    # the field is reported once; a body that reads it gets no index
+    assert str(validate(cx)) == report
+    assert not model.body_passes(cx, body)
+
+
+odd_values = st.integers(-2, 4) | st.floats() | st.text(max_size=2) | st.none() | st.booleans()
+COUNT_FIELDS = ("verticals", "bridges", "ghosts", "loops")
+
+
+@st.composite
+def complexes_with_odd_fields(draw):
+    """A generated valid complex with up to four surface or tangle fields
+    replaced by an int, a negative, a float, a string, None or a bool."""
+    cx = gen_complex(GenConfig(max_thick=3, seed=draw(st.integers(0, 15))))
+    maps = {name: dict(getattr(cx, name)) for name in ("thick", "thin", "boundary", "cbs")}
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from([n for n in maps if maps[n]]))
+        rec = maps[name][draw(st.sampled_from(sorted(maps[name])))]
+        if name == "cbs":
+            tangle = replace(rec.tangle, **{draw(st.sampled_from(COUNT_FIELDS)): draw(odd_values)})
+            maps[name][rec.id] = replace(rec, tangle=tangle)
+        else:
+            surface = replace(rec.surface, **{draw(st.sampled_from(("genus", "punctures"))): draw(odd_values)})
+            maps[name][rec.id] = replace(rec, surface=surface)
+    return cx, Complex(**maps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_with_odd_fields())
+def test_validate_never_raises_on_odd_field_values(pair):
+    base, cx = pair
+    report = model.validation(cx, base=base).report
+    assert report == validate(replace(cx)) and str(report)

@@ -759,10 +759,10 @@ def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     yields the default.
 
     Success on a plain ``dict`` holding a value of exactly ``kind`` returns
-    after one ``dict.get`` and one type test of the value.  Everything else
-    (a missing or null field, a wrong type, a subclass of ``dict`` or of
-    ``kind``) falls through to the full checks, which raise the SchemaError
-    or accept the value.
+    after the object's type test, one ``dict.get`` and the value's exact
+    type test.  Everything else (a missing or null field, a wrong type, a
+    subclass of ``dict`` or of ``kind``) falls through to the full checks,
+    which raise the SchemaError or accept the value.
     """
     if type(obj) is dict:
         val = obj.get(key)

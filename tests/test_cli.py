@@ -352,7 +352,7 @@ def test_twenty_calls_build_one_parser_tree(monkeypatch, four_ended_file, capsys
     init = argparse.ArgumentParser.__init__
 
     def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
+        built.append(self)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)

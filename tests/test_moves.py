@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -757,7 +758,41 @@ def test_gate_checks_rebuilt_bodies_first_and_formats_the_report_when_read(one_b
         assert not model.validate(out).ok
 
 
-GOLDEN_REJECTIONS_DIGEST = "a7185dbfd95ade00be4e151dddaac52fd03e8c3e237620ba88fd43675232c788"
+def test_result_invalid_rejections_build_no_complex(monkeypatch):
+    """A destabilize or undo_removable candidate whose rebuilt bodies fail
+    their own checks is decided on the records the move changes, before any
+    ``Complex`` is built; its message, formatted when read, builds one."""
+    rng = random.Random(7)
+    cfg = GenConfig(max_thick=4, seed=7)
+    built = 0
+    real = model.Complex.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    monkeypatch.setattr(model.Complex, "__post_init__", counting)
+    rejected = Counter()
+    for _ in range(200):
+        cx = gen_complex(cfg, rng)
+        for m in enumerate_moves(cx):
+            if not isinstance(m, (Destabilize, UndoRemovable)):
+                continue
+            built = 0
+            try:
+                apply_move(cx, m)
+            except MoveRejected as err:
+                if err.rule.endswith(".result_invalid"):
+                    assert built == 0, err.rule
+                    rejected[err.rule] += 1
+                    str(err)
+                    assert built == 1
+    assert rejected["destabilize.result_invalid"] >= 100
+    assert rejected["undo_removable.result_invalid"] >= 10
+
+
+GOLDEN_REJECTIONS_DIGEST ="a7185dbfd95ade00be4e151dddaac52fd03e8c3e237620ba88fd43675232c788"
 
 
 def test_golden_rejection_messages():

@@ -26,7 +26,7 @@ from .model import (
     validate,
 )
 from .moves import MoveRejected, apply_move, parse_move
-from .search import rewrite_graph, rewrite_graph_dot, thin
+from .search import dot_escape, rewrite_graph, rewrite_graph_dot, thin
 from .selftest import run_all
 
 OK, DOMAIN_ERROR, IO_ERROR = 0, 1, 2
@@ -87,33 +87,34 @@ def _write_or_print(args, doc: dict) -> None:
 def instance_dot(cx) -> str:
     """Instance diagram: levels and bodies with their index annotations."""
     a = analyze(cx)
+    q = dot_escape
     lines = ["digraph instance {", "  rankdir=BT;"]
     for t in sorted(cx.thick.values(), key=lambda t: t.id):
-        label = (f"{t.id} ({t.surface.genus},{t.surface.punctures})"
+        label = (f"{q(t.id)} ({t.surface.genus},{t.surface.punctures})"
                  f"\\nIup={a.index_up[t.id]} Idown={a.index_down[t.id]}")
-        lines.append(f'  "{t.id}" [shape=box style=bold label="{label}"];')
+        lines.append(f'  "{q(t.id)}" [shape=box style=bold label="{label}"];')
     for f in sorted(cx.thin.values(), key=lambda f: f.id):
-        lines.append(f'  "{f.id}" [shape=box style=dashed '
-                     f'label="{f.id} ({f.surface.genus},{f.surface.punctures})"];')
+        lines.append(f'  "{q(f.id)}" [shape=box style=dashed '
+                     f'label="{q(f.id)} ({f.surface.genus},{f.surface.punctures})"];')
     for b in sorted(cx.boundary.values(), key=lambda b: b.id):
         mark = " vertex" if b.is_drilled_vertex else ""
-        lines.append(f'  "{b.id}" [shape=house '
-                     f'label="{b.id} ({b.surface.genus},{b.surface.punctures}{mark})"];')
+        lines.append(f'  "{q(b.id)}" [shape=house '
+                     f'label="{q(b.id)} ({b.surface.genus},{b.surface.punctures}{mark})"];')
     for c in sorted(cx.cbs.values(), key=lambda c: c.id):
-        lines.append(f'  "{c.id}" [shape=ellipse label="{c.id} idx={a.body[c.id]}"];')
+        lines.append(f'  "{q(c.id)}" [shape=ellipse label="{q(c.id)} idx={a.body[c.id]}"];')
         upper = cx.thick[c.plus].upper_cb == c.id
         if upper:
-            lines.append(f'  "{c.plus}" -> "{c.id}";')
+            lines.append(f'  "{q(c.plus)}" -> "{q(c.id)}";')
         else:
-            lines.append(f'  "{c.id}" -> "{c.plus}";')
+            lines.append(f'  "{q(c.id)}" -> "{q(c.plus)}";')
         for port in c.minus:
             if port in cx.thin:
                 if upper:  # orientation leaves an upper body through its thin levels
-                    lines.append(f'  "{c.id}" -> "{port}";')
+                    lines.append(f'  "{q(c.id)}" -> "{q(port)}";')
                 else:
-                    lines.append(f'  "{port}" -> "{c.id}";')
+                    lines.append(f'  "{q(port)}" -> "{q(c.id)}";')
             else:
-                lines.append(f'  "{port}" -> "{c.id}" [dir=none style=dotted];')
+                lines.append(f'  "{q(port)}" -> "{q(c.id)}" [dir=none style=dotted];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -172,7 +173,13 @@ def cmd_apply(args) -> int:
     return OK
 
 
+def _check_cap(args, least: int) -> None:
+    if args.cap < least:
+        raise SystemExit(_fail_io(f"--cap must be at least {least}, not {args.cap}"))
+
+
 def cmd_thin(args) -> int:
+    _check_cap(args, 0)
     cx, _ = _load_valid(args)
     policy = "greedy-max-drop" if args.policy == "greedy" else "first"
     final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
@@ -189,6 +196,7 @@ def cmd_thin(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    _check_cap(args, 1)
     cx, _ = _load_valid(args)
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=args.cap)
     if args.format == "dot":
@@ -268,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thin", help="drive an instance to a locally thin form")
     p.add_argument("instance")
     p.add_argument("--policy", choices=("first", "greedy"), default="first")
-    p.add_argument("--cap", type=int, default=1_000_000, help="step cap")
+    p.add_argument("--cap", type=int, default=1_000_000, help="step cap, at least 0")
     common(p, out=True)
     p.set_defaults(func=cmd_thin)
 
     p = sub.add_parser("explore", help="expand the rewrite graph")
     p.add_argument("instance")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--cap", type=int, default=200, help="node budget")
+    p.add_argument("--cap", type=int, default=200, help="node budget, at least 1")
     common(p)
     p.set_defaults(func=cmd_explore)
 

@@ -28,6 +28,7 @@ from .model import (
     ValidationError,
     ValidationReport,
     Violation,
+    _kept,
     validation,
 )
 
@@ -71,11 +72,7 @@ class Analysis:
 def analyze(cx: Complex) -> Analysis:
     """The :class:`Analysis` of a complex, computed on first use and kept on
     the instance.  Raises ValidationError when the complex is invalid."""
-    found = cx.__dict__.get("_analysis")
-    if found is None:
-        found = _analyze(cx)
-        object.__setattr__(cx, "_analysis", found)
-    return found
+    return _kept(cx, "_analysis", _analyze)
 
 
 def _reach_masks(nodes, edges: dict[str, list[str]], bit: dict[str, int]) -> dict[str, int]:

@@ -27,6 +27,7 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _kept,
     build_complex,
     ghost_excess,
     validate,
@@ -221,16 +222,22 @@ def _gen_complex_once(cfg: GenConfig, rng: random.Random) -> Complex:
 # Numeric move proposer
 # ---------------------------------------------------------------------------
 
+def _ids(cx: Complex) -> frozenset[str]:
+    return frozenset().union(cx.thick, cx.thin, cx.boundary, cx.cbs)
+
+
 def _fresh_names(cx: Complex, bases: list[str]) -> list[str]:
-    taken = set(cx.thick) | set(cx.thin) | set(cx.boundary) | set(cx.cbs)
-    out = []
+    """Each base, or the base with the least numeric suffix that names no
+    record of ``cx`` and no earlier name; the set of ids is kept on the
+    instance."""
+    taken = _kept(cx, "_ids", _ids)
+    out: list[str] = []
     for base in bases:
         name = base
         k = 0
-        while name in taken:
+        while name in taken or name in out:
             k += 1
             name = f"{base}{k}"
-        taken.add(name)
         out.append(name)
     return out
 

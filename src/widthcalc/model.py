@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import graphlib
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 __all__ = [
@@ -62,6 +62,8 @@ __all__ = [
     "profile_index",
     "body_index",
     "body_passes",
+    "check_body",
+    "certify",
     "is_product_profile",
     "is_ball_profile",
     "thick_digraph",
@@ -299,29 +301,33 @@ def ghost_excess(ghosts: int, anchors: int) -> int:
     return max(0, ghosts - max(0, anchors - 1))
 
 
-def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | None:
+def _check_cb(cb: CompressionBody, thick, thin, boundary, out: list[Violation]) -> int | None:
     """Check one body on its own, appending what fails to ``out``; the body's
-    index when it passes, else None."""
+    index when it passes, else None.  ``thick``, ``thin`` and ``boundary``
+    look levels up by id, giving None for an unknown one: the ``get`` of a
+    complex's maps, or of a move's result before it is built."""
     sub = cb.id
     start = len(out)
     _check_tangle(sub, cb.tangle, out)
     counts_ok = len(out) == start
 
-    if cb.plus not in cx.thick:
+    top = thick(cb.plus)
+    if top is None:
         out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
         return None
-    plus = cx.thick[cb.plus].surface
+    plus = top.surface
 
     minus: list[Surface] = []
     broken = False
     for port in cb.minus:
-        if port in cx.thin:
-            minus.append(cx.thin[port].surface)
-        elif port in cx.boundary:
-            minus.append(cx.boundary[port].surface)
-        else:
+        level = thin(port)
+        if level is None:
+            level = boundary(port)
+        if level is None:
             out.append(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level"))
             broken = True
+        else:
+            minus.append(level.surface)
     if broken:
         return None
     if len(set(cb.minus)) != len(cb.minus):
@@ -365,11 +371,11 @@ def _check_cb(cx: Complex, cb: CompressionBody, out: list[Violation]) -> int | N
 
     if cb.product_certificate and cb.ball_certificate:
         out.append(Violation("certificate_conflict", sub, "product and ball certificates are mutually exclusive"))
-    if cb.product_certificate and not is_product_profile(cx, cb):
+    if cb.product_certificate and not _product_profile(plus, minus, t):
         out.append(Violation("product_certificate", sub,
                              "product piece has one negative level, boundary surfaces that "
                              "match and only vertical arcs"))
-    if cb.ball_certificate and not is_ball_profile(cx, cb):
+    if cb.ball_certificate and not _ball_profile(plus, minus, t):
         out.append(Violation("ball_certificate", sub,
                              "ball piece has empty negative boundary, a sphere with 0 or 2 "
                              "punctures on top and an empty tangle or one bridge arc"))
@@ -391,18 +397,29 @@ class Validation:
     order: tuple[str, ...]
 
 
-def validation(cx: Complex, *, base: Complex | None = None) -> Validation:
-    """The :class:`Validation` of a complex, computed on first use and kept
-    on the instance; sound because a complex never changes.  ``base`` is as
-    for :func:`validate`."""
-    found = cx.__dict__.get("_validation")
-    if found is None:
-        found = _validation(cx, base)
-        object.__setattr__(cx, "_validation", found)
+_MISSING = object()
+
+
+def _kept(cx: Complex, name: str, compute, *args):
+    """``compute(cx, *args)``, worked out on first use and kept on the
+    instance under ``name``; sound because a complex never changes.  Later
+    calls return the kept value whatever ``args`` they pass."""
+    found = cx.__dict__.get(name, _MISSING)
+    if found is _MISSING:
+        found = compute(cx, *args)
+        object.__setattr__(cx, name, found)
     return found
 
 
-def validate(cx: Complex, *, base: Complex | None = None) -> ValidationReport:
+def validation(cx: Complex, *, base: Complex | None = None,
+               checked: Mapping[str, int] | None = None) -> Validation:
+    """The :class:`Validation` of a complex, computed on first use and kept
+    on the instance.  ``base`` and ``checked`` are as for :func:`validate`."""
+    return _kept(cx, "_validation", _validation, base, checked)
+
+
+def validate(cx: Complex, *, base: Complex | None = None,
+             checked: Mapping[str, int] | None = None) -> ValidationReport:
     """Check every structural and numeric invariant; never raises.
 
     Returns an empty report exactly when the complex is well formed: all
@@ -419,8 +436,12 @@ def validate(cx: Complex, *, base: Complex | None = None) -> ValidationReport:
     own checks there: they are not run again, and its index is read from
     ``base``.  Only the bodies whose inputs differ are re-checked; the
     report, indices and flow digraph are the same as without ``base``.
+
+    ``checked`` maps the ids of bodies that already passed :func:`check_body`
+    on the very records and levels ``cx`` holds to their indices, as a move
+    gate's rebuilt bodies have; they are not checked again either.
     """
-    return validation(cx, base=base).report
+    return validation(cx, base=base, checked=checked).report
 
 
 def _same_inputs(cx: Complex, base: Complex, cb: CompressionBody) -> bool:
@@ -435,13 +456,17 @@ def _same_inputs(cx: Complex, base: Complex, cb: CompressionBody) -> bool:
     return True
 
 
-def _validation(cx: Complex, base: Complex | None = None) -> Validation:
+def _validation(cx: Complex, base: Complex | None = None,
+                checked: Mapping[str, int] | None = None) -> Validation:
     # A valid base proves that a body with the same inputs passes its checks.
     known = None
     if base is not None:
-        checked = validation(base)
-        if checked.report.ok:
-            known = checked.body
+        base_validation = validation(base)
+        if base_validation.report.ok:
+            known = base_validation.body
+    if checked is None:
+        checked = {}
+    thick, thin, boundary = cx.thick.get, cx.thin.get, cx.boundary.get
     out: list[Violation] = []
 
     for t in cx.thick.values():
@@ -481,10 +506,12 @@ def _validation(cx: Complex, base: Complex | None = None) -> Validation:
 
     body: dict[str, int] = {}
     for cb in cx.cbs.values():
-        if known is not None and _same_inputs(cx, base, cb):
-            index = known[cb.id]
-        else:
-            index = _check_cb(cx, cb, out)
+        index = checked.get(cb.id)
+        if index is None:
+            if known is not None and _same_inputs(cx, base, cb):
+                index = known[cb.id]
+            else:
+                index = _check_cb(cb, thick, thin, boundary, out)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
@@ -580,27 +607,54 @@ def body_passes(cx: Complex, cb_id: str) -> bool:
     :func:`validate` runs on every body.  A body that fails appends at least
     one violation there, so ``cx`` is then invalid; the converse needs the
     whole-complex checks too."""
-    return _check_cb(cx, cx.cbs[cb_id], []) is not None
+    return check_body(cx.cbs[cb_id], cx.thick.get, cx.thin.get, cx.boundary.get) is not None
+
+
+def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:
+    """The index of ``cb`` when it passes its own checks, the ones
+    :func:`validate` runs on every body, else None.  The levels it names are
+    looked up through ``thick``, ``thin`` and ``boundary``, each taking an id
+    to its record or None; so a body can be checked before the complex that
+    will hold it is built."""
+    return _check_cb(cb, thick, thin, boundary, [])
+
+
+def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
+    """``cb`` with its certificate flags set from its profile, its levels
+    looked up as by :func:`check_body`; a flag whose level is unknown is
+    off, and the body then fails its checks anyway."""
+    top = thick(cb.plus)
+    levels = [thin(port) or boundary(port) for port in cb.minus]
+    if top is None or None in levels:
+        flags = False, False
+    else:
+        minus = [level.surface for level in levels]
+        flags = _product_profile(top.surface, minus, cb.tangle), _ball_profile(top.surface, minus, cb.tangle)
+    if flags == (cb.product_certificate, cb.ball_certificate):
+        return cb
+    return replace(cb, product_certificate=flags[0], ball_certificate=flags[1])
+
+
+def _product_profile(plus: Surface, minus: list[Surface], t: Tangle) -> bool:
+    return (len(minus) == 1 and plus.genus == minus[0].genus and plus.punctures == minus[0].punctures
+            and t.bridges == 0 and t.ghosts == 0 and t.loops == 0)
+
+
+def _ball_profile(plus: Surface, minus: list[Surface], t: Tangle) -> bool:
+    return (not minus and plus.genus == 0 and plus.punctures in (0, 2)
+            and t.counts() in ((0, 0, 0, 0), (0, 1, 0, 0)))
 
 
 def is_product_profile(cx: Complex, cb: CompressionBody) -> bool:
     """Numeric triviality test for a product piece (necessary conditions)."""
     if len(cb.minus) != 1:
         return False
-    plus = cx.thick[cb.plus].surface
-    m = cx.level_surface(cb.minus[0])
-    t = cb.tangle
-    return (plus.genus == m.genus and plus.punctures == m.punctures
-            and t.bridges == 0 and t.ghosts == 0 and t.loops == 0)
+    return _product_profile(cx.thick[cb.plus].surface, [cx.level_surface(cb.minus[0])], cb.tangle)
 
 
 def is_ball_profile(cx: Complex, cb: CompressionBody) -> bool:
     """Numeric triviality test for a ball piece (necessary conditions)."""
-    if cb.minus:
-        return False
-    plus = cx.thick[cb.plus].surface
-    return (plus.genus == 0 and plus.punctures in (0, 2)
-            and cb.tangle.counts() in ((0, 0, 0, 0), (0, 1, 0, 0)))
+    return not cb.minus and _ball_profile(cx.thick[cb.plus].surface, [], cb.tangle)
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +731,7 @@ def components(cx: Complex) -> list[list]:
     so that hashing a complex and then expanding it as a rewrite-graph node
     splits it once.  Callers must not mutate the lists.
     """
-    found = cx.__dict__.get("_components")
-    if found is None:
-        found = _components(cx)
-        object.__setattr__(cx, "_components", found)
-    return found
+    return _kept(cx, "_components", _components)
 
 
 def _components(cx: Complex) -> list[list]:
@@ -725,7 +775,7 @@ def restrict(cx: Complex, records: list) -> Complex:
     for rec in records:
         sections[_SECTION[type(rec)]][rec.id] = rec
     sub = Complex(*sections)
-    object.__setattr__(sub, "_components", [records])
+    _kept(sub, "_components", lambda _sub: [records])
     validation(sub, base=cx)
     return sub
 
@@ -738,7 +788,7 @@ def disjoint_union(parts: list[Complex]) -> Complex:
     part's first thick level."""
     cx = Complex(*({k: v for part in parts for k, v in getattr(part, name).items()}
                    for name in ("thick", "thin", "boundary", "cbs")))
-    object.__setattr__(cx, "_components", [components(part)[0] for part in parts])
+    _kept(cx, "_components", lambda _cx: [components(part)[0] for part in parts])
     return cx
 
 

@@ -29,30 +29,31 @@ Move kinds:
 
 Every kind is accepted by the same gate, in the same order.  The input must
 be valid.  Then come the kind's own pre-checks (ids, sides, profiles, disc
-accounting), which may reject under their own rule names, and the result is
-built; bodies the move rebuilt get their certificate flags from their
-profiles.  The result must be valid (``<kind>.result_invalid``), satisfy the
-kind's exact index identities, read from :func:`~widthcalc.complexity.analyze`
-of input and result (for example ``consolidate.merge_index``), and have a
-strictly smaller complexity vector (``<kind>.monotone``).  The untelescope
-sequence, :func:`elementary_thinning_sequence`, uses the prefix
-``elementary``.
+accounting), which may reject under their own rule names, and the kind works
+out the records it changes; bodies the move rebuilt get their certificate
+flags from their profiles.  The result must be valid
+(``<kind>.result_invalid``), satisfy the kind's exact index identities, read
+from :func:`~widthcalc.complexity.analyze` of input and result (for example
+``consolidate.merge_index``), and have a strictly smaller complexity vector
+(``<kind>.monotone``).  The untelescope sequence,
+:func:`elementary_thinning_sequence`, uses the prefix ``elementary``.
 
 Validity is decided in two steps, cheap first.  Each rebuilt body runs its
-own checks (:func:`~widthcalc.model.body_passes`); a body that fails puts a
-violation in the result's report, so the move is rejected at once, and most
-rejected candidates end here.  A result whose rebuilt bodies pass is then
-validated whole against the move's valid input
-(:func:`~widthcalc.model.validate` with ``base``): the build functions copy
-the maps but keep every record they do not change, so a body whose record,
-plus level and minus ports are all unchanged is not checked again.  Only the
-bodies whose inputs differ from the input's, usually 2 to 4, are re-checked.
+own checks (:func:`~widthcalc.model.check_body`) on the changed records,
+before any complex is built; a body that fails would put a violation in the
+result's report, so the move is rejected at once without building the
+result, and most rejected candidates end here.  Only a candidate whose
+rebuilt bodies pass is built, once, and validated whole against the move's
+valid input (:func:`~widthcalc.model.validate` with ``base`` and the rebuilt
+bodies' indices as ``checked``): the build keeps every record it does not
+change, so a body whose record, plus level and minus ports are all unchanged
+is not checked again, and the rebuilt bodies are not checked twice.
 
 A :class:`MoveRejected` formats its message when it is first read: the
-message of ``result_invalid`` is the report of that whole validation, the
-same as a full validation's, and it is only worked out when someone prints
-it.  A caller that only counts rules, like :func:`~widthcalc.search.thin`,
-pays for none of it.
+message of ``result_invalid`` is the report of a whole validation of the
+result, the same as a full validation's, and the result is built and that
+report worked out only when someone prints it.  A caller that only counts
+rules, like :func:`~widthcalc.search.thin`, pays for none of it.
 
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
@@ -68,8 +69,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .model import (
     BoundaryLevel,
@@ -81,15 +82,15 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _id_list,
+    _kept,
     _need,
     body_index,
-    body_passes,
+    certify,
+    check_body,
     components,
     emit_tangle,
     euler_char,
     ghost_excess,
-    is_ball_profile,
-    is_product_profile,
     parse_tangle,
     profile_index,
     require_valid,
@@ -226,7 +227,43 @@ def boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:
     off a piece with the plain-ball profile, nor, when the disc meets the
     graph, with the ball-with-arc profile.  Violations mean the disc data is
     inconsistent with the body summary and the certificate is rejected.
+
+    The outcome, the reduction or the rejection with its rule and message,
+    is kept on ``cx`` for each body and disc, so the untelescope candidates
+    that pair one disc with many reduce along it once.  A disc is reused
+    only when it equals the kept one field by field with the same types
+    (messages format the fields, and ``True == 1``); an unhashable disc is
+    reduced every time.
     """
+    kept = _kept(cx, "_reductions", lambda _cx: {})
+    try:
+        found = kept.get((cb_id, d))
+    except TypeError:
+        return _boundary_reduce(cx, cb_id, d)
+    if found is None or not (found[0] is d or _alike(found[0], d)):
+        try:
+            found = d, _boundary_reduce(cx, cb_id, d)
+        except MoveRejected as err:
+            found = d, (err.rule, err._message)
+        kept[cb_id, d] = found
+    if isinstance(found[1], BoundaryReduction):
+        return found[1]
+    raise MoveRejected(*found[1])
+
+
+def _alike(a, b) -> bool:
+    """Whether two equal values have the same types all the way down and
+    leaves that print the same."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return all(map(_alike, a, b))
+    if is_dataclass(a):
+        return all(_alike(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return repr(a) == repr(b)
+
+
+def _boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:
     before = body_index(cx, cb_id)  # validates the body locally
     cb = cx.cbs[cb_id]
     for port in cb.minus:
@@ -375,49 +412,87 @@ def solve_tangle(plus: Surface, minus: list[Surface], loops: int = 0) -> Tangle 
     return Tangle(v, b, gh, loops)
 
 
-def _refresh_certificates(cx: Complex, cb_ids: Iterable[str]) -> Complex:
-    """Recompute triviality flags from profile data on engine-built bodies;
-    ``cx`` itself when no flag changes."""
-    changed = {}
-    for cb_id in cb_ids:
-        cb = cx.cbs[cb_id]
-        flags = is_product_profile(cx, cb), is_ball_profile(cx, cb)
-        if flags != (cb.product_certificate, cb.ball_certificate):
-            changed[cb_id] = replace(cb, product_certificate=flags[0], ball_certificate=flags[1])
-    return replace(cx, cbs={**cx.cbs, **changed}) if changed else cx
+class Records:
+    """One map of a move's result before it is built: ``put`` set over
+    ``base``.  A put record replaces the base's record of its id in place;
+    one with a new id goes last.  Records are looked up with :meth:`get`,
+    which gives None for an id the map does not hold."""
+
+    __slots__ = ("base", "put")
+
+    def __init__(self, base: Mapping, put: dict | None = None):
+        self.base = base
+        self.put = {} if put is None else put
+
+    def get(self, key: str):
+        found = self.put.get(key)
+        return self.base.get(key) if found is None else found
+
+    def merged(self) -> dict:
+        return {**self.base, **self.put}
 
 
 Check = Callable[[Analysis, Analysis], None]
-Built = tuple[Complex, Collection[str], Check | None]
+Built = tuple[tuple[Records, Records, Records, Records], Check | None]
+
+
+def _build(maps: tuple[Records, ...]) -> Complex:
+    return Complex(*(records.merged() for records in maps))
 
 
 def _gated(rule: str):
     """Make a kind's build function into its apply function.
 
-    The build function runs the kind's pre-checks and returns the result, the
-    ids of the bodies it rebuilt and the kind's index check, which gets the
-    analyses of input and result (None for no check).  The gate alone runs
-    the acceptance order the module docstring describes, with rule names
-    prefixed by ``rule``.
+    The build function runs the kind's pre-checks and returns the result's
+    thick, thin, boundary and body maps as :class:`Records` over the input's,
+    whose put bodies are the bodies the move rebuilt, and the kind's index
+    check, which gets the analyses of input and result (None for no check).
+    The gate sets each rebuilt body's certificate flags from its profile and
+    runs its own checks on the records; only when they pass is the result
+    built, once.  The gate alone runs the acceptance order the module
+    docstring describes, with rule names prefixed by ``rule``.
     """
     def gated(build: Callable[[Complex, Move], Built]):
         @functools.wraps(build)
         def apply(cx: Complex, m: Move) -> Complex:
             require_valid(cx)
-            out, rebuilt, check = build(cx, m)
-            out = _refresh_certificates(out, rebuilt)
-            # a rebuilt body that fails its own checks makes the whole report non-empty
-            if not all(body_passes(out, cb_id) for cb_id in rebuilt) \
-                    or not validate(out, base=cx).ok:
-                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out, base=cx)))
-            before, after = analyze(cx), analyze(out)
-            if check is not None:
-                check(before, after)
-            if compare(after.vector, before.vector) != LT:
-                raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
-            return out
+            maps, check = build(cx, m)
+            checked = _check_rebuilt(maps)
+            if checked is None:
+                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_build(maps), base=cx)))
+            return _accept(rule, cx, _build(maps), check, checked)
         return apply
     return gated
+
+
+def _check_rebuilt(maps: tuple[Records, ...]) -> dict[str, int] | None:
+    """Certify every rebuilt body in place, then check each on its own: the
+    bodies' indices, or None when one fails, which puts a violation in the
+    result's report."""
+    thick, thin, boundary, cbs = maps
+    for cb_id, cb in cbs.put.items():
+        cbs.put[cb_id] = certify(cb, thick.get, thin.get, boundary.get)
+    checked = {}
+    for cb_id, cb in cbs.put.items():
+        index = check_body(cb, thick.get, thin.get, boundary.get)
+        if index is None:
+            return None
+        checked[cb_id] = index
+    return checked
+
+
+def _accept(rule: str, cx: Complex, out: Complex, check: Check | None = None,
+            checked: dict[str, int] | None = None) -> Complex:
+    """The rest of the gate on a built result ``out`` of ``cx``: it must be
+    valid, pass ``check`` and have a strictly smaller vector."""
+    if not validate(out, base=cx, checked=checked).ok:
+        raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out, base=cx)))
+    before, after = analyze(cx), analyze(out)
+    if check is not None:
+        check(before, after)
+    if compare(after.vector, before.vector) != LT:
+        raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
+    return out
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
@@ -502,7 +577,6 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
     merged = CompressionBody(a_id, A.plus, merged_minus, tangle)
 
     cbs = {k: v for k, v in cx.cbs.items() if k not in (a_id, b_id, p_id)}
-    cbs[a_id] = merged
     thin = {k: v for k, v in cx.thin.items() if k != m.thin}
     for f in list(thin.values()):
         if f.from_cb == b_id:
@@ -520,7 +594,7 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
             raise MoveRejected("consolidate.merge_index",
                                "merged index != index(A) + index(B) - 6")
 
-    return Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs), {a_id}, check
+    return (Records(thick), Records(thin), Records(boundary), Records(cbs, {a_id: merged})), check
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +663,8 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     cb_hp_up = make_cb(hp.upper, hp.id, s_plus, side1_plus, thin_extra=False)
 
     thick = {k: v for k, v in cx.thick.items() if k != m.thick}
-    thick[hm.id] = ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id)
-    thick[hp.id] = ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id)
+    new_thick = {hm.id: ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id),
+                 hp.id: ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id)}
 
     new_owner: dict[str, str] = {}
     for port in side1_minus:
@@ -603,22 +677,17 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         new_owner[port] = cb_hm_up.id
 
     old_up, old_down = H.upper_cb, H.lower_cb
-    thin = {k: v for k, v in cx.thin.items()}
-    for f in list(thin.values()):
+    thin = {}
+    for f in cx.thin.values():
         if f.to_cb == old_down:
-            thin[f.id] = replace(thin[f.id], to_cb=new_owner[f.id])
+            f = thin[f.id] = replace(f, to_cb=new_owner[f.id])
         if f.from_cb == old_up:
-            thin[f.id] = replace(thin[f.id], from_cb=new_owner[f.id])
+            thin[f.id] = replace(f, from_cb=new_owner[f.id])
     thin[out.thin_id] = new_thin
-    boundary = dict(cx.boundary)
-    for b in list(boundary.values()):
-        if b.owner in (old_down, old_up):
-            boundary[b.id] = replace(b, owner=new_owner[b.id])
-
-    new_cbs = (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)
+    boundary = {b.id: replace(b, owner=new_owner[b.id])
+                for b in cx.boundary.values() if b.owner in (old_down, old_up)}
     cbs = {k: v for k, v in cx.cbs.items() if k not in (old_up, old_down)}
-    for cb in new_cbs:
-        cbs[cb.id] = cb
+    new_cbs = {cb.id: cb for cb in (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)}
 
     def check(before: Analysis, after: Analysis) -> None:
         # Body-index bookkeeping around the split level.
@@ -653,13 +722,18 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         if after.index_up[hp.id] >= iu_before:
             raise MoveRejected("untelescope.upper_index_drop", "upper aggregate index must drop")
 
-    result = Complex(thick=thick, thin=thin, boundary=boundary, cbs=cbs)
-    return result, [cb.id for cb in new_cbs], check
+    return (Records(thick, new_thick), Records(cx.thin, thin), Records(cx.boundary, boundary),
+            Records(cbs, new_cbs)), check
 
 
 def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
     """The (thick, thin) pair of the least body id that is product-certified
-    and has a thin level as its only minus level; None if there is none."""
+    and has a thin level as its only minus level; None if there is none.
+    Kept on the instance."""
+    return _kept(cx, "_product_on_thin", _find_product_on_thin)
+
+
+def _find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
     first = min((cb_id for cb_id, cb in cx.cbs.items() if cb.product_certificate
                  and len(cb.minus) == 1 and cb.minus[0] in cx.thin), default=None)
     if first is None:
@@ -668,8 +742,7 @@ def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
     return cb.plus, cb.minus[0]
 
 
-@_gated("elementary")
-def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Built:
+def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
     """Untelescope, then consolidate every product the split exposes.
 
     Requires that no product-certified body touches a thin level beforehand.
@@ -677,8 +750,10 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Built:
     parallel pieces, so the remaining work is merging the new bodies into
     their old thin neighbours, repeated until no certified product touches a
     thin level.  The doubly spotted level always survives and the complexity
-    vector strictly decreases.
+    vector strictly decreases.  Every step is a gated move, so the result
+    goes through the rest of the gate (:func:`_accept`) as it is.
     """
+    require_valid(cx)
     if find_product_on_thin(cx) is not None:
         raise MoveRejected("elementary.pre",
                            "a product-certified body already touches a thin level")
@@ -688,7 +763,7 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Built:
     if m.outcome.thin_id not in result.thin:
         raise MoveRejected("elementary.doubly_spotted",
                            "the doubly spotted level did not survive consolidation")
-    return result, (), None  # every body is already certified by the steps
+    return _accept("elementary", cx, result)
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +870,10 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     tangle_side = pick(explicit_side, default_side, side_minus, side_cb.tangle.loops, "near")
     tangle_far = pick(explicit_far, default_far, far_minus, far_cb.tangle.loops, "far")
 
-    cbs = dict(cx.cbs)
-    cbs[side_id] = replace(side_cb, minus=side_minus, tangle=tangle_side)
-    cbs[far_id] = replace(far_cb, minus=far_minus, tangle=tangle_far)
-    thick = dict(cx.thick)
-    thick[m.thick] = replace(H, surface=new_surface)
-    boundary = dict(cx.boundary)
-    for s in s_ids:
-        boundary[s] = replace(boundary[s], owner=far_id)
+    cbs = {side_id: replace(side_cb, minus=side_minus, tangle=tangle_side),
+           far_id: replace(far_cb, minus=far_minus, tangle=tangle_far)}
+    thick = {m.thick: replace(H, surface=new_surface)}
+    boundary = {s: replace(cx.boundary[s], owner=far_id) for s in s_ids}
 
     def check(before: Analysis, after: Analysis) -> None:
         if after.body[H.upper_cb] >= before.body[H.upper_cb]:
@@ -810,8 +881,8 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
         if after.body[H.lower_cb] >= before.body[H.lower_cb]:
             raise MoveRejected("destabilize.lower_drop", "lower body index must drop strictly")
 
-    result = Complex(thick=thick, thin=cx.thin, boundary=boundary, cbs=cbs)
-    return result, (side_id, far_id), check
+    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary, boundary),
+            Records(cx.cbs, cbs)), check
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +911,11 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
     if m.merge_case == "vertical_bridge" and far.tangle.verticals < 1:
         raise MoveRejected("unperturb.verticals", "vertical-bridge merge needs a far vertical arc")
 
-    cbs = dict(cx.cbs)
-    cbs[near_id] = replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1))
-    cbs[far_id] = replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))
-    thick = dict(cx.thick)
-    thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
-    result = Complex(thick=thick, thin=cx.thin, boundary=cx.boundary, cbs=cbs)
-    return result, (near_id, far_id), None
+    cbs = {near_id: replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1)),
+           far_id: replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))}
+    thick = {m.thick: replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))}
+    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary),
+            Records(cx.cbs, cbs)), None
 
 
 @_gated("undo_removable")
@@ -882,13 +951,10 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
         raise MoveRejected("undo_removable.redistribution",
                            "a general redistribution supplies both tangles")
 
-    cbs = dict(cx.cbs)
-    cbs[up_id] = replace(up, tangle=t_up)
-    cbs[down_id] = replace(down, tangle=t_down)
-    thick = dict(cx.thick)
-    thick[m.thick] = replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))
-    result = Complex(thick=thick, thin=cx.thin, boundary=cx.boundary, cbs=cbs)
-    return result, (up_id, down_id), None
+    cbs = {up_id: replace(up, tangle=t_up), down_id: replace(down, tangle=t_down)}
+    thick = {m.thick: replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))}
+    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary),
+            Records(cx.cbs, cbs)), None
 
 
 # ---------------------------------------------------------------------------

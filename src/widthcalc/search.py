@@ -84,6 +84,7 @@ __all__ = [
     "canonical_form",
     "canonical_hash",
     "rewrite_graph_dot",
+    "dot_escape",
 ]
 
 # ---------------------------------------------------------------------------
@@ -357,15 +358,22 @@ def _outcomes(node: Complex, vector: tuple[int, ...], parts, offers, rejected, a
                _swapped(vector, old_vec, new_vec), joined)
 
 
+def dot_escape(text: str) -> str:
+    """``text`` for a DOT quoted string: each backslash and double quote
+    escaped with a backslash."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def rewrite_graph_dot(graph: RewriteGraph) -> str:
     """Render the rewrite graph as DOT, nodes annotated with their vectors."""
+    q = dot_escape
     lines = ["digraph rewrites {"]
     for digest in sorted(graph.nodes):
         vec = ",".join(str(v) for v in graph.vectors[digest])
         shape = "doubleoctagon" if digest == graph.root else "box"
-        lines.append(f'  "{digest[:12]}" [shape={shape} label="({vec})"];')
+        lines.append(f'  "{q(digest[:12])}" [shape={shape} label="({vec})"];')
     for src, move, dst in graph.edges:
-        lines.append(f'  "{src[:12]}" -> "{dst[:12]}" [label="{move["kind"]}"];')
+        lines.append(f'  "{q(src[:12])}" -> "{q(dst[:12])}" [label="{q(move["kind"])}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -276,6 +276,50 @@ def test_thin_cap_zero(tmp_path, capsys):
     assert "cap reached" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, least", [(["thin", "--cap", "-1"], 0),
+                                         (["explore", "--cap", "0"], 1),
+                                         (["explore", "--cap", "-3"], 1)])
+def test_cap_below_its_least_exit_two(tmp_path, capsys, argv, least):
+    inst, _ = _consolidatable(tmp_path)
+    assert main(argv[:1] + [inst] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cap must be at least {least}, not {argv[-1]}\n"
+
+
+def test_explore_cap_one_is_the_root_alone(tmp_path, capsys):
+    inst, _ = _consolidatable(tmp_path)
+    assert main(["explore", inst, "--cap", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["nodes"]) == [doc["root"]] and doc["complete"] is False
+
+
+_DOT_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def test_dot_output_escapes_ids(tmp_path, capsys):
+    """Every quoted string of the DOT output escapes backslashes and double
+    quotes, so an id holding them stays one string."""
+    import re
+
+    ids = {"H": 'H"x', "u": "u\\", "d": 'd\\"q', "S": 'S "'}
+    cx = build_complex(thick=[thick(ids["H"], 0, 4, ids["u"], ids["d"])],
+                       boundary=[bdy(ids["S"], 0, 4, ids["d"])],
+                       cbs=[cb(ids["u"], ids["H"], b=2), cb(ids["d"], ids["H"], minus=(ids["S"],), v=4)])
+    assert validate(cx).ok
+    path = tmp_path / "quotes.json"
+    path.write_text(json.dumps(emit_complex(cx)))
+    assert main(["complexity", str(path), "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == r'  "H\"x" [shape=box style=bold label="H\"x (0,4)\nIup=8 Idown=6"];'
+    named = set()
+    for line in lines:
+        strings = re.findall(_DOT_STRING, line)
+        assert '"' not in re.sub(_DOT_STRING, "", line), line
+        named.update(re.sub(r"\\(.)", r"\1", text[1:-1]) for text in strings)
+    assert set(ids.values()) <= named
+
+
 def test_explore_dot(tmp_path, capsys):
     inst, _ = _consolidatable(tmp_path)
     assert main(["explore", inst]) == 0

@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from widthcalc import model, moves, search
 from widthcalc.complexity import LT, compare, complexity, index_down, index_up
@@ -735,26 +736,41 @@ def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
     assert counts["valid"] > 2660 and counts["formatted"] > 614
 
 
-def test_gate_checks_rebuilt_bodies_first_and_formats_the_report_when_read(one_bridge_sphere):
-    """A result whose rebuilt body fails its own checks is rejected before
-    the result is validated, and the message validates it when first read.
-    A result whose rebuilt bodies pass but which fails a whole-complex check
-    is validated and rejected under the same rule."""
+def test_gate_checks_rebuilt_bodies_first_and_formats_the_report_when_read(one_bridge_sphere, monkeypatch):
+    """A candidate whose rebuilt body fails its own checks is rejected before
+    its result is built, and the message builds and validates it when first
+    read.  A result whose rebuilt bodies pass but which fails a
+    whole-complex check is built and validated, and rejected under the same
+    rule."""
     cx = one_bridge_sphere
     broken = replace(cx.cbs["u"], tangle=Tangle(bridges=2), ball_certificate=False)
+    stray = BoundaryLevel("S", Surface(0, 1), owner="u")
     bad_body = replace(cx, cbs={**cx.cbs, "u": broken})
-    stray = replace(cx, boundary={"S": BoundaryLevel("S", Surface(0, 1), owner="u")})
-    for out, rebuilt, validated in ((bad_body, ("d", "u"), False), (stray, ("d", "u"), True)):
+    bad_level = replace(cx, boundary={"S": stray})
+    built = []
+    real = model.Complex.__post_init__
+
+    def recording(self):
+        real(self)
+        built.append(self)
+
+    monkeypatch.setattr(model.Complex, "__post_init__", recording)
+    for out, boundary, cbs, validated in (
+            (bad_body, {}, {"d": cx.cbs["d"], "u": broken}, False),
+            (bad_level, {"S": stray}, {"d": cx.cbs["d"], "u": cx.cbs["u"]}, True)):
         @moves._gated("probe")
         def probe(_cx, _m):
-            return out, rebuilt, None
+            return (moves.Records(cx.thick), moves.Records(cx.thin),
+                    moves.Records(cx.boundary, boundary), moves.Records(cx.cbs, cbs)), None
 
+        built.clear()
         with pytest.raises(MoveRejected) as err:
             probe(cx, None)
         assert err.value.rule == "probe.result_invalid"
-        assert ("_validation" in out.__dict__) == validated
+        assert len(built) == validated
+        assert all("_validation" in result.__dict__ for result in built)
         assert str(err.value) == f"probe.result_invalid: {model._validation(out).report}"
-        assert "_validation" in out.__dict__
+        assert built[-1] == out and "_validation" in built[-1].__dict__
         assert not model.validate(out).ok
 
 
@@ -790,6 +806,86 @@ def test_result_invalid_rejections_build_no_complex(monkeypatch):
                     assert built == 1
     assert rejected["destabilize.result_invalid"] >= 100
     assert rejected["undo_removable.result_invalid"] >= 10
+
+
+_BUILDS = {Consolidate: apply_consolidate, Untelescope: apply_untelescope,
+           Destabilize: apply_destabilize, Unperturb: apply_unperturb,
+           UndoRemovable: apply_undo_removable}
+_counts = st.integers(-1, 4)
+_tangles = st.builds(Tangle, _counts, _counts, _counts, _counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.tuples(_tangles, _tangles), max_size=4))
+def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, tangles):
+    """For every candidate that passes its kind's pre-checks, the gate's
+    decision on the changed records, before any complex is built, is
+    ``body_passes`` of every rebuilt body of the built result, and the
+    indices it hands on are the ones a full validation gives.  Candidates
+    are the proposer's and general redistributions with drawn tangles."""
+    cx = gen_complex(GenConfig(max_thick=4, seed=seed))
+    candidates = enumerate_moves(cx)
+    for t_id, (up, down) in zip(sorted(cx.thick), tangles):
+        candidates.append(UndoRemovable(t_id, tangle_up=up, tangle_down=down))
+        candidates.append(Destabilize("stab", t_id, tangle_up=up, tangle_down=down))
+    for m in candidates:
+        try:
+            maps, _check = _BUILDS[type(m)].__wrapped__(cx, m)
+        except MoveRejected:
+            continue
+        checked = moves._check_rebuilt(maps)
+        out = moves._build(maps)
+        rebuilt = list(maps[3].put)
+        assert (checked is not None) == all(model.body_passes(out, cb_id) for cb_id in rebuilt)
+        if checked is not None:
+            body = model._validation(out).body
+            assert checked == {cb_id: body[cb_id] for cb_id in rebuilt}
+
+
+def test_boundary_reduce_keeps_outcomes_per_exact_disc(monkeypatch):
+    """A reduction or a rejection is kept on the instance per body and disc
+    and given again, the rejection with the same rule and message.  Equal
+    discs whose fields differ in type get their own outcome, since messages
+    format the fields; an unhashable disc is reduced every time."""
+    runs = 0
+    real = moves.body_index
+
+    def counting(cx, cb_id):
+        nonlocal runs
+        runs += 1
+        return real(cx, cb_id)
+
+    monkeypatch.setattr(moves, "body_index", counting)
+    cx = build_complex(thick=[thick("H", 2, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+
+    def rejection(d):
+        with pytest.raises(MoveRejected) as err:
+            boundary_reduce(cx, "u", d)
+        return err.value.rule, str(err.value)
+
+    one = ("disc.split", "disc.split: genus parts 1+0 != 2")
+    assert rejection(disc(0, True, (1, 0), (0, 0), ((), ()))) == one
+    assert rejection(disc(0, True, (1, 0), (0, 0), ((), ()))) == one
+    assert runs == 1
+    assert rejection(disc(0, True, (True, 0), (0, 0), ((), ()))) \
+        == ("disc.split", "disc.split: genus parts True+0 != 2")
+    assert rejection(disc(0, True, (1.0, 0), (0, 0), ((), ()))) \
+        == ("disc.split", "disc.split: genus parts 1.0+0 != 2")
+    assert runs == 3
+    assert rejection(disc(2)) == ("disc.punctures", "disc.punctures: disc meets the graph 0 or 1 times, not 2")
+    assert rejection(DiscData(2.0, False)) \
+        == ("disc.punctures", "disc.punctures: disc meets the graph 0 or 1 times, not 2.0")
+    assert runs == 5
+
+    split = disc(0, True, (1, 1), (0, 0), ((), ()))
+    red = boundary_reduce(cx, "u", split)
+    assert boundary_reduce(cx, "u", split) is red
+    assert boundary_reduce(cx, "d", split) is not red
+    assert runs == 7
+    unhashable = DiscData(0, True, SplitData([1, 1], (0, 0)))
+    assert boundary_reduce(cx, "u", unhashable) == red
+    assert boundary_reduce(cx, "u", unhashable) == red
+    assert runs == 9
 
 
 GOLDEN_REJECTIONS_DIGEST ="a7185dbfd95ade00be4e151dddaac52fd03e8c3e237620ba88fd43675232c788"

@@ -27,7 +27,7 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
-    _kept,
+    _ids,
     build_complex,
     ghost_excess,
     validate,
@@ -222,15 +222,11 @@ def _gen_complex_once(cfg: GenConfig, rng: random.Random) -> Complex:
 # Numeric move proposer
 # ---------------------------------------------------------------------------
 
-def _ids(cx: Complex) -> frozenset[str]:
-    return frozenset().union(cx.thick, cx.thin, cx.boundary, cx.cbs)
-
-
 def _fresh_names(cx: Complex, bases: list[str]) -> list[str]:
     """Each base, or the base with the least numeric suffix that names no
     record of ``cx`` and no earlier name; the set of ids is kept on the
     instance."""
-    taken = _kept(cx, "_ids", _ids)
+    taken = _ids(cx)
     out: list[str] = []
     for base in bases:
         name = base

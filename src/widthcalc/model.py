@@ -320,9 +320,7 @@ def _check_cb(cb: CompressionBody, thick, thin, boundary, out: list[Violation]) 
     minus: list[Surface] = []
     broken = False
     for port in cb.minus:
-        level = thin(port)
-        if level is None:
-            level = boundary(port)
+        level = thin(port) or boundary(port)
         if level is None:
             out.append(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level"))
             broken = True
@@ -409,6 +407,11 @@ def _kept(cx: Complex, name: str, compute, *args):
         found = compute(cx, *args)
         object.__setattr__(cx, name, found)
     return found
+
+
+def _ids(cx: Complex) -> frozenset[str]:
+    """Every id ``cx`` holds, of whatever kind; kept on the instance."""
+    return _kept(cx, "_ids", lambda cx: frozenset().union(cx.thick, cx.thin, cx.boundary, cx.cbs))
 
 
 def validation(cx: Complex, *, base: Complex | None = None,
@@ -506,12 +509,12 @@ def _validation(cx: Complex, base: Complex | None = None,
 
     body: dict[str, int] = {}
     for cb in cx.cbs.values():
-        index = checked.get(cb.id)
-        if index is None:
-            if known is not None and _same_inputs(cx, base, cb):
-                index = known[cb.id]
-            else:
-                index = _check_cb(cb, thick, thin, boundary, out)
+        if cb.id in checked:
+            index = checked[cb.id]
+        elif known is not None and _same_inputs(cx, base, cb):
+            index = known[cb.id]
+        else:
+            index = _check_cb(cb, thick, thin, boundary, out)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
@@ -621,15 +624,21 @@ def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:
 
 def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
     """``cb`` with its certificate flags set from its profile, its levels
-    looked up as by :func:`check_body`; a flag whose level is unknown is
-    off, and the body then fails its checks anyway."""
-    top = thick(cb.plus)
-    levels = [thin(port) or boundary(port) for port in cb.minus]
-    if top is None or None in levels:
-        flags = False, False
-    else:
-        minus = [level.surface for level in levels]
-        flags = _product_profile(top.surface, minus, cb.tangle), _ball_profile(top.surface, minus, cb.tangle)
+    looked up as by :func:`check_body`.  Only a body with at most one minus
+    level can have either profile; a flag whose level is unknown is off, and
+    the body then fails its checks anyway."""
+    flags = False, False
+    top = thick(cb.plus) if len(cb.minus) <= 1 else None
+    if top is not None:
+        minus = []
+        for port in cb.minus:
+            level = thin(port) or boundary(port)
+            if level is None:
+                break
+            minus.append(level.surface)
+        else:
+            flags = (_product_profile(top.surface, minus, cb.tangle),
+                     _ball_profile(top.surface, minus, cb.tangle))
     if flags == (cb.product_certificate, cb.ball_certificate):
         return cb
     return replace(cb, product_certificate=flags[0], ball_certificate=flags[1])

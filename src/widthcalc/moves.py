@@ -82,6 +82,7 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _id_list,
+    _ids,
     _kept,
     _need,
     body_index,
@@ -496,9 +497,10 @@ def _accept(rule: str, cx: Complex, out: Complex, check: Check | None = None,
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
+    taken = _ids(cx)
     seen: set[str] = set()
     for i in ids:
-        if i in cx.thick or i in cx.thin or i in cx.boundary or i in cx.cbs or i in seen:
+        if i in taken or i in seen:
             raise MoveRejected(f"{rule}.fresh_ids", f"id {i!r} is not fresh")
         seen.add(i)
 
@@ -516,7 +518,12 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
 def _sphere_blocks(cx: Complex) -> dict[str, BoundaryLevel]:
     """Thick level id -> the first boundary level of its connected component
     that is a sphere with two or fewer punctures, for the components that
-    have one.  The components are split only when such a sphere exists."""
+    have one.  The components are split only when such a sphere exists.
+    Kept on the instance; callers must not mutate it."""
+    return _kept(cx, "_sphere_blocks", _find_sphere_blocks)
+
+
+def _find_sphere_blocks(cx: Complex) -> dict[str, BoundaryLevel]:
     small = {b.id for b in cx.boundary.values() if b.surface.genus == 0 and b.surface.punctures <= 2}
     if not small:
         return {}
@@ -870,9 +877,10 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     tangle_side = pick(explicit_side, default_side, side_minus, side_cb.tangle.loops, "near")
     tangle_far = pick(explicit_far, default_far, far_minus, far_cb.tangle.loops, "far")
 
-    cbs = {side_id: replace(side_cb, minus=side_minus, tangle=tangle_side),
-           far_id: replace(far_cb, minus=far_minus, tangle=tangle_far)}
-    thick = {m.thick: replace(H, surface=new_surface)}
+    # the gate sets the rebuilt bodies' certificate flags
+    cbs = {side_id: CompressionBody(side_id, side_cb.plus, side_minus, tangle_side),
+           far_id: CompressionBody(far_id, far_cb.plus, far_minus, tangle_far)}
+    thick = {m.thick: ThickLevel(m.thick, new_surface, H.upper_cb, H.lower_cb)}
     boundary = {s: replace(cx.boundary[s], owner=far_id) for s in s_ids}
 
     def check(before: Analysis, after: Analysis) -> None:

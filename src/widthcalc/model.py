@@ -64,8 +64,6 @@ __all__ = [
     "body_passes",
     "check_body",
     "certify",
-    "is_product_profile",
-    "is_ball_profile",
     "thick_digraph",
     "topological_order",
     "digraph_cycle",
@@ -645,25 +643,15 @@ def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
 
 
 def _product_profile(plus: Surface, minus: list[Surface], t: Tangle) -> bool:
+    """Numeric triviality test for a product piece (necessary conditions)."""
     return (len(minus) == 1 and plus.genus == minus[0].genus and plus.punctures == minus[0].punctures
             and t.bridges == 0 and t.ghosts == 0 and t.loops == 0)
 
 
 def _ball_profile(plus: Surface, minus: list[Surface], t: Tangle) -> bool:
+    """Numeric triviality test for a ball piece (necessary conditions)."""
     return (not minus and plus.genus == 0 and plus.punctures in (0, 2)
             and t.counts() in ((0, 0, 0, 0), (0, 1, 0, 0)))
-
-
-def is_product_profile(cx: Complex, cb: CompressionBody) -> bool:
-    """Numeric triviality test for a product piece (necessary conditions)."""
-    if len(cb.minus) != 1:
-        return False
-    return _product_profile(cx.thick[cb.plus].surface, [cx.level_surface(cb.minus[0])], cb.tangle)
-
-
-def is_ball_profile(cx: Complex, cb: CompressionBody) -> bool:
-    """Numeric triviality test for a ball piece (necessary conditions)."""
-    return not cb.minus and _ball_profile(cx.thick[cb.plus].surface, [], cb.tangle)
 
 
 # ---------------------------------------------------------------------------

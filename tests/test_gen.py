@@ -90,3 +90,15 @@ def test_enumerate_moves_offers_consolidations(one_bridge_sphere):
     # enumerator offers (removable-loop patterns) all fail the genus check
     assert gen_move(one_bridge_sphere, random.Random(0)) is None
 
+
+
+def test_fresh_names_skip_every_id_and_each_other(one_bridge_sphere):
+    """A fresh name takes the least numeric suffix that names no record and
+    no earlier name of the same call; the kept id set is not changed."""
+    from widthcalc.gen import _fresh_names
+    from widthcalc.model import _ids
+
+    cx = one_bridge_sphere
+    assert _fresh_names(cx, ["H", "X", "X", "u", "H"]) == ["H1", "X", "X1", "u1", "H2"]
+    assert _ids(cx) == {"H", "u", "d"}
+    assert _fresh_names(cx, ["X"]) == ["X"]

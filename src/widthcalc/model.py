@@ -61,7 +61,6 @@ __all__ = [
     "require_valid",
     "profile_index",
     "body_index",
-    "body_passes",
     "check_body",
     "certify",
     "thick_digraph",
@@ -601,14 +600,6 @@ def body_index(cx: Complex, cb_id: str) -> int:
         raise ValidationError(ValidationReport(
             tuple(v for v in checked.report.violations if v.subject == cb_id)))
     return checked.body[cb_id]
-
-
-def body_passes(cx: Complex, cb_id: str) -> bool:
-    """Whether one body of ``cx`` passes its own checks, the ones
-    :func:`validate` runs on every body.  A body that fails appends at least
-    one violation there, so ``cx`` is then invalid; the converse needs the
-    whole-complex checks too."""
-    return check_body(cx.cbs[cb_id], cx.thick.get, cx.thin.get, cx.boundary.get) is not None
 
 
 def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:

@@ -127,6 +127,7 @@ __all__ = [
     "apply_move",
     "REDUCING",
     "applicable",
+    "named_ids",
     "find_product_on_thin",
     "is_reduced",
     "parse_move",
@@ -626,9 +627,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         raise MoveRejected("untelescope.thick", f"unknown thick level {m.thick!r}")
     H = cx.thick[m.thick]
     out = m.outcome
-    _fresh(cx, [out.h_minus.id, out.h_plus.id, out.thin_id,
-                out.h_minus.lower.id, out.h_minus.upper.id,
-                out.h_plus.lower.id, out.h_plus.upper.id], "untelescope")
+    _fresh(cx, _outcome_ids(out), "untelescope")
 
     red_minus = boundary_reduce(cx, H.lower_cb, m.disc_minus)
     red_plus = boundary_reduce(cx, H.upper_cb, m.disc_plus)
@@ -731,6 +730,13 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
 
     return (Records(thick, new_thick), Records(cx.thin, thin), Records(cx.boundary, boundary),
             Records(cbs, new_cbs)), check
+
+
+def _outcome_ids(out: UntelescopeOutcome) -> list[str]:
+    """The seven ids an untelescope's outcome brings in, in the order they
+    are checked to be fresh."""
+    return [out.h_minus.id, out.h_plus.id, out.thin_id, out.h_minus.lower.id,
+            out.h_minus.upper.id, out.h_plus.lower.id, out.h_plus.upper.id]
 
 
 def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
@@ -969,21 +975,22 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
 # Dispatch, reducedness
 # ---------------------------------------------------------------------------
 
-_APPLY: dict[type, Callable[[Complex, Move], Complex]] = {
-    Consolidate: apply_consolidate,
-    Untelescope: elementary_thinning_sequence,
-    Destabilize: apply_destabilize,
-    Unperturb: apply_unperturb,
-    UndoRemovable: apply_undo_removable,
+# Each move record type: its document ``kind`` and its apply function.
+_KINDS: dict[type, tuple[str, Callable[[Complex, Move], Complex]]] = {
+    Consolidate: ("consolidate", apply_consolidate),
+    Untelescope: ("untelescope", elementary_thinning_sequence),
+    Destabilize: ("destabilize", apply_destabilize),
+    Unperturb: ("unperturb", apply_unperturb),
+    UndoRemovable: ("undo_removable", apply_undo_removable),
 }
 
 
 def apply_move(cx: Complex, m: Move) -> Complex:
     """Apply any move; untelescope certificates run the full staged sequence."""
-    apply = _APPLY.get(type(m))
-    if apply is None:
+    kind = _KINDS.get(type(m))
+    if kind is None:
         raise MoveRejected("move.kind", f"unknown move {m!r}")
-    return apply(cx, m)
+    return kind[1](cx, m)
 
 
 REDUCING = (Destabilize, Unperturb, UndoRemovable)
@@ -1002,9 +1009,31 @@ def applicable(cx: Complex, moves: Iterable[Move],
         try:
             result = apply_move(cx, move)
         except MoveRejected as err:
-            rejected[_KIND.get(type(move)), err.rule] += 1
+            rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
             continue
         yield move, result
+
+
+def named_ids(cx: Complex, move) -> list[str] | None:
+    """The ids ``move`` names, its thick level first, then a consolidation's
+    thin level, an untelescope's outcome ids and split ports, or a
+    destabilization's boundary levels.  None when the decision reads the
+    whole of ``cx``: for an offer that is not a move record, and for an
+    untelescope while a certified product touches a thin level
+    (``elementary.pre``)."""
+    kind = type(move)
+    if kind is Untelescope:
+        named = [move.thick, *_outcome_ids(move.outcome)]
+        for disc in (move.disc_minus, move.disc_plus):
+            if disc.split is not None:
+                for side in disc.split.ports:
+                    named += side
+        return None if find_product_on_thin(cx) is not None else named
+    if kind is Consolidate:
+        return [move.thick, move.thin]
+    if kind is Destabilize:
+        return [move.thick, *move.boundary_ids]
+    return [move.thick] if kind in _KINDS else None
 
 
 def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
@@ -1048,10 +1077,6 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
     UndoRemovable: (("thick", str), ("loop_side", str, "down"),
                     ("tangle_up", Tangle, None), ("tangle_down", Tangle, None)),
 }
-
-_KIND = {Consolidate: "consolidate", Untelescope: "untelescope", Destabilize: "destabilize",
-         Unperturb: "unperturb", UndoRemovable: "undo_removable"}
-_BY_KIND = {kind: cls for cls, kind in _KIND.items()}
 
 
 def _json_type(spec) -> type:
@@ -1105,9 +1130,10 @@ def _encode(spec, val):
 
 def emit_move(m: Move) -> dict:
     """Encode a move to its document, ``kind`` first."""
-    if type(m) not in _KIND:
+    kind = _KINDS.get(type(m))
+    if kind is None:
         raise SchemaError(f"unknown move {m!r}")
-    return {"kind": _KIND[type(m)], **_encode(type(m), m)}
+    return {"kind": kind[0], **_encode(type(m), m)}
 
 
 def parse_move(doc: dict) -> Move:
@@ -1116,6 +1142,7 @@ def parse_move(doc: dict) -> Move:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("move: expected an object with a 'kind' field")
     kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in _BY_KIND:
+    cls = next((cls for cls, (name, _apply) in _KINDS.items() if name == kind), None)
+    if cls is None:
         raise SchemaError(f"unknown move kind {kind!r}")
-    return _decode(_BY_KIND[kind], doc, "move")
+    return _decode(cls, doc, "move")

@@ -22,23 +22,22 @@ on their records.
 disjoint union is the sorted merge of its parts' vectors, and comparing
 sorted vectors is the multiset order, where M < N exactly when M + K < N + K
 (Dershowitz & Manna, CACM 22, 1979): a move that touches one component is
-decided on it alone as on the whole node.  An offer goes to the sub-complex
-of the component that holds its thick level when every other id it names
-(a consolidation's thin level, an untelescope's split ports and fresh
-outcome ids, a destabilization's boundary levels) that the node holds lies
-there too.  Three checks read the whole node, so an offer goes to the whole
-node when some id it names lies in another component, when one of its fresh
-ids exists elsewhere (``untelescope.fresh_ids``), or when it is an
-untelescope and a product-certified body touches a thin level anywhere
-(``elementary.pre``).  Every other rule reads only the component, the
-``destabilize.boundary_sphere`` rule included.  A run keeps each accepted
-outcome, keyed by (component records, move); the node's result is its other
-components and the new one side by side, and its vector the node's with the
-component's entries swapped for the new ones, so an untouched copy in a
-symmetric union pays for a move once per run.  Rejections are not kept, on
-purpose: each is applied again on the small sub-complex, so that every
-rejection is still raised by :func:`~widthcalc.moves.apply_move`, where a
-caller that wraps it counts it.
+decided on it alone as on the whole node.  Routing reads one list,
+:func:`~widthcalc.moves.named_ids`: an offer goes to the sub-complex of the
+component that holds its thick level when every other id it names that the
+node holds lies there too.  It goes to the whole node when some named id
+lies in another component (a fresh outcome id taken elsewhere among them,
+for ``untelescope.fresh_ids``), or when ``named_ids`` gives None: the offer
+is not a move, or it is an untelescope and a product-certified body touches
+a thin level anywhere (``elementary.pre``).  Every other rule reads only the
+component, the ``destabilize.boundary_sphere`` rule included.  A run keeps
+each accepted outcome, keyed by (component records, move); the node's result
+is its other components and the new one side by side, and its vector the
+node's with the component's entries swapped for the new ones, so an
+untouched copy in a symmetric union pays for a move once per run.
+Rejections are not kept, on purpose: each is applied again on the small
+sub-complex, so that every rejection is still raised by
+:func:`~widthcalc.moves.apply_move`, where a caller that wraps it counts it.
 """
 
 from __future__ import annotations
@@ -64,15 +63,13 @@ from .model import (
 from .moves import (
     REDUCING,
     Consolidate,
-    Destabilize,
     Move,
-    UndoRemovable,
-    Unperturb,
     Untelescope,
     applicable,
     apply_move,
     emit_move,
     find_product_on_thin,
+    named_ids,
 )
 
 __all__ = [
@@ -130,10 +127,12 @@ def thin(cx: Complex, proposer, policy: str = "first",
     hashes by proposer order).  Reducing
     moves always run first, so the terminal complex is reduced with respect
     to the proposer.  Invalid certificates are skipped and counted in the
-    trace's ``diagnostics``.
+    trace's ``diagnostics``.  ``cap`` must be at least 0.
     """
     if policy not in ("first", "greedy-max-drop"):
         raise ValueError(f"unknown policy {policy!r}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, not {cap}")
     require_valid(cx)
     forms: dict = {}
     current = cx
@@ -226,7 +225,10 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     budget drops an edge to a new node, and a node that lost an edge so is
     not counted as a sink.  Offers are applied per component, as the module
     docstring describes; the nodes' vectors are those of the whole nodes.
+    ``max_nodes`` must be at least 1.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     require_valid(cx)
     forms: dict = {}
     accepted: dict = {}
@@ -267,30 +269,13 @@ def _parts(cx: Complex) -> list[tuple[frozenset, Complex]]:
     return [(frozenset(records), restrict(cx, records)) for records in split]
 
 
-def _home(move, home: dict[str, int]) -> int | None:
+def _home(node: Complex, move, home: dict[str, int]) -> int | None:
     """The component an offer goes to: the one holding its thick level, when
     every other id it names that the node holds lies there too.  None for an
-    offer to apply to the whole node, which includes any offer that is not
-    one of the move records (:func:`~widthcalc.moves.apply_move` dispatches
-    on the exact type too)."""
-    kind = type(move)
-    if kind is Untelescope:
-        out = move.outcome
-        named = [out.thin_id, out.h_minus.id, out.h_minus.lower.id, out.h_minus.upper.id,
-                 out.h_plus.id, out.h_plus.lower.id, out.h_plus.upper.id]
-        for disc in (move.disc_minus, move.disc_plus):
-            if disc.split is not None:
-                for side in disc.split.ports:
-                    named += side
-    elif kind is Destabilize:
-        named = move.boundary_ids
-    elif kind is Consolidate:
-        named = (move.thin,)
-    elif kind is Unperturb or kind is UndoRemovable:
-        named = ()
-    else:
-        return None
-    k = home.get(move.thick)
+    offer to apply to the whole node, which includes one whose decision reads
+    the whole node (:func:`~widthcalc.moves.named_ids`)."""
+    named = named_ids(node, move)
+    k = None if named is None else home.get(named[0])
     if k is None:
         return None
     for name in named:
@@ -321,15 +306,8 @@ def _outcomes(node: Complex, vector: tuple[int, ...], parts, offers, rejected, a
     if parts is None:
         parts = _parts(node) if len(components(node)) > 1 else []
     home = {rec.id: k for k, (records, _sub) in enumerate(parts) for rec in records}
-    product = None
     for move in offers:
-        k = _home(move, home)
-        if k is not None and type(move) is Untelescope:
-            # elementary.pre reads the whole node
-            if product is None:
-                product = find_product_on_thin(node) is not None
-            if product:
-                k = None
+        k = _home(node, move, home)
         if k is None:
             found = next(applicable(node, (move,), rejected), None)
             if found is not None:

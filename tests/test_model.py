@@ -737,7 +737,7 @@ def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
 def test_validate_reports_non_integer_fields_of_library_records(cx, body, report):
     # the field is reported once; a body that reads it gets no index
     assert str(validate(cx)) == report
-    assert not model.body_passes(cx, body)
+    assert model.check_body(cx.cbs[body], cx.thick.get, cx.thin.get, cx.boundary.get) is None
 
 
 odd_values = st.integers(-2, 4) | st.floats() | st.text(max_size=2) | st.none() | st.booleans()

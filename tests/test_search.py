@@ -333,6 +333,19 @@ def test_rewrite_graph_budget_flagging(spheres_with_four_ends):
     assert not graph.complete
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda cx: thin(cx, enumerate_moves, cap=-1), "cap must be at least 0, not -1"),
+    (lambda cx: rewrite_graph(cx, enumerate_moves, max_nodes=0), "max_nodes must be at least 1, not 0"),
+    (lambda cx: rewrite_graph(cx, enumerate_moves, max_nodes=-5), "max_nodes must be at least 1, not -5"),
+])
+def test_budgets_below_their_least_raise(run, message):
+    cx = gen_complex(GenConfig(max_thick=2, seed=3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(cx)
+    assert thin(cx, enumerate_moves, cap=0)[1].cap_reached
+    assert len(rewrite_graph(cx, enumerate_moves, max_nodes=1).nodes) == 1
+
+
 def test_rewrite_graph_counts_rejections_by_kind_and_rule():
     """Every node is expanded once, and every offer made there that is
     rejected is counted once, under its move kind and rule; offers that are
@@ -736,23 +749,6 @@ def _from_records(records):
     return build_complex(*pools.values())
 
 
-def _other_ids(move):
-    """The ids an offer names besides its thick level: a consolidation's thin
-    level, the split ports and fresh outcome ids of an untelescope and the
-    boundary levels of a destabilization."""
-    if isinstance(move, Consolidate):
-        return [move.thin]
-    if isinstance(move, Untelescope):
-        out = move.outcome
-        ports = [port for disc in (move.disc_minus, move.disc_plus) if disc.split is not None
-                 for side in disc.split.ports for port in side]
-        return ports + [out.h_minus.id, out.h_plus.id, out.thin_id, out.h_minus.lower.id,
-                        out.h_minus.upper.id, out.h_plus.lower.id, out.h_plus.upper.id]
-    if isinstance(move, Destabilize):
-        return list(move.boundary_ids)
-    return []
-
-
 def _decision(cx, move):
     """The rule that rejects ``move`` on ``cx``, or its result."""
     try:
@@ -790,11 +786,11 @@ def _check_law_on(node, move, parts, home):
 def test_a_move_decides_on_its_component_as_on_the_union():
     """The law of components, per offer: at every node of ``rewrite_graph``
     on shuffled unions of 2 to 6 relabelled copies (some beside a component
-    with a small boundary sphere), every offer whose ids all lie in its thick
-    level's component, with no certified product on a thin level when it is
-    an untelescope, gets the same rule on that component alone as on the
-    node, or the same result once the component's is spliced back, with the
-    node's vector with the component's entries swapped for the new ones."""
+    with a small boundary sphere), every offer that ``rewrite_graph`` routes
+    to a component, one whose ``named_ids`` all lie in its thick level's
+    component, gets the same rule on that component alone as on the node, or
+    the same result once the component's is spliced back, with the node's
+    vector with the component's entries swapped for the new ones."""
     rng = random.Random(10)
     seen = Counter()
     for copies in range(2, 7):
@@ -807,11 +803,10 @@ def test_a_move_decides_on_its_component_as_on_the_union():
             for node in graph.nodes.values():
                 split = model.components(node)
                 home = {rec.id: k for k, records in enumerate(split) for rec in records}
-                product = find_product_on_thin(node) is not None
                 for move in enumerate_moves(node):
                     k = home[move.thick]
-                    if any(home.get(i, k) != k for i in _other_ids(move)) \
-                            or (product and isinstance(move, Untelescope)):
+                    named = moves.named_ids(node, move)
+                    if named is None or any(home.get(i, k) != k for i in named):
                         seen["whole"] += 1
                         continue
                     seen[_check_law_on(node, move, split, home)] += 1

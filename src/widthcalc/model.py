@@ -40,6 +40,7 @@ from __future__ import annotations
 import graphlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from operator import is_
 from types import MappingProxyType
 
 __all__ = [
@@ -298,34 +299,39 @@ def ghost_excess(ghosts: int, anchors: int) -> int:
     return max(0, ghosts - max(0, anchors - 1))
 
 
-def _check_cb(cb: CompressionBody, thick, thin, boundary, out: list[Violation]) -> int | None:
+def _reads(cb: CompressionBody, thick, thin, boundary) -> tuple[Surface | None, list[Surface | None]]:
+    """What a body check reads besides the body record: the surface of its
+    plus level and the surface of each minus port, in port order, None for
+    an id that is not a level of the right kind.  ``thick``, ``thin`` and
+    ``boundary`` look levels up by id, giving None for an unknown one: the
+    ``get`` of a complex's maps, or of a move's result before it is built."""
+    top = thick(cb.plus)
+    minus = []
+    for port in cb.minus:
+        level = thin(port) or boundary(port)
+        minus.append(level and level.surface)
+    return top and top.surface, minus
+
+
+def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation]) -> int | None:
     """Check one body on its own, appending what fails to ``out``; the body's
-    index when it passes, else None.  ``thick``, ``thin`` and ``boundary``
-    look levels up by id, giving None for an unknown one: the ``get`` of a
-    complex's maps, or of a move's result before it is built."""
+    index when it passes, else None.  ``reads`` is what :func:`_reads` gives
+    for it: the check reads nothing else."""
+    plus, minus = reads
     sub = cb.id
     start = len(out)
     _check_tangle(sub, cb.tangle, out)
     counts_ok = len(out) == start
 
-    top = thick(cb.plus)
-    if top is None:
+    if plus is None:
         out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
         return None
-    plus = top.surface
-
-    minus: list[Surface] = []
-    broken = False
-    for port in cb.minus:
-        level = thin(port) or boundary(port)
-        if level is None:
-            out.append(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level"))
-            broken = True
-        else:
-            minus.append(level.surface)
-    if broken:
-        return None
-    if len(set(cb.minus)) != len(cb.minus):
+    for s in minus:
+        if s is None:  # report every unknown port
+            out.extend(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level")
+                       for port, found in zip(cb.minus, minus) if found is None)
+            return None
+    if len(cb.minus) > 1 and len(set(cb.minus)) != len(cb.minus):
         out.append(Violation("port_multiplicity", sub, "repeated minus port"))
         return None
 
@@ -395,13 +401,12 @@ class Validation:
 _MISSING = object()
 
 
-def _kept(cx: Complex, name: str, compute, *args):
-    """``compute(cx, *args)``, worked out on first use and kept on the
-    instance under ``name``; sound because a complex never changes.  Later
-    calls return the kept value whatever ``args`` they pass."""
+def _kept(cx: Complex, name: str, compute):
+    """``compute(cx)``, worked out on first use and kept on the instance under
+    ``name``; sound because a complex never changes."""
     found = cx.__dict__.get(name, _MISSING)
     if found is _MISSING:
-        found = compute(cx, *args)
+        found = compute(cx)
         object.__setattr__(cx, name, found)
     return found
 
@@ -411,15 +416,13 @@ def _ids(cx: Complex) -> frozenset[str]:
     return _kept(cx, "_ids", lambda cx: frozenset().union(cx.thick, cx.thin, cx.boundary, cx.cbs))
 
 
-def validation(cx: Complex, *, base: Complex | None = None,
-               checked: Mapping[str, int] | None = None) -> Validation:
+def validation(cx: Complex) -> Validation:
     """The :class:`Validation` of a complex, computed on first use and kept
-    on the instance.  ``base`` and ``checked`` are as for :func:`validate`."""
-    return _kept(cx, "_validation", _validation, base, checked)
+    on the instance."""
+    return _kept(cx, "_validation", _validation)
 
 
-def validate(cx: Complex, *, base: Complex | None = None,
-             checked: Mapping[str, int] | None = None) -> ValidationReport:
+def validate(cx: Complex) -> ValidationReport:
     """Check every structural and numeric invariant; never raises.
 
     Returns an empty report exactly when the complex is well formed: all
@@ -430,42 +433,40 @@ def validate(cx: Complex, *, base: Complex | None = None,
     digraph on thick levels is acyclic and non-empty.  The checks run once
     per complex; later calls return the same report.
 
-    ``base`` is a complex this one was derived from, such as a move's input.
-    When ``base`` is valid, a body whose record, plus level and minus ports
-    are the very objects ``base`` holds under the same ids has passed its
-    own checks there: they are not run again, and its index is read from
-    ``base``.  Only the bodies whose inputs differ are re-checked; the
-    report, indices and flow digraph are the same as without ``base``.
-
-    ``checked`` maps the ids of bodies that already passed :func:`check_body`
-    on the very records and levels ``cx`` holds to their indices, as a move
-    gate's rebuilt bodies have; they are not checked again either.
+    A complex the engine derived from a valid one (a move's result, or one
+    component by :func:`restrict`) skips the checks of a body whose record,
+    plus-level surface and minus-port surfaces are the very objects they
+    were there: the body's index is read from the valid complex.  The report,
+    indices and flow digraph are the same as a full validation's.
     """
-    return validation(cx, base=base, checked=checked).report
+    return validation(cx).report
 
 
-def _same_inputs(cx: Complex, base: Complex, cb: CompressionBody) -> bool:
-    """Whether every record :func:`_check_cb` reads for ``cb`` is the same
-    object in ``base``, under the same id."""
-    if base.cbs.get(cb.id) is not cb or cx.thick.get(cb.plus) is not base.thick.get(cb.plus):
+def _derived(cx: Complex, base: Complex, checked: Mapping[str, int] | None = None) -> Complex:
+    """``cx``, recorded as just built from ``base``, and ``checked`` as the
+    indices of the bodies that passed their own checks on the records ``cx``
+    holds (a move gate's rebuilt bodies).  Its validation drops the record."""
+    object.__setattr__(cx, "_derived", (base, checked or {}))
+    return cx
+
+
+def _same_reads(cb: CompressionBody, reads: tuple, base: Complex) -> bool:
+    """Whether ``cb`` and its ``reads``, as :func:`_reads` gives them, are the
+    very objects that ``base`` holds and gives for the same id."""
+    if base.cbs.get(cb.id) is not cb:
         return False
-    for port in cb.minus:
-        if cx.thin.get(port) is not base.thin.get(port) \
-                or cx.boundary.get(port) is not base.boundary.get(port):
-            return False
-    return True
+    was = _reads(cb, base.thick.get, base.thin.get, base.boundary.get)
+    return reads[0] is was[0] and all(map(is_, reads[1], was[1]))
 
 
-def _validation(cx: Complex, base: Complex | None = None,
-                checked: Mapping[str, int] | None = None) -> Validation:
-    # A valid base proves that a body with the same inputs passes its checks.
+def _validation(cx: Complex) -> Validation:
+    # A valid base proves that a body with the same reads passes its checks.
+    base, checked = cx.__dict__.pop("_derived", (None, {}))
     known = None
     if base is not None:
         base_validation = validation(base)
         if base_validation.report.ok:
             known = base_validation.body
-    if checked is None:
-        checked = {}
     thick, thin, boundary = cx.thick.get, cx.thin.get, cx.boundary.get
     out: list[Violation] = []
 
@@ -508,10 +509,12 @@ def _validation(cx: Complex, base: Complex | None = None,
     for cb in cx.cbs.values():
         if cb.id in checked:
             index = checked[cb.id]
-        elif known is not None and _same_inputs(cx, base, cb):
-            index = known[cb.id]
         else:
-            index = _check_cb(cb, thick, thin, boundary, out)
+            reads = _reads(cb, thick, thin, boundary)
+            if known is not None and _same_reads(cb, reads, base):
+                index = known[cb.id]
+            else:
+                index = _check_cb(cb, reads, out)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
@@ -608,7 +611,7 @@ def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:
     looked up through ``thick``, ``thin`` and ``boundary``, each taking an id
     to its record or None; so a body can be checked before the complex that
     will hold it is built."""
-    return _check_cb(cb, thick, thin, boundary, [])
+    return _check_cb(cb, _reads(cb, thick, thin, boundary), [])
 
 
 def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
@@ -617,17 +620,10 @@ def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
     level can have either profile; a flag whose level is unknown is off, and
     the body then fails its checks anyway."""
     flags = False, False
-    top = thick(cb.plus) if len(cb.minus) <= 1 else None
-    if top is not None:
-        minus = []
-        for port in cb.minus:
-            level = thin(port) or boundary(port)
-            if level is None:
-                break
-            minus.append(level.surface)
-        else:
-            flags = (_product_profile(top.surface, minus, cb.tangle),
-                     _ball_profile(top.surface, minus, cb.tangle))
+    if len(cb.minus) <= 1:
+        plus, minus = _reads(cb, thick, thin, boundary)
+        if plus is not None and None not in minus:
+            flags = _product_profile(plus, minus, cb.tangle), _ball_profile(plus, minus, cb.tangle)
     if flags == (cb.product_certificate, cb.ball_certificate):
         return cb
     return replace(cb, product_certificate=flags[0], ball_certificate=flags[1])
@@ -756,16 +752,15 @@ _SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
 
 def restrict(cx: Complex, records: list) -> Complex:
     """The complex made of ``records``, one of the :func:`components` of
-    ``cx``, with that one component as its split.  It is validated against
-    ``cx`` (see :func:`validate`), so no body ``cx`` has checked is checked
-    again."""
+    ``cx``, with that one component as its split.  It is recorded as derived
+    from ``cx`` (see :func:`validate`), so when it is validated, no body
+    ``cx`` has checked is checked again."""
     sections: tuple[dict, ...] = ({}, {}, {}, {})
     for rec in records:
         sections[_SECTION[type(rec)]][rec.id] = rec
     sub = Complex(*sections)
     _kept(sub, "_components", lambda _sub: [records])
-    validation(sub, base=cx)
-    return sub
+    return _derived(sub, cx)
 
 
 def disjoint_union(parts: list[Complex]) -> Complex:

@@ -43,11 +43,12 @@ own checks (:func:`~widthcalc.model.check_body`) on the changed records,
 before any complex is built; a body that fails would put a violation in the
 result's report, so the move is rejected at once without building the
 result, and most rejected candidates end here.  Only a candidate whose
-rebuilt bodies pass is built, once, and validated whole against the move's
-valid input (:func:`~widthcalc.model.validate` with ``base`` and the rebuilt
-bodies' indices as ``checked``): the build keeps every record it does not
-change, so a body whose record, plus level and minus ports are all unchanged
-is not checked again, and the rebuilt bodies are not checked twice.
+rebuilt bodies pass is built, once, and validated whole
+(:func:`~widthcalc.model.validate`).  The gate records on the result that it
+was derived from the move's valid input, with the rebuilt bodies' indices:
+the rebuilt bodies are not checked twice, and a body whose record and the
+surfaces of its plus level and minus ports are the very objects the input
+holds is not checked again, even when the move re-pointed those levels.
 
 A :class:`MoveRejected` formats its message when it is first read: the
 message of ``result_invalid`` is the report of a whole validation of the
@@ -81,6 +82,7 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _derived,
     _id_list,
     _ids,
     _kept,
@@ -461,8 +463,8 @@ def _gated(rule: str):
             maps, check = build(cx, m)
             checked = _check_rebuilt(maps)
             if checked is None:
-                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_build(maps), base=cx)))
-            return _accept(rule, cx, _build(maps), check, checked)
+                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_derived(_build(maps), cx))))
+            return _accept(rule, cx, _derived(_build(maps), cx, checked), check)
         return apply
     return gated
 
@@ -483,12 +485,11 @@ def _check_rebuilt(maps: tuple[Records, ...]) -> dict[str, int] | None:
     return checked
 
 
-def _accept(rule: str, cx: Complex, out: Complex, check: Check | None = None,
-            checked: dict[str, int] | None = None) -> Complex:
+def _accept(rule: str, cx: Complex, out: Complex, check: Check | None = None) -> Complex:
     """The rest of the gate on a built result ``out`` of ``cx``: it must be
     valid, pass ``check`` and have a strictly smaller vector."""
-    if not validate(out, base=cx, checked=checked).ok:
-        raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out, base=cx)))
+    if not validate(out).ok:
+        raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out)))
     before, after = analyze(cx), analyze(out)
     if check is not None:
         check(before, after)

@@ -68,6 +68,24 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.detail}"
 
 
+CHECKS: list = []
+CHECK_NAMES: list[str] = []
+
+
+def _check(run):
+    """Register ``run``, one acceptance check giving ``(ok, detail)``, as the
+    check giving its :class:`CheckResult`, named after the function:
+    ``check_trivial_index_table`` reports as ``trivial-index-table``."""
+    name = run.__name__.removeprefix("check_").replace("_", "-")
+
+    def check(fast: bool = False) -> CheckResult:
+        return CheckResult(name, *run(fast))
+
+    CHECKS.append(check)
+    CHECK_NAMES.append(name)
+    return check
+
+
 def four_ended_spheres() -> Complex:
     """One thick sphere between two spheres-with-two-holes; vector (24,)."""
     return build_complex(
@@ -122,13 +140,14 @@ def _instances(seed: int, cfg: GenConfig):
 # Criterion 1: the trivial index table
 # ---------------------------------------------------------------------------
 
-def check_trivial_index_table(fast: bool = False) -> CheckResult:
+@_check
+def check_trivial_index_table(fast: bool = False) -> tuple[bool, str]:
     ball = _mirror_profile(0, 0, [], Tangle())
     if body_index(ball, "u") != 0:
-        return CheckResult("trivial-index-table", False, "plain ball must index 0")
+        return False, "plain ball must index 0"
     arc = _mirror_profile(0, 2, [], Tangle(bridges=1))
     if body_index(arc, "u") != 4:
-        return CheckResult("trivial-index-table", False, "ball with arc must index 4")
+        return False, "ball with arc must index 4"
     products = 0
     for g in range(4):
         for p in range(7):
@@ -136,11 +155,9 @@ def check_trivial_index_table(fast: bool = False) -> CheckResult:
                 continue
             cx = _mirror_profile(g, p, [Surface(g, p)], Tangle(verticals=p))
             if body_index(cx, "u") != 6:
-                return CheckResult("trivial-index-table", False,
-                                   f"product profile ({g},{p}) must index 6")
+                return False, f"product profile ({g},{p}) must index 6"
             products += 1
-    return CheckResult("trivial-index-table", True,
-                       f"ball=0, ball+arc=4, {products} product profiles=6")
+    return True, f"ball=0, ball+arc=4, {products} product profiles=6"
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +187,8 @@ def _discs_for(cx: Complex, cb_id: str):
     return out
 
 
-def check_compression_identity(fast: bool = False) -> CheckResult:
+@_check
+def check_compression_identity(fast: bool = False) -> tuple[bool, str]:
     target = 50 if fast else 1000
     flavours = set()
     done = 0
@@ -185,10 +203,9 @@ def check_compression_identity(fast: bool = False) -> CheckResult:
                     continue
                 want = before - 6 + 4 * d.punctures + 6 * (1 if d.separating else 0)
                 if sum(p.index for p in red.pieces) != want:
-                    return CheckResult("compression-identity", False,
-                                       f"identity failed on {cb_id} with q={d.punctures}")
+                    return False, f"identity failed on {cb_id} with q={d.punctures}"
                 if any(p.index >= before for p in red.pieces):
-                    return CheckResult("compression-identity", False, "piece did not drop")
+                    return False, "piece did not drop"
                 flavours.add((d.punctures, d.separating))
                 done += 1
         if done >= target and len(flavours) == 4:
@@ -203,15 +220,15 @@ def check_compression_identity(fast: bool = False) -> CheckResult:
             swept += 1
         if fast and swept > 500:
             break
-    return CheckResult("compression-identity", True,
-                       f"{done} random + {swept} swept reductions, flavours {sorted(flavours)}")
+    return True, f"{done} random + {swept} swept reductions, flavours {sorted(flavours)}"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: consolidation index identity
 # ---------------------------------------------------------------------------
 
-def check_consolidation_identity(fast: bool = False) -> CheckResult:
+@_check
+def check_consolidation_identity(fast: bool = False) -> tuple[bool, str]:
     target = 50 if fast else 1000
     done = 0
     cfg = GenConfig(max_thick=4, seed=3)
@@ -231,25 +248,23 @@ def check_consolidation_identity(fast: bool = False) -> CheckResult:
             try:
                 out = apply_consolidate(cx, Consolidate(thick=h, thin=cb.minus[0]))
             except MoveRejected as err:
-                return CheckResult("consolidation-identity", False,
-                                   f"certified consolidation rejected: {err}")
+                return False, f"certified consolidation rejected: {err}"
             if body_index(out, a_id) != mu_a + mu_b - 6:
-                return CheckResult("consolidation-identity", False,
-                                   "merged index != index(A) + index(B) - 6")
+                return False, "merged index != index(A) + index(B) - 6"
             if compare(complexity(out), complexity(cx)) != LT:
-                return CheckResult("consolidation-identity", False, "vector did not drop")
+                return False, "vector did not drop"
             done += 1
             if done >= target:
-                return CheckResult("consolidation-identity", True,
-                                   f"{done} certified consolidations, exact")
-    return CheckResult("consolidation-identity", False, "generator starved")
+                return True, f"{done} certified consolidations, exact"
+    return False, "generator starved"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 4: untelescope identities and aggregate-index relations
 # ---------------------------------------------------------------------------
 
-def check_untelescope_identities(fast: bool = False) -> CheckResult:
+@_check
+def check_untelescope_identities(fast: bool = False) -> tuple[bool, str]:
     target = 50 if fast else 1000
     done = 0
     cfg = GenConfig(max_thick=3, seed=4)
@@ -281,20 +296,19 @@ def check_untelescope_identities(fast: bool = False) -> CheckResult:
                 index_up(out, hp.id) < iu,
             ]
             if not all(checks):
-                return CheckResult("untelescope-identities", False,
-                                   f"relation failed on {t}: {checks}")
+                return False, f"relation failed on {t}: {checks}"
             done += 1
             if done >= target:
-                return CheckResult("untelescope-identities", True,
-                                   f"{done} accepted certificates, all eight relations")
-    return CheckResult("untelescope-identities", False, "generator starved")
+                return True, f"{done} accepted certificates, all eight relations"
+    return False, "generator starved"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 5: aggregate indices are non-negative
 # ---------------------------------------------------------------------------
 
-def check_index_nonnegative(fast: bool = False) -> CheckResult:
+@_check
+def check_index_nonnegative(fast: bool = False) -> tuple[bool, str]:
     target = 500 if fast else 10_000
     cfg = GenConfig(max_thick=8, max_genus=3, max_punctures=6, seed=5)
     rng = random.Random(5)
@@ -302,16 +316,16 @@ def check_index_nonnegative(fast: bool = False) -> CheckResult:
         cx = gen_complex(cfg, rng)
         for t in cx.thick:
             if index_up(cx, t) < 0 or index_down(cx, t) < 0:
-                return CheckResult("index-nonnegative", False,
-                                   f"negative index at instance {n}")
-    return CheckResult("index-nonnegative", True, f"{target} instances, no violation")
+                return False, f"negative index at instance {n}"
+    return True, f"{target} instances, no violation"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6: every accepted move strictly decreases complexity
 # ---------------------------------------------------------------------------
 
-def check_monotone_decrease(fast: bool = False) -> CheckResult:
+@_check
+def check_monotone_decrease(fast: bool = False) -> tuple[bool, str]:
     target = 500 if fast else 10_000
     cfg = GenConfig(max_thick=4, seed=6)
     rng = random.Random(6)
@@ -325,19 +339,18 @@ def check_monotone_decrease(fast: bool = False) -> CheckResult:
         if move is None:
             continue
         if compare(complexity(out), complexity(cx)) != LT:
-            return CheckResult("monotone-decrease", False,
-                               f"{type(move).__name__} did not drop the vector")
+            return False, f"{type(move).__name__} did not drop the vector"
         kinds[type(move).__name__] = kinds.get(type(move).__name__, 0) + 1
         done += 1
-    return CheckResult("monotone-decrease", True,
-                       f"{done} accepted moves, kinds {sorted(kinds.items())}")
+    return True, f"{done} accepted moves, kinds {sorted(kinds.items())}"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 7: thinning terminates on reduced, locally thin complexes
 # ---------------------------------------------------------------------------
 
-def check_termination(fast: bool = False) -> CheckResult:
+@_check
+def check_termination(fast: bool = False) -> tuple[bool, str]:
     runs = 100 if fast else 1000
     cfg = GenConfig(max_thick=4, seed=7)
     rng = random.Random(7)
@@ -348,19 +361,18 @@ def check_termination(fast: bool = False) -> CheckResult:
         cap = 1 + sum(complexity(cx))
         final, trace = thin(cx, enumerate_moves, cap=cap)
         if not trace.terminal:
-            return CheckResult("termination", False, "run hit the step cap")
+            return False, "run hit the step cap"
         reduced, witness = is_reduced(final, enumerate_moves)
         if not reduced:
-            return CheckResult("termination", False, f"terminal not reduced: {witness}")
+            return False, f"terminal not reduced: {witness}"
         vecs = trace.vectors()
         if any(compare(b, a) != LT for a, b in zip(vecs, vecs[1:])):
-            return CheckResult("termination", False, "trace not strictly decreasing")
+            return False, "trace not strictly decreasing"
         if len(trace.steps) > 1 + sum(trace.start_vector) // 2:
             over_half_bound += 1  # empirical bound, logged below
         max_steps = max(max_steps, len(trace.steps))
     if over_half_bound:
-        return CheckResult("termination", False,
-                           f"{over_half_bound} runs exceeded 1 + sum/2 steps")
+        return False, f"{over_half_bound} runs exceeded 1 + sum/2 steps"
     graphs = 3 if fast else 12
     rng2 = random.Random(71)
     cfg2 = GenConfig(max_thick=3, seed=71)
@@ -368,12 +380,12 @@ def check_termination(fast: bool = False) -> CheckResult:
         cx = gen_complex(cfg2, rng2)
         graph = rewrite_graph(cx, enumerate_moves, max_nodes=200)
         if not graph.is_acyclic():
-            return CheckResult("termination", False, "rewrite graph has a cycle")
+            return False, "rewrite graph has a cycle"
         sinks = set(graph.sinks())
         for digest in sinks:
             reduced, _ = is_reduced(graph.nodes[digest], enumerate_moves)
             if not reduced:
-                return CheckResult("termination", False, "rewrite graph sink not reduced")
+                return False, "rewrite graph sink not reduced"
         if graph.complete:
             # every explored node must reach some locally thin sink
             succ = graph.successors()
@@ -386,22 +398,21 @@ def check_termination(fast: bool = False) -> CheckResult:
                             seen.add(nxt)
                             stack.append(nxt)
                 if not (seen & sinks):
-                    return CheckResult("termination", False,
-                                       f"node {start[:12]} reaches no sink")
-    return CheckResult("termination", True,
-                       f"{runs} runs halted (longest {max_steps} steps, all within "
-                       f"1 + sum/2), {graphs} rewrite graphs acyclic, sinks reduced "
-                       f"and reachable")
+                    return False, f"node {start[:12]} reaches no sink"
+    return True, (f"{runs} runs halted (longest {max_steps} steps, all within "
+                  f"1 + sum/2), {graphs} rewrite graphs acyclic, sinks reduced "
+                  f"and reachable")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 8: the worked four-ended example
 # ---------------------------------------------------------------------------
 
-def check_worked_example(fast: bool = False) -> CheckResult:
+@_check
+def check_worked_example(fast: bool = False) -> tuple[bool, str]:
     cx = four_ended_spheres()
     if complexity(cx) != (24,):
-        return CheckResult("worked-example", False, "start vector must be (24,)")
+        return False, "start vector must be (24,)"
     move = Untelescope(
         thick="H",
         disc_minus=DiscData(0, True, SplitData((0, 0), (0, 0), (("S2",), ("S1",)))),
@@ -414,10 +425,10 @@ def check_worked_example(fast: bool = False) -> CheckResult:
     out = apply_move(cx, move)  # untelescope + staged consolidations
     after = complexity(out)
     if after != (18, 18):
-        return CheckResult("worked-example", False, f"untelescoped vector {after}")
+        return False, f"untelescoped vector {after}"
     if compare(after, (24,)) != LT:
-        return CheckResult("worked-example", False, "vector did not drop")
-    return CheckResult("worked-example", True, "(24,) -> (18, 18), strictly smaller")
+        return False, "vector did not drop"
+    return True, "(24,) -> (18, 18), strictly smaller"
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +482,8 @@ def _unequal_cycles() -> Complex:
              for t in ids for side in "ud"])
 
 
-def check_oracles(fast: bool = False) -> CheckResult:
+@_check
+def check_oracles(fast: bool = False) -> tuple[bool, str]:
     from .complexity import reach_up
 
     instances = 30 if fast else 200
@@ -482,7 +494,7 @@ def check_oracles(fast: bool = False) -> CheckResult:
         edges = thick_digraph(cx)
         for t in cx.thick:
             if reach_up(cx, t) != _brute_reach(edges, t):
-                return CheckResult("oracles", False, f"reach mismatch at {t}")
+                return False, f"reach mismatch at {t}"
 
     pairs = 1000 if fast else 10_000
     for _ in range(pairs):
@@ -494,7 +506,7 @@ def check_oracles(fast: bool = False) -> CheckResult:
         pb = list(b) + [-1] * (len(a) - len(b))
         naive = LT if pa < pb else (EQ if pa == pb else 1)
         if compare(a, b) != naive:
-            return CheckResult("oracles", False, f"compare mismatch on {a} vs {b}")
+            return False, f"compare mismatch on {a} vs {b}"
 
     relabels = 500 if fast else 10_000
     cfg2 = GenConfig(max_thick=4, seed=91)
@@ -505,18 +517,18 @@ def check_oracles(fast: bool = False) -> CheckResult:
         want = canonical_hash(cx)
         for _ in range(20):
             if canonical_hash(_relabelled(cx, rng2)) != want:
-                return CheckResult("oracles", False, "hash not relabelling-invariant")
+                return False, "hash not relabelling-invariant"
             done += 1
-    return CheckResult("oracles", True,
-                       f"reach on {instances} instances, {pairs} vector pairs, "
-                       f"{done} relabellings")
+    return True, (f"reach on {instances} instances, {pairs} vector pairs, "
+                  f"{done} relabellings")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 10: orientation-reversal duality
 # ---------------------------------------------------------------------------
 
-def check_reversal_duality(fast: bool = False) -> CheckResult:
+@_check
+def check_reversal_duality(fast: bool = False) -> tuple[bool, str]:
     instances = 100 if fast else 1000
     cfg = GenConfig(max_thick=5, seed=10)
     rng = random.Random(10)
@@ -524,30 +536,14 @@ def check_reversal_duality(fast: bool = False) -> CheckResult:
         cx = gen_complex(cfg, rng)
         rev = reverse_orientation(cx)
         if not validate(rev).ok:
-            return CheckResult("reversal-duality", False, f"reversal invalid at {n}")
+            return False, f"reversal invalid at {n}"
         for t in cx.thick:
             if index_up(rev, t) != index_down(cx, t) \
                     or index_down(rev, t) != index_up(cx, t):
-                return CheckResult("reversal-duality", False, f"index swap failed at {n}")
+                return False, f"index swap failed at {n}"
         if complexity(rev) != complexity(cx):
-            return CheckResult("reversal-duality", False, f"vector moved at {n}")
-    return CheckResult("reversal-duality", True, f"{instances} instances, exact")
-
-
-CHECKS = [
-    check_trivial_index_table,
-    check_compression_identity,
-    check_consolidation_identity,
-    check_untelescope_identities,
-    check_index_nonnegative,
-    check_monotone_decrease,
-    check_termination,
-    check_worked_example,
-    check_oracles,
-    check_reversal_duality,
-]
-
-CHECK_NAMES = [c.__name__.removeprefix("check_").replace("_", "-") for c in CHECKS]
+            return False, f"vector moved at {n}"
+    return True, f"{instances} instances, exact"
 
 
 def run_all(fast: bool = False) -> list[CheckResult]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widthcalc import cli
+from widthcalc import cli, selftest
 from widthcalc.cli import main
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import emit_complex, parse_complex, validate
@@ -355,10 +355,29 @@ def test_gen_is_reproducible(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_gen_without_out_prints_the_instance(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["gen", "--seed", "9", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["gen", "--seed", "9"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == path.read_text()
+    assert captured.err == "seed: 9\n"
+
+
 def test_selftest_fast(capsys):
     assert main(["selftest", "--fast"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 10 and "FAIL" not in out
+
+
+def test_selftest_reports_a_failing_check_by_its_name(capsys, monkeypatch, one_bridge_sphere):
+    """A check that fails prints ``FAIL <name>: <detail>``, the name derived
+    from its function, and the run exits 1."""
+    monkeypatch.setattr(selftest, "four_ended_spheres", lambda: one_bridge_sphere)
+    monkeypatch.setattr(selftest, "CHECKS", [selftest.check_worked_example])
+    assert main(["selftest", "--fast"]) == 1
+    assert capsys.readouterr().out == "FAIL worked-example: start vector must be (24,)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from widthcalc.model import (
     validate,
 )
 from widthcalc import model
+from widthcalc.complexity import complexity
 from widthcalc.gen import GenConfig, gen_complex
 from conftest import bdy, cb, sphere_chain, thick, thin
 
@@ -200,10 +201,11 @@ def _perturbed(cx, rng):
 
 
 def test_validation_against_a_base_equals_a_full_validation():
-    """Whatever one record changes, validating against the complex it came
-    from gives the full validation: report, indices, digraph and order.
-    Bases are valid or invalid; a changed level must re-check the bodies
-    whose plus level or minus port it is, even when their records stay."""
+    """Whatever one record changes, validating a complex recorded as derived
+    from the one it came from gives the full validation: report, indices,
+    digraph and order.  Bases are valid or invalid; a level whose surface
+    changed must re-check the bodies whose plus level or minus port it is,
+    even when their records stay."""
     rng = random.Random(13)
     outcomes = {True: 0, False: 0}
     for seed in range(80):
@@ -211,10 +213,71 @@ def test_validation_against_a_base_equals_a_full_validation():
         for trial in range(12):
             base = _perturbed(cx, rng) if trial % 4 == 0 else cx
             out = _perturbed(base, rng)
-            got = model.validation(out, base=base)
+            got = model.validation(model._derived(out, base))
             assert got == model._validation(out)
             outcomes[got.report.ok] += 1
     assert outcomes[True] > 150 and outcomes[False] > 500
+
+
+def _checks_by_body(monkeypatch, cx) -> list[str]:
+    """The ids of the bodies whose own checks run when ``cx`` is validated."""
+    seen = []
+    real = model._check_cb
+
+    def recording(cb, *args):
+        seen.append(cb.id)
+        return real(cb, *args)
+
+    monkeypatch.setattr(model, "_check_cb", recording)
+    model.validation(cx)
+    monkeypatch.setattr(model, "_check_cb", real)
+    return seen
+
+
+def test_a_derived_complex_rechecks_a_body_only_when_what_it_reads_changed(chain_two, monkeypatch):
+    """A level re-pointed at other bodies keeps its surface object, so the
+    bodies reading it are not checked again; a level given an equal but
+    distinct surface is a new input, and they are.  Either way the kept
+    validation equals a full one."""
+    base = chain_two
+    assert validate(base).ok
+    f = base.thin["F"]
+    repointed = replace(base, thin={"F": replace(f, from_cb=f.from_cb)})
+    assert _checks_by_body(monkeypatch, model._derived(repointed, base)) == []
+    assert model.validation(repointed) == model._validation(repointed)
+
+    resurfaced = replace(base, thin={"F": replace(f, surface=Surface(0, 0))})
+    assert resurfaced.thin["F"].surface == f.surface
+    assert _checks_by_body(monkeypatch, model._derived(resurfaced, base)) == ["Hu", "Jd"]
+    assert model.validation(resurfaced) == model._validation(resurfaced)
+
+    # a derived record is read once and dropped with the validation
+    assert "_derived" not in repointed.__dict__ and "_derived" not in resurfaced.__dict__
+
+
+def test_validation_takes_only_the_complex():
+    """``validate`` and ``validation`` take no hints: body indices handed in
+    by a caller cannot hide a broken body, whatever was called before."""
+    cx = build_complex([thick("H", 0, 2, "u", "d")], [], [],
+                       [cb("u", "H", b=2), cb("d", "H", b=1, ball=True)])
+    for call in (validate, model.validation):
+        for hint in ({"base": cx}, {"checked": {"u": 4}}):
+            with pytest.raises(TypeError):
+                call(cx, **hint)
+    assert "conservation_up" in validate(cx).codes()
+    with pytest.raises(ValidationError, match="conservation_up"):
+        model.require_valid(cx)
+    with pytest.raises(ValidationError, match="conservation_up"):
+        complexity(cx)
+    assert "conservation_up" in validate(cx).codes()
+
+
+def test_a_repeated_minus_port_is_reported_on_the_body():
+    cx = build_complex([thick("H", 0, 0, "u", "d")], [], [bdy("S", 0, 0, "u")],
+                       [CompressionBody("u", "H", ("S", "S")), cb("d", "H")])
+    violations = [v for v in validate(cx).violations if v.subject == "u"]
+    assert [str(v) for v in violations] == ["[port_multiplicity] u: repeated minus port"]
+    assert model.check_body(cx.cbs["u"], cx.thick.get, cx.thin.get, cx.boundary.get) is None
 
 
 @pytest.mark.parametrize("n", [2, 2000])
@@ -766,5 +829,5 @@ def complexes_with_odd_fields(draw):
 @given(complexes_with_odd_fields())
 def test_validate_never_raises_on_odd_field_values(pair):
     base, cx = pair
-    report = model.validation(cx, base=base).report
+    report = model.validation(model._derived(cx, base)).report
     assert report == validate(replace(cx)) and str(report)

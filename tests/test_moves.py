@@ -12,6 +12,7 @@ from widthcalc.complexity import LT, compare, complexity, index_down, index_up
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import (
     BoundaryLevel,
+    SchemaError,
     Surface,
     Tangle,
     body_index,
@@ -969,3 +970,162 @@ def test_golden_rejection_messages():
                 rejected += 1
     assert rejected == 4609 - 1854
     assert digest.hexdigest() == GOLDEN_REJECTIONS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# Every rejection a hand-built certificate can reach
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ghost_handlebody():
+    """A genus-3 level whose upper body holds four ghost arcs on two
+    four-punctured boundary spheres; no small sphere blocks destabilizing."""
+    return build_complex(thick=[thick("H", 3, 0, "u", "d")],
+                         boundary=[bdy("S1", 0, 4, "u"), bdy("S2", 0, 4, "u")],
+                         cbs=[cb("u", "H", minus=("S1", "S2"), gh=4), cb("d", "H")])
+
+
+@pytest.fixture
+def vertical_over_boundary():
+    """A twice-punctured sphere whose upper body is two vertical arcs onto a
+    boundary sphere: no bridge arc on that side."""
+    return build_complex(thick=[thick("H", 0, 2, "u", "d")], boundary=[bdy("B", 0, 2, "u")],
+                         cbs=[cb("u", "H", minus=("B",), v=2), cb("d", "H", b=1, ball=True)])
+
+
+def _split_lower(split: SplitData | None, separating: bool = True) -> Untelescope:
+    """An untelescope of the four-ended sphere whose lower disc carries ``split``."""
+    return Untelescope("H", disc_minus=DiscData(0, separating, split),
+                       disc_plus=disc(0, True, (0, 0), (0, 0), (("S4",), ("S3",))), outcome=_outcome())
+
+
+def _untelescope_doc(genus) -> dict:
+    doc = emit_move(_split_lower(SplitData((0, 0), (0, 0), (("S2",), ("S1",)))))
+    doc["disc_minus"]["split"]["genus"] = genus
+    return doc
+
+
+_SIDE = "side must be 'up' or 'down', not 'left'"
+_REJECTIONS = [
+    # (fixture, move, rule, message)
+    ("one_bridge_sphere", Consolidate("X", "F"), "consolidate.thick", "unknown thick level 'X'"),
+    ("one_bridge_sphere", Untelescope("X", disc(0), disc(0), _outcome()), "untelescope.thick",
+     "unknown thick level 'X'"),
+    ("ghost_handlebody", Destabilize("stab", "X"), "destabilize.thick", "unknown thick level 'X'"),
+    ("one_bridge_sphere", Unperturb("X"), "unperturb.thick", "unknown thick level 'X'"),
+    ("one_bridge_sphere", UndoRemovable("X"), "undo_removable.thick", "unknown thick level 'X'"),
+    ("ghost_handlebody", Destabilize("twist", "H"), "destabilize.variant", "unknown variant 'twist'"),
+    ("ghost_handlebody", Destabilize("stab", "H", ghost_arcs=1), "destabilize.params",
+     "stab variants take no boundary levels or ghost arcs"),
+    ("ghost_handlebody", Destabilize("bdy", "H", boundary_ids=("S1",), ghost_arcs=1), "destabilize.params",
+     "plain boundary variants take no ghost arcs"),
+    ("ghost_handlebody", Destabilize("merid_bdy", "H", boundary_ids=("S1", "S2")), "destabilize.params",
+     "boundary variants name exactly one boundary level"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1",)), "destabilize.params",
+     "ghost variants need at least one ghost arc"),
+    ("ghost_handlebody", Destabilize("merid_ghost_bdy", "H", ghost_arcs=1), "destabilize.params",
+     "ghost arcs attach to boundary levels; name them"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1", "S2", "X"), ghost_arcs=1),
+     "destabilize.params", "1 ghost arcs cannot connect 3 boundary levels"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1", "S1"), ghost_arcs=1),
+     "destabilize.params", "repeated boundary level"),
+    ("ghost_handlebody", Destabilize("bdy", "H", side="down", boundary_ids=("S1",)), "destabilize.params",
+     "'S1' is not a boundary level of the down body"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1", "S2"), ghost_arcs=5),
+     "destabilize.params", "side body has only 4 ghost arcs"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1",), ghost_arcs=3),
+     "destabilize.params", "3 ghost arcs need 6 punctures on the named levels"),
+    ("one_bridge_sphere", Unperturb("H", merge_case="twist"), "unperturb.case", "unknown merge case 'twist'"),
+    ("ghost_handlebody", Unperturb("H"), "unperturb.punctures", "the level meets the graph fewer than twice"),
+    ("one_bridge_sphere", Unperturb("H", near_side="left"), "move.side", _SIDE),
+    ("one_bridge_sphere", Unperturb("H"), "unperturb.bridges", "bridge-bridge merge needs two far bridge arcs"),
+    ("one_bridge_sphere", Unperturb("H", merge_case="vertical_bridge"), "unperturb.verticals",
+     "vertical-bridge merge needs a far vertical arc"),
+    ("vertical_over_boundary", UndoRemovable("H"), "undo_removable.bridges",
+     "loop pattern needs a bridge arc on each side"),
+    ("one_bridge_sphere", UndoRemovable("H", tangle_up=Tangle()), "undo_removable.redistribution",
+     "a general redistribution supplies both tangles"),
+    ("one_bridge_sphere", UndoRemovable("H", loop_side="left"), "move.side", _SIDE),
+    ("spheres_with_four_ends", _split_lower(SplitData((0, 0), (0, 0)), separating=False), "disc.split",
+     "non-separating disc carries no split"),
+    ("spheres_with_four_ends", _split_lower(None), "disc.split", "separating disc needs split data"),
+    ("spheres_with_four_ends", _split_lower(SplitData((-1, 1), (0, 0), (("S2",), ("S1",)))), "disc.split",
+     "split parts must be non-negative"),
+    ("spheres_with_four_ends", _split_lower(SplitData((0, 0), (1, 0), (("S2",), ("S1",)))), "disc.split",
+     "puncture parts 1+0 != 0"),
+    ("spheres_with_four_ends", _split_lower(SplitData((0, 0), (0, 0), (("S2",), ("S1",)), (Tangle(1), Tangle()))),
+     "disc.split", "tangle sides must sum to the body tangle"),
+]
+
+
+@pytest.mark.parametrize("fixture, move, rule, message", _REJECTIONS,
+                         ids=[f"{row[2]}-{i}" for i, row in enumerate(_REJECTIONS)])
+def test_every_rejection_a_certificate_can_reach(request, fixture, move, rule, message):
+    """Each row is a hand-built certificate on a valid complex that the gate
+    rejects under ``rule`` with ``message``.  Rules no row raises, because
+    the checks before them prove them on every certificate:
+
+    * ``<kind>.monotone``: every accepted kind's checks leave the vector
+      strictly smaller.
+    * ``consolidate.merge_index``: the product certificate of a valid input
+      makes the merged index exactly index(A) + index(B) - 6.
+    * ``destabilize.upper_drop`` and ``lower_drop``: the side body's index
+      changes by 4q - 2γ - 6 and the far body's by at most that, since no
+      handed-over level is a sphere with two or fewer punctures.
+    * ``untelescope.lower_drop``, ``upper_drop``, ``lower_sum`` and
+      ``upper_sum``: the kept pieces are the cuts' pieces, which drop
+      strictly (``boundary_reduce.strict_drop``), and the doubly spotted
+      level's forced surface turns the cuts' identity into the sums.
+    * ``untelescope.lower_index_fixed`` and ``upper_index_fixed``: the two
+      new levels reach exactly the levels the old one reached, so the sums
+      fix the aggregates.
+    * ``boundary_reduce.identity``: the index formula gives it for every
+      disc that ``compress_surface`` accepts.
+    """
+    cx = request.getfixturevalue(fixture)
+    assert validate(cx).ok
+    with pytest.raises(MoveRejected) as err:
+        apply_move(cx, move)
+    assert (err.value.rule, str(err.value)) == (rule, f"{rule}: {message}")
+
+
+def test_boundary_reduce_rejects_a_once_punctured_minus_level():
+    """Reached only by a direct call: the complex is invalid as a whole, since
+    its boundary levels are once-punctured spheres, but each body passes its
+    own checks, so ``boundary_reduce`` gets as far as reading them."""
+    cx = build_complex(thick=[thick("H", 0, 1, "u", "d")],
+                       boundary=[bdy("B", 0, 1, "u"), bdy("C", 0, 1, "d")],
+                       cbs=[cb("u", "H", minus=("B",), v=1), cb("d", "H", minus=("C",), v=1)])
+    with pytest.raises(MoveRejected) as err:
+        boundary_reduce(cx, "u", disc(0))
+    assert str(err.value) == "boundary_reduce.once_punctured: minus level 'B' is a once-punctured sphere"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_move(_untelescope_doc([0])), "move.disc_minus.split.genus: expected a list of two"),
+    (lambda: parse_move(_untelescope_doc([0, "0"])), "move.disc_minus.split.genus: expected int"),
+    (lambda: parse_move(_untelescope_doc([0, False])), "move.disc_minus.split.genus: expected int"),
+    (lambda: emit_move("consolidate"), "unknown move 'consolidate'"),
+], ids=["pair-length", "pair-leaf-str", "pair-leaf-bool", "emit-non-move"])
+def test_move_codec_leaf_errors(call, message):
+    with pytest.raises(SchemaError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_untelescope_reads_a_tangle_its_body_spec_carries(spheres_with_four_ends):
+    """A body spec's own tangle is used as given, in place of the solved one:
+    the solved tangle is accepted, a core loop the sphere cannot hold is not."""
+    def with_lower(tangle):
+        out = _outcome()
+        return Untelescope("H", disc_minus=disc(0, True, (0, 0), (0, 0), (("S2",), ("S1",))),
+                           disc_plus=disc(0, True, (0, 0), (0, 0), (("S4",), ("S3",))),
+                           outcome=replace(out, h_minus=replace(out.h_minus, lower=BodySpec("cmd", tangle))))
+
+    cx = spheres_with_four_ends
+    out = apply_untelescope(cx, with_lower(Tangle()))
+    assert out == apply_untelescope(cx, with_lower(None))
+    with pytest.raises(MoveRejected) as err:
+        apply_untelescope(cx, with_lower(Tangle(loops=1)))
+    assert err.value.rule == "untelescope.result_invalid"
+    assert "[handle_feasibility] cmd:" in str(err.value)

@@ -4,8 +4,7 @@ Subcommands: ``validate``, ``complexity``, ``apply``, ``thin``, ``explore``,
 ``gen`` and ``selftest``.  Instances and moves travel as JSON documents; see
 the README for the schemas.  Exit codes are stable: 0 success, 1 domain
 rejection (validation failure, rejected certificate, step cap), 2 I/O or
-parse trouble.  The WIDTHCALC_SEED environment variable overrides the
-``--seed`` of ``gen``.
+parse trouble.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .complexity import analyze, complexity, complexity_table
@@ -173,13 +171,16 @@ def cmd_apply(args) -> int:
     return OK
 
 
-def _check_cap(args, least: int) -> None:
-    if args.cap < least:
-        raise SystemExit(_fail_io(f"--cap must be at least {least}, not {args.cap}"))
+def _check_at_least(args, name: str, least: int) -> None:
+    """Exit 2 with one line when the option ``name`` is below ``least``."""
+    value = getattr(args, name)
+    if value < least:
+        flag = "--" + name.replace("_", "-")
+        raise SystemExit(_fail_io(f"{flag} must be at least {least}, not {value}"))
 
 
 def cmd_thin(args) -> int:
-    _check_cap(args, 0)
+    _check_at_least(args, "cap", 0)
     cx, _ = _load_valid(args)
     policy = "greedy-max-drop" if args.policy == "greedy" else "first"
     final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
@@ -196,7 +197,7 @@ def cmd_thin(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _check_cap(args, 1)
+    _check_at_least(args, "cap", 1)
     cx, _ = _load_valid(args)
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=args.cap)
     if args.format == "dot":
@@ -215,16 +216,14 @@ def cmd_explore(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for name, least in (("max_thick", 1), ("max_genus", 0), ("max_punctures", 0), ("max_ports", 0)):
+        _check_at_least(args, name, least)
     cfg = GenConfig(max_thick=args.max_thick, max_genus=args.max_genus,
                     max_punctures=args.max_punctures, max_ports=args.max_ports,
                     allow_boundary=not args.no_boundary, seed=args.seed)
     cx = gen_complex(cfg)
     print(f"seed: {cfg.seed}", file=sys.stderr)
-    text = json.dumps(emit_complex(cx), indent=2, sort_keys=True)
-    if args.out:
-        _write(args.out, text)
-    else:
-        print(text)
+    _write_or_print(args, emit_complex(cx))
     return OK
 
 
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-punctures", type=int, default=6)
     p.add_argument("--max-ports", type=int, default=3)
     p.add_argument("--no-boundary", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="rng seed (WIDTHCALC_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="rng seed")
     common(p, out=True)
     p.set_defaults(func=cmd_gen)
 
@@ -307,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if "WIDTHCALC_SEED" in os.environ and hasattr(args, "seed"):
-        try:
-            args.seed = int(os.environ["WIDTHCALC_SEED"])
-        except ValueError:
-            return _fail_io(f"WIDTHCALC_SEED must be an integer, not {os.environ['WIDTHCALC_SEED']!r}")
     try:
         return args.func(args)
     except SystemExit as err:

@@ -71,7 +71,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .model import (
     BoundaryLevel,
@@ -233,38 +233,22 @@ def boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:
     inconsistent with the body summary and the certificate is rejected.
 
     The outcome, the reduction or the rejection with its rule and message,
-    is kept on ``cx`` for each body and disc, so the untelescope candidates
-    that pair one disc with many reduce along it once.  A disc is reused
-    only when it equals the kept one field by field with the same types
-    (messages format the fields, and ``True == 1``); an unhashable disc is
-    reduced every time.
+    is kept on ``cx`` for each body and disc object, so the untelescope
+    candidates that pair one disc with many reduce along it once.  An equal
+    but distinct disc is reduced again.  The entry holds its disc, so no
+    other disc can take its id while ``cx`` lives.
     """
     kept = _kept(cx, "_reductions", lambda _cx: {})
-    try:
-        found = kept.get((cb_id, d))
-    except TypeError:
-        return _boundary_reduce(cx, cb_id, d)
-    if found is None or not (found[0] is d or _alike(found[0], d)):
+    found = kept.get((cb_id, id(d)))
+    if found is None:
         try:
             found = d, _boundary_reduce(cx, cb_id, d)
         except MoveRejected as err:
             found = d, (err.rule, err._message)
-        kept[cb_id, d] = found
+        kept[cb_id, id(d)] = found
     if isinstance(found[1], BoundaryReduction):
         return found[1]
     raise MoveRejected(*found[1])
-
-
-def _alike(a, b) -> bool:
-    """Whether two equal values have the same types all the way down and
-    leaves that print the same."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, tuple):
-        return all(map(_alike, a, b))
-    if is_dataclass(a):
-        return all(_alike(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return repr(a) == repr(b)
 
 
 def _boundary_reduce(cx: Complex, cb_id: str, d: DiscData) -> BoundaryReduction:

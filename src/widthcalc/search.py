@@ -30,11 +30,13 @@ lies in another component (a fresh outcome id taken elsewhere among them,
 for ``untelescope.fresh_ids``), or when ``named_ids`` gives None: the offer
 is not a move, or it is an untelescope and a product-certified body touches
 a thin level anywhere (``elementary.pre``).  Every other rule reads only the
-component, the ``destabilize.boundary_sphere`` rule included.  A run keeps
-each accepted outcome, keyed by (component records, move); the node's result
-is its other components and the new one side by side, and its vector the
-node's with the component's entries swapped for the new ones, so an
-untouched copy in a symmetric union pays for a move once per run.
+component, the ``destabilize.boundary_sphere`` rule included.  The work a
+run reuses is kept on the objects it was done for: a node keeps its
+components as complexes, and each of them keeps the moves accepted on it
+with their results.  The node's result is its other components and the new
+one's parts side by side, which it keeps as its own; its vector is the
+sorted merge of theirs.  So an untouched copy in a symmetric union, carried
+as the same object from node to node, pays for a move once per run.
 Rejections are not kept, on purpose: each is applied again on the small
 sub-complex, so that every rejection is still raised by
 :func:`~widthcalc.moves.apply_move`, where a caller that wraps it counts it.
@@ -53,6 +55,8 @@ from .model import (
     Complex,
     ThickLevel,
     ThinLevel,
+    _ids,
+    _kept,
     components,
     digraph_cycle,
     disjoint_union,
@@ -231,17 +235,14 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
         raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     require_valid(cx)
     forms: dict = {}
-    accepted: dict = {}
     root = canonical_hash(cx, _forms=forms)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
                          edges=[], truncated=set(), complete=True)
-    parts_of: dict[str, list | None] = {root: None}
     seen_edges: set[tuple[str, str, str]] = set()
     order = [root]
     for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
-        for move, result, vec, split in _outcomes(node, graph.vectors[digest], parts_of.pop(digest),
-                                                  proposer(node), graph.diagnostics, accepted):
+        for move, result, vec in _outcomes(node, proposer(node), graph.diagnostics):
             dst = canonical_hash(result, _forms=forms)
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
@@ -251,7 +252,6 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
                     continue
                 graph.nodes[dst] = result
                 graph.vectors[dst] = vec
-                parts_of[dst] = split
                 order.append(dst)
             doc = emit_move(move)
             key = (digest, json.dumps(doc, sort_keys=True), dst)
@@ -261,12 +261,12 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     return graph
 
 
-def _parts(cx: Complex) -> list[tuple[frozenset, Complex]]:
-    """Each component of ``cx`` as its records and its complex."""
-    split = components(cx)
-    if len(split) == 1:
-        return [(frozenset(split[0]), cx)]
-    return [(frozenset(records), restrict(cx, records)) for records in split]
+def _parts(cx: Complex) -> list[Complex]:
+    """The components of ``cx`` as complexes: ``[cx]`` when it is connected,
+    else each one restricted, kept on the instance."""
+    if len(components(cx)) == 1:
+        return [cx]
+    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
 
 
 def _home(node: Complex, move, home: dict[str, int]) -> int | None:
@@ -284,56 +284,50 @@ def _home(node: Complex, move, home: dict[str, int]) -> int | None:
     return k
 
 
-def _swapped(vector: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]) -> tuple[int, ...]:
-    """``vector`` with the entries of ``old`` replaced by those of ``new``."""
-    rest = list(vector)
-    for entry in old:
-        rest.remove(entry)
-    return tuple(sorted(rest + list(new), reverse=True))
+def _outcomes(node: Complex, offers, rejected):
+    """``(move, result, its vector)`` for each offer that applies to
+    ``node``, in order.
 
-
-def _outcomes(node: Complex, vector: tuple[int, ...], parts, offers, rejected, accepted):
-    """``(move, result, its vector, its parts)`` for each offer that applies
-    to ``node``, in order.
-
-    ``parts`` are the node's components as ``(records, complex)`` pairs when
-    known, else None.  ``accepted`` maps a component's records to a dict
-    from each move accepted on it to the parts of its result, the
-    component's vector and the result's, for the length of a run.  A node of
-    a single component applies every offer whole: no entry is made and no
-    move is hashed.
+    An offer routed to one of the node's :func:`_parts` is looked up in the
+    moves accepted on that part, kept on it under ``_accepted`` and keyed by
+    value, since each node's proposer builds new move objects.  The result
+    is the node's other parts and the parts of the part's result side by
+    side, kept as its ``_parts``, and its vector the sorted merge of theirs.
+    A node of a single component applies every offer whole: no entry is
+    made and no move is hashed.
     """
-    if parts is None:
-        parts = _parts(node) if len(components(node)) > 1 else []
-    home = {rec.id: k for k, (records, _sub) in enumerate(parts) for rec in records}
+    parts = _parts(node)
+    home = {}
+    if len(parts) > 1:
+        home = {name: k for k, part in enumerate(parts) for name in _ids(part)}
     for move in offers:
         k = _home(node, move, home)
         if k is None:
             found = next(applicable(node, (move,), rejected), None)
             if found is not None:
-                yield move, found[1], complexity(found[1]), None
+                yield move, found[1], complexity(found[1])
             continue
-        records, sub = parts[k]
-        known = accepted.get(records)
+        part = parts[k]
+        accepted = _kept(part, "_accepted", lambda _part: {})
         try:
-            # no move is hashed before one is accepted on the component
-            done = known.get(move) if known else None
+            # no move is hashed before one is accepted on the part
+            result = accepted.get(move) if accepted else None
         except TypeError:  # a move holding a list, say, is never a key
-            done = None
-        if done is None:
-            found = next(applicable(sub, (move,), rejected), None)
+            result = None
+        if result is None:
+            found = next(applicable(part, (move,), rejected), None)
             if found is None:
                 continue
             result = found[1]
-            done = (_parts(result), complexity(sub), complexity(result))
             try:
-                accepted.setdefault(records, {})[move] = done
+                accepted[move] = result
             except TypeError:
                 pass
-        new, old_vec, new_vec = done
-        joined = parts[:k] + new + parts[k + 1:]
-        yield (move, disjoint_union([part for _records, part in joined]),
-               _swapped(vector, old_vec, new_vec), joined)
+        joined = parts[:k] + _parts(result) + parts[k + 1:]
+        union = disjoint_union(joined)
+        _kept(union, "_parts", lambda _union: joined)
+        yield (move, union,
+               tuple(sorted([entry for sub in joined for entry in complexity(sub)], reverse=True)))
 
 
 def dot_escape(text: str) -> str:

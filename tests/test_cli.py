@@ -76,17 +76,7 @@ def test_non_boolean_certificate_exit_two(tmp_path, capsys, one_bridge_sphere):
     assert err.count("\n") == 1 and "ball_certificate" in err
 
 
-def test_bad_seed_variable_exit_two(monkeypatch, capsys):
-    monkeypatch.setenv("WIDTHCALC_SEED", "abc")
-    assert main(["gen"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "WIDTHCALC_SEED" in err
-
-
-def test_seed_is_read_by_gen_only(instance_file, monkeypatch, capsys):
-    monkeypatch.setenv("WIDTHCALC_SEED", "abc")
-    assert main(["validate", instance_file]) == 0
-    assert capsys.readouterr().out == "valid\n"
+def test_seed_is_read_by_gen_only(instance_file):
     for command in ("validate", "complexity", "apply", "thin", "explore"):
         with pytest.raises(SystemExit):
             main([command, instance_file, "--seed", "1"])
@@ -336,16 +326,47 @@ def test_explore_json(tmp_path, capsys):
     assert len(doc["sinks"]) >= 1
 
 
-def test_gen_round_trip(tmp_path, capsys, monkeypatch):
+def test_gen_round_trip(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     assert main(["gen", "--seed", "42", "--out", str(out_path)]) == 0
     assert "seed: 42" in capsys.readouterr().err
     cx = parse_complex(json.loads(out_path.read_text()))
     assert validate(cx).ok
-    # env var overrides the flag
+
+
+def test_gen_reads_no_seed_variable(monkeypatch, capsys):
+    """``--seed`` alone sets the seed: a WIDTHCALC_SEED in the environment
+    changes nothing."""
+    assert main(["gen", "--seed", "42"]) == 0
+    want = capsys.readouterr()
     monkeypatch.setenv("WIDTHCALC_SEED", "43")
-    assert main(["gen", "--seed", "42", "--out", str(out_path)]) == 0
-    assert "seed: 43" in capsys.readouterr().err
+    assert main(["gen", "--seed", "42"]) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("flag, least", [("--max-thick", 1), ("--max-genus", 0),
+                                         ("--max-punctures", 0), ("--max-ports", 0)])
+@pytest.mark.parametrize("below", [1, 6])
+def test_gen_bound_below_its_least_exit_two(capsys, flag, least, below):
+    """A bound below its least is refused with one line, not coerced."""
+    value = least - below
+    assert main(["gen", flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least {least}, not {value}\n"
+    assert main(["gen", flag, str(least), "--quiet"]) == 0
+
+
+def test_gen_quiet_prints_no_instance(tmp_path, capsys):
+    """``--quiet`` drops the printed instance, as on ``apply`` and ``thin``;
+    ``--out`` still writes it, and the seed line stays on stderr."""
+    path = tmp_path / "g.json"
+    assert main(["gen", "--seed", "9", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "seed: 9\n")
+    assert main(["gen", "--seed", "9", "--quiet", "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "seed: 9\n")
+    assert main(["gen", "--seed", "9"]) == 0
+    assert capsys.readouterr().out == path.read_text()
 
 
 def test_gen_is_reproducible(tmp_path):
@@ -429,7 +450,6 @@ def test_twenty_calls_build_one_parser_tree(monkeypatch, four_ended_file, capsys
 def test_python_dash_m_runs_the_cli(instance_file, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("WIDTHCALC_SEED", None)
     ok = subprocess.run([sys.executable, "-m", "widthcalc", "validate", instance_file],
                         env=env, capture_output=True, text=True)
     assert (ok.returncode, ok.stdout) == (0, "valid\n")

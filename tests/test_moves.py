@@ -905,9 +905,10 @@ def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, ta
 
 def test_boundary_reduce_keeps_outcomes_per_exact_disc(monkeypatch):
     """A reduction or a rejection is kept on the instance per body and disc
-    and given again, the rejection with the same rule and message.  Equal
-    discs whose fields differ in type get their own outcome, since messages
-    format the fields; an unhashable disc is reduced every time."""
+    object and given again, the rejection with the same rule and message.
+    An equal but distinct disc is reduced again to the same outcome; discs
+    whose fields differ in type get their own messages, since messages
+    format the fields; an unhashable disc is kept per object too."""
     runs = 0
     real = moves.body_index
 
@@ -925,28 +926,50 @@ def test_boundary_reduce_keeps_outcomes_per_exact_disc(monkeypatch):
         return err.value.rule, str(err.value)
 
     one = ("disc.split", "disc.split: genus parts 1+0 != 2")
-    assert rejection(disc(0, True, (1, 0), (0, 0), ((), ()))) == one
-    assert rejection(disc(0, True, (1, 0), (0, 0), ((), ()))) == one
+    first = disc(0, True, (1, 0), (0, 0), ((), ()))
+    assert rejection(first) == one
+    assert rejection(first) == one
     assert runs == 1
+    assert rejection(disc(0, True, (1, 0), (0, 0), ((), ()))) == one
+    assert runs == 2
     assert rejection(disc(0, True, (True, 0), (0, 0), ((), ()))) \
         == ("disc.split", "disc.split: genus parts True+0 != 2")
     assert rejection(disc(0, True, (1.0, 0), (0, 0), ((), ()))) \
         == ("disc.split", "disc.split: genus parts 1.0+0 != 2")
-    assert runs == 3
+    assert runs == 4
     assert rejection(disc(2)) == ("disc.punctures", "disc.punctures: disc meets the graph 0 or 1 times, not 2")
     assert rejection(DiscData(2.0, False)) \
         == ("disc.punctures", "disc.punctures: disc meets the graph 0 or 1 times, not 2.0")
-    assert runs == 5
+    assert runs == 6
 
     split = disc(0, True, (1, 1), (0, 0), ((), ()))
     red = boundary_reduce(cx, "u", split)
     assert boundary_reduce(cx, "u", split) is red
     assert boundary_reduce(cx, "d", split) is not red
-    assert runs == 7
+    assert runs == 8
     unhashable = DiscData(0, True, SplitData([1, 1], (0, 0)))
-    assert boundary_reduce(cx, "u", unhashable) == red
-    assert boundary_reduce(cx, "u", unhashable) == red
+    kept = boundary_reduce(cx, "u", unhashable)
+    assert kept == red
+    assert boundary_reduce(cx, "u", unhashable) is kept
     assert runs == 9
+
+
+def test_boundary_reduce_never_gives_a_dead_disc_outcome():
+    """Fifty short-lived discs with different outcomes, reduced on one body
+    one after another, each get their own outcome, although a freed disc's
+    id may be taken by the next: the kept entry holds its disc alive."""
+    cx = build_complex(thick=[thick("H", 2, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
+
+    def outcome(reduce, d):
+        try:
+            return reduce(cx, "u", d)
+        except MoveRejected as err:
+            return err.rule, str(err)
+
+    for genus in range(50):
+        d = disc(0, True, (genus, 0), (0, 0), ((), ()))
+        assert outcome(boundary_reduce, d) == outcome(moves._boundary_reduce, d)
+        del d  # freed before the next disc is made, which may then get its id
 
 
 GOLDEN_REJECTIONS_DIGEST ="a7185dbfd95ade00be4e151dddaac52fd03e8c3e237620ba88fd43675232c788"

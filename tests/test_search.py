@@ -407,7 +407,10 @@ def _union(parts, rng):
 
 def test_components_of_a_union_are_its_parts():
     """A shuffled union of k relabelled one-level parts has exactly k
-    components, each the records of one part, in map order."""
+    components, each the records of one part, in map order.  A result that
+    a rewrite-graph node joins from its parts keeps as its own parts the
+    very complexes it was joined from: the node's untouched parts and the
+    parts of the touched part's kept result."""
     rng = random.Random(9)
     for k in (1, 2, 5):
         parts = [_relabel(gen_complex(GenConfig(max_thick=1, seed=900 + i)), i)
@@ -422,6 +425,22 @@ def test_components_of_a_union_are_its_parts():
         for component in found:
             prefix = component[0].id.split(".")[0]
             assert component == [rec for rec in records if rec.id.startswith(prefix + ".")]
+        node_parts = search._parts(cx)
+        joined = 0
+        for move, result, vec in search._outcomes(cx, enumerate_moves(cx), Counter()):
+            if "_parts" not in result.__dict__:
+                continue
+            joined += 1
+            got = search._parts(result)
+            (j, touched), = ((j, part) for j, part in enumerate(node_parts)
+                             if not any(part is q for q in got))
+            new = search._parts(touched.__dict__["_accepted"][move])
+            want = node_parts[:j] + new + node_parts[j + 1:]
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            assert model.components(result) == [model.components(part)[0] for part in got]
+            fresh = model.Complex(result.thick, result.thin, result.boundary, result.cbs)
+            assert vec == complexity(fresh)
+        assert (joined > 0) == (k > 1)
 
 
 def test_small_boundary_sphere_blocks_only_its_own_component():
@@ -923,7 +942,7 @@ def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
     graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
     assert len(graph.nodes) == 20
     assert calls["rejected"] == 311
-    assert calls["accepted"] <= 100  # 44 here; 359 when every node applies every move whole
+    assert calls["accepted"] == 44  # 359 when every node applies every move whole
     for digest, node in graph.nodes.items():
         fresh = model.Complex(node.thick, node.thin, node.boundary, node.cbs)
         assert model.components(node) == model.components(fresh)

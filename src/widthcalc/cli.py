@@ -15,7 +15,7 @@ import json
 import sys
 
 from .complexity import analyze, complexity, complexity_table
-from .gen import GenConfig, enumerate_moves, gen_complex
+from .gen import _LEAST, GenConfig, enumerate_moves, gen_complex
 from .model import (
     SchemaError,
     _need,
@@ -216,7 +216,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    for name, least in (("max_thick", 1), ("max_genus", 0), ("max_punctures", 0), ("max_ports", 0)):
+    for name, least in _LEAST.items():
         _check_at_least(args, name, least)
     cfg = GenConfig(max_thick=args.max_thick, max_genus=args.max_genus,
                     max_punctures=args.max_punctures, max_ports=args.max_ports,

@@ -61,6 +61,10 @@ class GenConfig:
     seed: int = 0
 
 
+# The least value of each bound of a GenConfig.
+_LEAST = {"max_thick": 1, "max_genus": 0, "max_punctures": 0, "max_ports": 0}
+
+
 def _even(rng: random.Random, lo: int, hi: int) -> int:
     """Even value in [lo, hi], biased low; lo assumed even."""
     if hi < lo:
@@ -71,7 +75,13 @@ def _even(rng: random.Random, lo: int, hi: int) -> int:
 
 
 def gen_complex(cfg: GenConfig, rng: random.Random | None = None) -> Complex:
-    """Generate a valid complex within the configured bounds."""
+    """Generate a valid complex within the configured bounds.  ``max_thick``
+    must be at least 1, and ``max_genus``, ``max_punctures`` and
+    ``max_ports`` at least 0."""
+    for name, least in _LEAST.items():
+        value = getattr(cfg, name)
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, not {value}")
     if rng is None:
         rng = random.Random(cfg.seed)
     for _ in range(10):
@@ -82,7 +92,7 @@ def gen_complex(cfg: GenConfig, rng: random.Random | None = None) -> Complex:
 
 
 def _gen_complex_once(cfg: GenConfig, rng: random.Random) -> Complex:
-    n = rng.randint(1, max(1, cfg.max_thick))
+    n = rng.randint(1, cfg.max_thick)
     thick_ids = [f"T{i}" for i in range(n)]
     up_id = {t: f"{t}u" for t in thick_ids}
     down_id = {t: f"{t}d" for t in thick_ids}

@@ -38,8 +38,10 @@ complex is computed once and kept on the instance.
 from __future__ import annotations
 
 import graphlib
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _quote
 from operator import is_
 from types import MappingProxyType
 
@@ -72,6 +74,7 @@ __all__ = [
     "disjoint_union",
     "parse_complex",
     "emit_record",
+    "record_text",
     "emit_complex",
     "build_complex",
 ]
@@ -124,6 +127,35 @@ class Tangle:
 EMPTY_TANGLE = Tangle(0, 0, 0, 0)
 
 
+def _hash_kept(cls):
+    """A frozen record class whose instances keep their hash once computed.
+
+    The canonical hash's memo of component forms is keyed on frozensets of
+    records, so the same records are hashed at every step of a run; a
+    record's value never changes, so neither does its hash.  Pickling drops
+    the kept hash, because the hash of a string differs between processes.
+    """
+    compute = cls.__hash__
+
+    def __hash__(self):
+        found = self._hash
+        if found is None:
+            found = compute(self)
+            object.__setattr__(self, "_hash", found)
+        return found
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_kept
 @dataclass(frozen=True)
 class CompressionBody:
     """Boundary-and-tangle summary of one piece of the cut-open pair.
@@ -147,6 +179,7 @@ class CompressionBody:
         object.__setattr__(self, "minus", tuple(sorted(self.minus)))
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class ThickLevel:
     id: str
@@ -155,6 +188,7 @@ class ThickLevel:
     lower_cb: str
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class ThinLevel:
     id: str
@@ -163,6 +197,7 @@ class ThinLevel:
     to_cb: str
 
 
+@_hash_kept
 @dataclass(frozen=True)
 class BoundaryLevel:
     id: str
@@ -313,26 +348,34 @@ def _reads(cb: CompressionBody, thick, thin, boundary) -> tuple[Surface | None, 
     return top and top.surface, minus
 
 
-def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation]) -> int | None:
-    """Check one body on its own, appending what fails to ``out``; the body's
-    index when it passes, else None.  ``reads`` is what :func:`_reads` gives
-    for it: the check reads nothing else."""
+def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) -> int | None:
+    """Check one body on its own: the body's index when it passes, else None.
+    ``reads`` is what :func:`_reads` gives for it: the check reads nothing
+    else.  Every failure is appended to ``out``; with ``out`` None the check
+    stops at the first one and builds no violation or message."""
     plus, minus = reads
     sub = cb.id
-    start = len(out)
-    _check_tangle(sub, cb.tangle, out)
-    counts_ok = len(out) == start
+    t = cb.tangle
+    counts_ok = all(isinstance(n, int) and n >= 0 for n in t.counts())
+    if not counts_ok:
+        if out is None:
+            return None
+        _check_tangle(sub, t, out)
 
     if plus is None:
-        out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
+        if out is not None:
+            out.append(Violation("dangling_reference", sub, f"plus level {cb.plus!r} is not a thick level"))
         return None
     for s in minus:
         if s is None:  # report every unknown port
-            out.extend(Violation("dangling_reference", sub, f"minus port {port!r} is not a thin or boundary level")
-                       for port, found in zip(cb.minus, minus) if found is None)
+            if out is not None:
+                out.extend(Violation("dangling_reference", sub,
+                                     f"minus port {port!r} is not a thin or boundary level")
+                           for port, found in zip(cb.minus, minus) if found is None)
             return None
     if len(cb.minus) > 1 and len(set(cb.minus)) != len(cb.minus):
-        out.append(Violation("port_multiplicity", sub, "repeated minus port"))
+        if out is not None:
+            out.append(Violation("port_multiplicity", sub, "repeated minus port"))
         return None
 
     # A count or a surface field that is not a non-negative integer was
@@ -346,43 +389,50 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation]) -> int | 
         g_minus += s.genus
         p_minus += s.punctures
         anchors += s.punctures > 0
-    t = cb.tangle
     p_plus = plus.punctures
-    if p_plus != t.verticals + 2 * t.bridges:
+    need = g_minus + t.loops + ghost_excess(t.ghosts, anchors)
+    product, ball = cb.product_certificate, cb.ball_certificate
+    faults = (p_plus != t.verticals + 2 * t.bridges,
+              p_minus != t.verticals + 2 * t.ghosts,
+              plus.genus < g_minus,
+              g_minus <= plus.genus < need,
+              product and ball,
+              product and not _product_profile(plus, minus, t),
+              ball and not _ball_profile(plus, minus, t))
+    if not any(faults):
+        return profile_index(plus, len(minus), g_minus, p_minus)
+    if out is None:
+        return None
+    up, down, genus, handles, conflict, product_fault, ball_fault = faults
+    if up:
         out.append(Violation(
             "conservation_up", sub,
             f"positive punctures {p_plus} != verticals + 2*bridges = {t.verticals + 2 * t.bridges}"))
-    if p_minus != t.verticals + 2 * t.ghosts:
+    if down:
         out.append(Violation(
             "conservation_down", sub,
             f"negative punctures {p_minus} != verticals + 2*ghosts = {t.verticals + 2 * t.ghosts}"))
-
-    if plus.genus < g_minus:
+    if genus:
         out.append(Violation(
             "genus_feasibility", sub,
             f"positive genus {plus.genus} < total negative genus {g_minus}"))
-    else:
-        need = g_minus + t.loops + ghost_excess(t.ghosts, anchors)
-        if plus.genus < need:
-            out.append(Violation(
-                "handle_feasibility", sub,
-                f"positive genus {plus.genus} cannot carry {t.ghosts} ghost arcs and "
-                f"{t.loops} core loops over {anchors} punctured negative levels "
-                f"(needs {need})"))
-
-    if cb.product_certificate and cb.ball_certificate:
+    if handles:
+        out.append(Violation(
+            "handle_feasibility", sub,
+            f"positive genus {plus.genus} cannot carry {t.ghosts} ghost arcs and "
+            f"{t.loops} core loops over {anchors} punctured negative levels "
+            f"(needs {need})"))
+    if conflict:
         out.append(Violation("certificate_conflict", sub, "product and ball certificates are mutually exclusive"))
-    if cb.product_certificate and not _product_profile(plus, minus, t):
+    if product_fault:
         out.append(Violation("product_certificate", sub,
                              "product piece has one negative level, boundary surfaces that "
                              "match and only vertical arcs"))
-    if cb.ball_certificate and not _ball_profile(plus, minus, t):
+    if ball_fault:
         out.append(Violation("ball_certificate", sub,
                              "ball piece has empty negative boundary, a sphere with 0 or 2 "
                              "punctures on top and an empty tangle or one bridge arc"))
-    if len(out) > start:
-        return None
-    return profile_index(plus, len(minus), g_minus, p_minus)
+    return None
 
 
 @dataclass(frozen=True)
@@ -610,8 +660,8 @@ def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:
     :func:`validate` runs on every body, else None.  The levels it names are
     looked up through ``thick``, ``thin`` and ``boundary``, each taking an id
     to its record or None; so a body can be checked before the complex that
-    will hold it is built."""
-    return _check_cb(cb, _reads(cb, thick, thin, boundary), [])
+    will hold it is built.  It stops at the first failure and reports none."""
+    return _check_cb(cb, _reads(cb, thick, thin, boundary), None)
 
 
 def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
@@ -904,6 +954,44 @@ def emit_record(rec, name=str) -> tuple[str, dict]:
                    "tangle": emit_tangle(rec.tangle),
                    "product_certificate": rec.product_certificate,
                    "ball_certificate": rec.ball_certificate}
+
+
+def record_text(rec, name=str) -> str:
+    """``json.dumps(emit_record(rec, name)[1])``, written directly rather
+    than built as a dict and encoded: the canonical hash renders every
+    record it lays out."""
+    q, v = _quote, _scalar
+    if isinstance(rec, ThickLevel):
+        s = rec.surface
+        return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
+                f'"punctures": {v(s.punctures)}}}, "upper_cb": {q(name(rec.upper_cb))}, '
+                f'"lower_cb": {q(name(rec.lower_cb))}}}')
+    if isinstance(rec, ThinLevel):
+        s = rec.surface
+        return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
+                f'"punctures": {v(s.punctures)}}}, "from_cb": {q(name(rec.from_cb))}, '
+                f'"to_cb": {q(name(rec.to_cb))}}}')
+    if isinstance(rec, BoundaryLevel):
+        s = rec.surface
+        return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
+                f'"punctures": {v(s.punctures)}}}, "owner": {q(name(rec.owner))}, '
+                f'"is_drilled_vertex": {v(rec.is_drilled_vertex)}}}')
+    t = rec.tangle
+    minus = ", ".join(map(q, sorted(name(port) for port in rec.minus)))
+    return (f'{{"id": {q(name(rec.id))}, "plus": {q(name(rec.plus))}, '
+            f'"minus": [{minus}], "tangle": {{"v": {v(t.verticals)}, "b": {v(t.bridges)}, '
+            f'"gh": {v(t.ghosts)}, "loops": {v(t.loops)}}}, '
+            f'"product_certificate": {v(rec.product_certificate)}, '
+            f'"ball_certificate": {v(rec.ball_certificate)}}}')
+
+
+def _scalar(x) -> str:
+    """``json.dumps(x)``, without the encoder's fixed cost for an int or a bool."""
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return str(x) if type(x) is int else json.dumps(x)
 
 
 def emit_complex(cx: Complex) -> dict:

@@ -15,8 +15,12 @@ keying nodes by a canonical hash so that relabelled copies of a complex
 collapse to one node.  Every edge strictly decreases complexity, hence the
 graph is a DAG and its sinks are exactly the locally thin elements reached.
 The hash canonizes each of :func:`~widthcalc.model.components` on its own,
-and a run keeps one memo of component forms and their rendered text keyed
-on their records.
+by individualization-refinement with automorphism pruning (McKay & Piperno,
+J. Symb. Comput. 60, 2014).  Colours are kept as cells, so a round of
+refinement looks only at the cells next to those that split in the round
+before, and each node of the search keeps the orbits of the automorphisms
+found that fix its prefix.  A run keeps one memo of component forms and
+their rendered text keyed on their records, whose hashes the records keep.
 
 :func:`rewrite_graph` also applies moves per component.  The vector of a
 disjoint union is the sorted merge of its parts' vectors, and comparing
@@ -55,12 +59,13 @@ from .model import (
     Complex,
     ThickLevel,
     ThinLevel,
+    _SECTION,
     _ids,
     _kept,
     components,
     digraph_cycle,
     disjoint_union,
-    emit_record,
+    record_text,
     require_valid,
     restrict,
 )
@@ -374,102 +379,187 @@ def _describe(rec) -> tuple[tuple, tuple]:
         ((0, rec.plus),) + tuple((1, port) for port in rec.minus)
 
 
-def _refine(colors: list[int], outs, ins) -> list[int]:
-    """Colour refinement to the coarsest equitable refinement of ``colors``.
+# A signature entry is ``slot * _SLOT + colour``: one int that orders as the
+# pair (slot, colour) does.  The stride is fixed, not taken from the size of
+# a component, because certificates of different components are compared.
+_SLOT = 1 << 32
 
-    A vertex's new colour is the rank of (its colour, the sorted colours of
-    its out- and in-neighbours by slot) among all such signatures, so the
-    result is dense ranks, refines the input order and is relabelling
-    invariant.
+
+def _edges(outs: list[list[tuple[int, int]]]) -> tuple[list, list]:
+    """Each vertex's out- and in-edges as (slot key, neighbour), from its
+    (slot, target) references; the key is ``slot * _SLOT``."""
+    keyed = [[(slot * _SLOT, j) for slot, j in edges] for edges in outs]
+    ins: list[list[tuple[int, int]]] = [[] for _ in outs]
+    for v, edges in enumerate(keyed):
+        for key, j in edges:
+            ins[j].append((key, v))
+    return keyed, ins
+
+
+def _partition(keys) -> tuple[list[int], list]:
+    """The colouring that orders vertices by ``keys``, as cells: a vertex's
+    colour is the number of vertices of lower colour, the start of its cell,
+    and ``cells[s]`` lists the members of the cell starting at ``s`` in
+    vertex order (None where no cell starts)."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    colors = [0] * len(keys)
+    cells: list = [None] * len(keys)
+    for pos, v in enumerate(order):
+        if pos == 0 or keys[v] != keys[order[pos - 1]]:
+            start = pos
+            cells[start] = []
+        colors[v] = start
+        cells[start].append(v)
+    return colors, cells
+
+
+def _refine(colors: list[int], cells: list, outs, ins, changed=None) -> None:
+    """Colour refinement, in place, to the coarsest equitable refinement.
+
+    Round-synchronous: a vertex's signature is the sorted colours of its
+    out- and in-neighbours by slot, and a round splits each cell by the
+    signatures of the colouring it started from, its pieces ordered by
+    signature and laid out from the cell's start.  The cells are then those
+    of ranking (colour, signature) over all vertices in every round, so the
+    colours are order-isomorphic to those ranks and equal them once
+    discrete.  A cell none of whose members is adjacent to a cell split in
+    the round before cannot split, so each round looks only at the cells
+    next to the last round's splits: ``changed`` lists the starts of the
+    cells changed before the first round, every cell when None.
     """
-    count = len(set(colors))
-    while True:
-        sigs = [(c, tuple(sorted([(slot, colors[j]) for slot, j in outs[v]])),
-                 tuple(sorted([(slot, colors[j]) for slot, j in ins[v]])))
-                for v, c in enumerate(colors)]
-        ranks = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
-        colors = [ranks[sig] for sig in sigs]
-        if len(ranks) == count:
-            return colors
-        count = len(ranks)
+    if changed is None:
+        changed = [s for s, cell in enumerate(cells) if cell is not None]
+    while changed:
+        near = {colors[j] for s in changed for x in cells[s]
+                for edges in (outs[x], ins[x]) for _key, j in edges}
+        splits = []
+        for s in near:
+            cell = cells[s]
+            if len(cell) == 1:
+                continue
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = (tuple(sorted([key + colors[j] for key, j in outs[v]])),
+                       tuple(sorted([key + colors[j] for key, j in ins[v]])))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                splits.append((s, groups))
+        changed = []
+        for s, groups in splits:
+            for sig in sorted(groups):
+                members = cells[s] = groups[sig]
+                for v in members:
+                    colors[v] = s
+                changed.append(s)
+                s += len(members)
 
 
-def _target_cell(colors: list[int]) -> list[int] | None:
-    """The vertices of the lowest colour shared by several, or None if discrete."""
-    cells: list[list[int]] = [[] for _ in colors]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    return next((cell for cell in cells if len(cell) > 1), None)
+def _individualize(colors: list[int], cells: list, v: int) -> list[int]:
+    """Give ``v`` a cell of its own at the start of its cell, in place; the
+    starts of the two cells changed."""
+    s = colors[v]
+    rest = [u for u in cells[s] if u != v]
+    cells[s], cells[s + 1] = [v], rest
+    for u in rest:
+        colors[u] = s + 1
+    return [s, s + 1]
 
 
-def _in_orbit(v: int, others: list[int], gens: list[list[int]], prefix) -> bool:
-    """Whether the automorphisms in ``gens`` that fix ``prefix`` pointwise
-    generate one that maps ``v`` into ``others``."""
-    fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-    orbit, frontier = {v}, [v]
-    while frontier:
-        x = frontier.pop()
-        for g in fixing:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                frontier.append(g[x])
-    return not orbit.isdisjoint(others)
+def _target_cell(cells: list) -> list[int] | None:
+    """The members of the lowest cell of several, or None if discrete."""
+    return next((cell for cell in cells if cell is not None and len(cell) > 1), None)
+
+
+def _find(orbits: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find ``orbits``, halving its path."""
+    while orbits[x] != x:
+        orbits[x] = x = orbits[orbits[x]]
+    return x
+
+
+def _join(orbits: list[int], gamma: list[int]) -> None:
+    """Join in the union-find ``orbits`` each point moved by ``gamma`` to its image."""
+    for a, b in enumerate(gamma):
+        if a != b:
+            orbits[_find(orbits, a)] = _find(orbits, b)
+
+
+def _orbits(n: int, gens: list[list[int]], prefix) -> list[int]:
+    """A union-find of the orbits of the group that the generators in
+    ``gens`` fixing ``prefix`` pointwise generate."""
+    orbits = list(range(n))
+    for gamma in gens:
+        if all(gamma[p] == p for p in prefix):
+            _join(orbits, gamma)
+    return orbits
+
+
+def _in_orbit(orbits: list[int], v: int, others: list[int]) -> bool:
+    """Whether ``v`` shares an orbit of ``orbits`` with one of ``others``."""
+    root = _find(orbits, v)
+    return any(_find(orbits, x) == root for x in others)
 
 
 def _component_form(records: list) -> tuple[tuple, list]:
     """Certificate and canonically ordered records of one connected component.
 
-    Individualization-refinement: refine the colouring, then branch on each
-    member of the lowest ambiguous colour class until the colouring is
-    discrete.  A leaf's certificate lists, per position, the record's
-    attributes and its sorted (slot, position) references; the smallest leaf
-    certificate is canonical.  Two leaves with equal certificates give an
-    automorphism, and a child in the orbit of an explored sibling under the
-    automorphisms fixing the node's prefix is skipped (McKay & Piperno,
-    "Practical graph isomorphism II", 2014): its subtree maps onto the
-    sibling's, leaf certificates and all.
+    Individualization-refinement: refine the colouring (:func:`_refine`),
+    then branch on each member of the lowest cell of several until the
+    colouring is discrete.  A leaf's certificate lists, per position, the
+    record's attributes and its sorted references as ``slot * _SLOT +
+    position``; the smallest leaf certificate is canonical.  Two leaves with
+    equal certificates give an automorphism, and a child in the orbit of an
+    explored sibling under the automorphisms fixing the node's prefix is
+    skipped (McKay & Piperno, "Practical graph isomorphism II", 2014): its
+    subtree maps onto the sibling's, leaf certificates and all.  A node keeps
+    those orbits as a union-find, made when its second child is reached and
+    joined along each automorphism found after that.
     """
+    n = len(records)
     index = {rec.id: v for v, rec in enumerate(records)}
     attrs, refs = zip(*map(_describe, records))
-    outs = [[(slot, index[ref]) for slot, ref in named if ref in index] for named in refs]
-    ins: list[list[tuple[int, int]]] = [[] for _ in records]
-    for v, edges in enumerate(outs):
-        for slot, j in edges:
-            ins[j].append((slot, v))
+    outs, ins = _edges([[(slot, index[ref]) for slot, ref in named if ref in index]
+                        for named in refs])
 
     def leaf(colors: list[int]) -> tuple[tuple, list[int]]:
-        order = sorted(range(len(colors)), key=colors.__getitem__)
-        return tuple((attrs[v], tuple(sorted([(slot, colors[j]) for slot, j in outs[v]])))
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        return tuple((attrs[v], tuple(sorted([key + colors[j] for key, j in outs[v]])))
                      for v in order), order
 
-    ranks = {a: k for k, a in enumerate(sorted(set(attrs)))}
-    root = _refine([ranks[a] for a in attrs], outs, ins)
-    cell = _target_cell(root)
+    colors, cells = _partition(attrs)
+    _refine(colors, cells, outs, ins)
+    cell = _target_cell(cells)
     if cell is None:
-        best = leaf(root)
+        best = leaf(colors)
     else:
         best = first = None
         gens: list[list[int]] = []
-        identity = list(range(len(records)))
-        # a node is (individualized prefix, colours, its cell's members left, children explored)
-        stack = [((), root, iter(cell), [])]
+        identity = list(range(n))
+        # a node is [individualized prefix, colours, cells, its cell's members
+        # left, children explored, orbits or None until a second child]
+        stack = [[(), colors, cells, iter(cell), [], None]]
         while stack:
-            prefix, colors, todo, explored = stack[-1]
+            node = stack[-1]
+            prefix, colors, cells, todo, explored, orbits = node
             v = next(todo, None)
             if v is None:
                 stack.pop()
                 continue
-            if explored and _in_orbit(v, explored, gens, prefix):
-                continue
+            if explored:
+                if orbits is None:
+                    orbits = node[5] = _orbits(n, gens, prefix)
+                if _in_orbit(orbits, v, explored):
+                    continue
             explored.append(v)
-            split = [2 * c + 1 for c in colors]
-            split[v] -= 1
-            child = _refine(split, outs, ins)
-            cell = _target_cell(child)
+            colors, cells = colors[:], cells[:]
+            _refine(colors, cells, outs, ins, _individualize(colors, cells, v))
+            cell = _target_cell(cells)
             if cell is not None:
-                stack.append((prefix + (v,), child, iter(cell), []))
+                stack.append([prefix + (v,), colors, cells, iter(cell), [], None])
                 continue
-            found = leaf(child)
+            found = leaf(colors)
             if first is None:
                 best = first = found
                 continue
@@ -484,10 +574,16 @@ def _component_form(records: list) -> tuple[tuple, list]:
             if gamma == identity:
                 continue
             gens.append(gamma)
+            # the nodes whose prefix gamma fixes are the shallowest ones
+            for above, _colors, _cells, _todo, _done, kept in stack:
+                if above and gamma[above[-1]] != above[-1]:
+                    break
+                if kept is not None:
+                    _join(kept, gamma)
             # drop the subtree of the shallowest node whose current child is
             # now known to be equivalent to a sibling explored before it
-            for depth, (above, _colors, _todo, done) in enumerate(stack):
-                if len(done) > 1 and _in_orbit(done[-1], done[:-1], gens, above):
+            for depth, (_above, _colors, _cells, _todo, done, kept) in enumerate(stack):
+                if len(done) > 1 and _in_orbit(kept, done[-1], done[:-1]):
                     del stack[depth + 1:]
                     break
     cert, order = best
@@ -499,14 +595,10 @@ def _render(records: list, offset: int) -> list[str]:
     ``records`` named ``n{offset}``, ``n{offset+1}``, ..., each section as
     ``json.dumps`` writes it between the brackets of its list."""
     rename = {rec.id: f"n{offset + i}" for i, rec in enumerate(records)}.__getitem__
-    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    sections: tuple[list[str], ...] = ([], [], [], [])
     for rec in records:
-        section, item = emit_record(rec, rename)
-        doc[section].append(item)
-    # One encoder call for the four lists, whose fixed per-call cost dominates
-    # a small component.  An entry closes a list only after its ports, where a
-    # key follows, so "], [" occurs only between two of the four.
-    return json.dumps(list(doc.values()))[2:-2].split("], [")
+        sections[_SECTION[type(rec)]].append(record_text(rec, rename))
+    return [", ".join(texts) for texts in sections]
 
 
 def _canonical_document(cx: Complex, forms: dict) -> str:

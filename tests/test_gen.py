@@ -102,3 +102,14 @@ def test_fresh_names_skip_every_id_and_each_other(one_bridge_sphere):
     assert _fresh_names(cx, ["H", "X", "X", "u", "H"]) == ["H1", "X", "X1", "u1", "H2"]
     assert _ids(cx) == {"H", "u", "d"}
     assert _fresh_names(cx, ["X"]) == ["X"]
+
+
+@pytest.mark.parametrize("field, least", [("max_thick", 1), ("max_genus", 0),
+                                          ("max_punctures", 0), ("max_ports", 0)])
+def test_gen_complex_refuses_bounds_below_their_least(field, least):
+    """The library refuses what the CLI refuses, rather than generating a
+    one-level complex for ``max_thick=-5``; each least value is accepted."""
+    for value in (least - 1, -5):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, not {value}$"):
+            gen_complex(GenConfig(**{field: value}))
+    assert validate(gen_complex(GenConfig(**{field: least}))).ok

@@ -1,7 +1,9 @@
 import copy
 import graphlib
+import json
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,7 +28,7 @@ from widthcalc.model import (
     topological_order,
     validate,
 )
-from widthcalc import model
+from widthcalc import model, moves
 from widthcalc.complexity import complexity
 from widthcalc.gen import GenConfig, gen_complex
 from conftest import bdy, cb, sphere_chain, thick, thin
@@ -831,3 +833,122 @@ def test_validate_never_raises_on_odd_field_values(pair):
     base, cx = pair
     report = model.validation(model._derived(cx, base)).report
     assert report == validate(replace(cx)) and str(report)
+
+
+def _checks_of_every_body(cx):
+    """Each body's index from the stopping check and from the reporting one,
+    and the violations the stopping check built, counted by patching
+    ``model.Violation``."""
+    built = []
+
+    class Counted(model.Violation):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    got = []
+    for body in cx.cbs.values():
+        reads = model._reads(body, cx.thick.get, cx.thin.get, cx.boundary.get)
+        full = model._check_cb(body, reads, [])
+        real, model.Violation = model.Violation, Counted
+        try:
+            fast = model.check_body(body, cx.thick.get, cx.thin.get, cx.boundary.get)
+        finally:
+            model.Violation = real
+        got.append((fast, full))
+    return got, built
+
+
+@settings(max_examples=200, deadline=None)
+@given(messy_complexes() | complexes_with_odd_fields().map(lambda pair: pair[1]))
+def test_check_body_stops_at_the_first_failure_and_builds_no_report(cx):
+    """``check_body`` decides as the reporting check does, and builds no
+    violation and no message for a body that fails."""
+    got, built = _checks_of_every_body(cx)
+    assert built == []
+    for fast, full in got:
+        assert fast == full
+
+
+def test_check_body_builds_nothing_on_the_rejections_of_thin(monkeypatch):
+    """Work-count gate: over 20 thin-random instances the move gate's body
+    checks built 706 violations that nothing read; now none is built outside
+    a validation."""
+    from widthcalc.gen import enumerate_moves
+    from widthcalc.search import thin as thin_run
+
+    built = Counter()
+    real = model.Violation
+    in_gate = []
+
+    class Counted(real):
+        def __init__(self, *args):
+            built[bool(in_gate)] += 1
+            super().__init__(*args)
+
+    check = model.check_body
+
+    def gated(*args):
+        in_gate.append(True)
+        try:
+            return check(*args)
+        finally:
+            in_gate.pop()
+
+    monkeypatch.setattr(model, "Violation", Counted)
+    monkeypatch.setattr(moves, "check_body", gated)
+    for i in range(20):
+        thin_run(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)), enumerate_moves)
+    assert built[True] == 0
+
+
+# ---------------------------------------------------------------------------
+# Direct record text
+# ---------------------------------------------------------------------------
+
+def _text_cases():
+    """Records of every kind: each certificate and drilled flag both ways,
+    bodies of 0, 1 and many ports, and fields a library caller may set to
+    values the parser never makes."""
+    records = [
+        ThickLevel("H", Surface(2, 4), "u", "d"),
+        ThinLevel("F", Surface(1, 2), "u", "d"),
+        BoundaryLevel("B", Surface(0, 3), "u", False),
+        BoundaryLevel("B", Surface(0, 3), "u", True),
+        ThickLevel("H", Surface(True, None), "u", "d"),
+        ThinLevel("F", Surface(1.5, "x"), "u", "d"),
+    ]
+    for product in (False, True):
+        for ball in (False, True):
+            for ports in ((), ("p0",), tuple(f"p{k}" for k in range(12))):
+                records.append(CompressionBody("c", "H", ports, Tangle(1, 2, 3, 4), product, ball))
+    records.append(CompressionBody("c", "H", ("p0",), Tangle(False, 0.5, None, "x"), 1, None))
+    return records
+
+
+@pytest.mark.parametrize("offset", [0, 5, 88, 988])
+def test_record_text_is_what_json_writes_of_the_emitted_record(offset):
+    """``record_text`` writes the JSON text of ``emit_record``'s entry
+    itself.  Ports are sorted after renaming, as strings: the twelve ports
+    are named from ``n{offset + 6}``, which crosses n9/n10, n99/n100 and
+    n999/n1000 at offsets 0, 88 and 988, and their order then differs from
+    numeric order."""
+    ids = ["H", "F", "B", "u", "d", "c"] + [f"p{k}" for k in range(12)]
+    rename = {old: f"n{offset + k}" for k, old in enumerate(ids)}.__getitem__
+    for name in (str, rename):
+        for rec in _text_cases():
+            assert model.record_text(rec, name) == json.dumps(model.emit_record(rec, name)[1])
+    body = CompressionBody("c", "H", tuple(f"p{k}" for k in range(12)))
+    ports = json.loads(model.record_text(body, rename))["minus"]
+    assert ports == sorted(ports)
+    assert (ports == sorted(ports, key=lambda port: int(port[1:]))) == (offset == 5)
+
+
+def test_records_keep_their_hash_but_do_not_pickle_it(chain_two):
+    """A record computes its hash once and keeps it; a pickled record
+    carries only its fields, since string hashes differ between processes."""
+    for rec in [*chain_two.thick.values(), *chain_two.thin.values(), *chain_two.cbs.values()]:
+        want = hash(rec)
+        assert rec.__dict__["_hash"] == want == hash(replace(rec))
+        copy_ = pickle.loads(pickle.dumps(rec))
+        assert "_hash" not in copy_.__dict__ and copy_ == rec and hash(copy_) == want

@@ -60,15 +60,16 @@ def _ins(outs):
 # after individualizing one vertex of its parent's.
 
 def _engine_root(keys, outs):
-    colors = search._refine(_dense(keys), outs, _ins(outs))
-    return colors, colors
+    colors, cells = search._partition(keys)
+    search._refine(colors, cells, *search._edges(outs))
+    return colors, (colors, cells)
 
 
 def _engine_child(state, v, outs):
-    split = [2 * c + 1 for c in state]
-    split[v] -= 1
-    colors = search._refine(split, outs, _ins(outs))
-    return colors, colors
+    colors, cells = state[0][:], state[1][:]
+    split = search._individualize(colors, cells, v)
+    search._refine(colors, cells, *search._edges(outs), split)
+    return colors, (colors, cells)
 
 
 def _target(ref) -> list[int]:

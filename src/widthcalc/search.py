@@ -422,47 +422,77 @@ def _refine(colors: list[int], cells: list, outs, ins, changed=None) -> None:
     signature and laid out from the cell's start.  The cells are then those
     of ranking (colour, signature) over all vertices in every round, so the
     colours are order-isomorphic to those ranks and equal them once
-    discrete.  A cell none of whose members is adjacent to a cell split in
-    the round before cannot split, so each round looks only at the cells
-    next to the last round's splits: ``changed`` lists the starts of the
-    cells changed before the first round, every cell when None.
+    discrete.
+
+    A round computes only the signatures that can tell members of a cell
+    apart.  The members of a cell had equal signatures in the round that
+    made it.  A member whose neighbours in each cell split since then all
+    lie in one piece, the largest, sees that piece where it saw the whole
+    cell, so all such members of a cell still have equal signatures.  A
+    round therefore computes the signatures of the members adjacent to the
+    other pieces, and of one other member of their cell, which stands for
+    the rest.  This is Hopcroft's rule of skipping the largest piece, used
+    only to choose which signatures to compute: the pieces are still
+    ordered by their full signatures, so the cells and their order are
+    those of ranking every vertex.  ``changed`` lists the starts of the
+    pieces split off before the first round other than the largest of each
+    cell, as :func:`_individualize` gives them, or is None when the
+    colouring is not known to be equitable; the first round then computes
+    every signature.
     """
     if changed is None:
-        changed = [s for s, cell in enumerate(cells) if cell is not None]
-    while changed:
-        near = {colors[j] for s in changed for x in cells[s]
-                for edges in (outs[x], ins[x]) for _key, j in edges}
+        near = {s: cell for s, cell in enumerate(cells) if cell is not None and len(cell) > 1}
+    else:
+        near = None
+    while True:
+        if near is None:
+            near = {}
+            for j in {j for s in changed for x in cells[s]
+                      for edges in (outs[x], ins[x]) for _key, j in edges}:
+                c = colors[j]
+                if len(cells[c]) > 1:
+                    near.setdefault(c, set()).add(j)
         splits = []
-        for s in near:
+        for s, seen in near.items():
             cell = cells[s]
-            if len(cell) == 1:
-                continue
+            whole = len(seen) == len(cell)
+            # a member not seen, put last, stands for all of them
+            members = cell if whole else [*seen, next(v for v in cell if v not in seen)]
             groups: dict[tuple, list[int]] = {}
-            for v in cell:
+            for v in members:
                 sig = (tuple(sorted([key + colors[j] for key, j in outs[v]])),
                        tuple(sorted([key + colors[j] for key, j in ins[v]])))
                 groups.setdefault(sig, []).append(v)
             if len(groups) > 1:
+                if not whole:  # every member in its piece, in vertex order
+                    of = {v: piece for piece, group in groups.items() for v in group}
+                    groups = {piece: [] for piece in groups}
+                    for v in cell:
+                        groups[of.get(v, sig)].append(v)
                 splits.append((s, groups))
-        changed = []
+        if not splits:
+            return
+        changed, near = [], None
         for s, groups in splits:
+            largest = max(groups.values(), key=len)
             for sig in sorted(groups):
                 members = cells[s] = groups[sig]
                 for v in members:
                     colors[v] = s
-                changed.append(s)
+                if members is not largest:
+                    changed.append(s)
                 s += len(members)
 
 
 def _individualize(colors: list[int], cells: list, v: int) -> list[int]:
     """Give ``v`` a cell of its own at the start of its cell, in place; the
-    starts of the two cells changed."""
+    start of the piece split off, ``v``'s own, for :func:`_refine`."""
     s = colors[v]
     rest = [u for u in cells[s] if u != v]
     cells[s], cells[s + 1] = [v], rest
     for u in rest:
         colors[u] = s + 1
-    return [s, s + 1]
+    return [s]
 
 
 def _target_cell(cells: list) -> list[int] | None:

@@ -317,10 +317,18 @@ def _check_surface(subject: str, s: Surface, out: list[Violation]) -> None:
         out.append(Violation("punctures_negative", subject, f"punctures {s.punctures!r} must be a non-negative integer"))
 
 
-def _check_tangle(subject: str, t: Tangle, out: list[Violation]) -> None:
+def _check_tangle(subject: str, t: Tangle, out: list[Violation] | None) -> bool:
+    """Whether every count of ``t`` is a non-negative integer.  Each one that
+    is not is appended to ``out``; with ``out`` None the first one ends the
+    check."""
+    ok = True
     for name, n in zip(("verticals", "bridges", "ghosts", "loops"), t.counts()):
         if not isinstance(n, int) or n < 0:
+            if out is None:
+                return False
+            ok = False
             out.append(Violation("tangle_negative", subject, f"{name} {n!r} must be a non-negative integer"))
+    return ok
 
 
 def ghost_excess(ghosts: int, anchors: int) -> int:
@@ -356,11 +364,9 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
     plus, minus = reads
     sub = cb.id
     t = cb.tangle
-    counts_ok = all(isinstance(n, int) and n >= 0 for n in t.counts())
-    if not counts_ok:
-        if out is None:
-            return None
-        _check_tangle(sub, t, out)
+    counts_ok = _check_tangle(sub, t, out)
+    if not counts_ok and out is None:
+        return None
 
     if plus is None:
         if out is not None:
@@ -392,18 +398,17 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
     p_plus = plus.punctures
     need = g_minus + t.loops + ghost_excess(t.ghosts, anchors)
     product, ball = cb.product_certificate, cb.ball_certificate
-    faults = (p_plus != t.verticals + 2 * t.bridges,
-              p_minus != t.verticals + 2 * t.ghosts,
-              plus.genus < g_minus,
-              g_minus <= plus.genus < need,
-              product and ball,
-              product and not _product_profile(plus, minus, t),
-              ball and not _ball_profile(plus, minus, t))
-    if not any(faults):
+    up = p_plus != t.verticals + 2 * t.bridges
+    down = p_minus != t.verticals + 2 * t.ghosts
+    genus = plus.genus < g_minus
+    handles = not genus and plus.genus < need
+    conflict = product and ball
+    product_fault = product and not _product_profile(plus, minus, t)
+    ball_fault = ball and not _ball_profile(plus, minus, t)
+    if not (up or down or genus or handles or conflict or product_fault or ball_fault):
         return profile_index(plus, len(minus), g_minus, p_minus)
     if out is None:
         return None
-    up, down, genus, handles, conflict, product_fault, ball_fault = faults
     if up:
         out.append(Violation(
             "conservation_up", sub,

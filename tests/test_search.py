@@ -655,8 +655,9 @@ def test_canonical_hash_has_no_factorial_blow_up():
     identical levels; the 20 branches also need orbit pruning, and the
     20-level star needs a subtree to be dropped once it is known to be
     equivalent to an explored one, to stay well under the bound.  The 80
-    branches took 10.8 s and the 80-level star 1.39 s when each round of
-    refinement re-ranked every vertex and orbits were rebuilt at every child."""
+    branches took about 11 s and the 80-level star about 1.4 s when each
+    round of refinement re-ranked every vertex and orbits were rebuilt at
+    every child."""
     rng = random.Random(12)
     cases = [(cx, 1.0) for cx in (_star(10), _star(20), _star(10, 0, 4),
                                   _star(10, 0, 4, drilled=(3,)), _branches(20))]

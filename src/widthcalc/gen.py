@@ -77,18 +77,19 @@ def _even(rng: random.Random, lo: int, hi: int) -> int:
 def gen_complex(cfg: GenConfig, rng: random.Random | None = None) -> Complex:
     """Generate a valid complex within the configured bounds.  ``max_thick``
     must be at least 1, and ``max_genus``, ``max_punctures`` and
-    ``max_ports`` at least 0."""
+    ``max_ports`` at least 0.  An invalid complex, a fault of the
+    generator, raises RuntimeError with its report."""
     for name, least in _LEAST.items():
         value = getattr(cfg, name)
         if value < least:
             raise ValueError(f"{name} must be at least {least}, not {value}")
     if rng is None:
         rng = random.Random(cfg.seed)
-    for _ in range(10):
-        cx = _gen_complex_once(cfg, rng)
-        if validate(cx).ok:
-            return cx
-    raise RuntimeError("generator kept producing invalid complexes")
+    cx = _gen_complex_once(cfg, rng)
+    report = validate(cx)
+    if not report.ok:
+        raise RuntimeError(f"generator produced an invalid complex: {report}")
+    return cx
 
 
 def _gen_complex_once(cfg: GenConfig, rng: random.Random) -> Complex:

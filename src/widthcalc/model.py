@@ -64,7 +64,6 @@ __all__ = [
     "require_valid",
     "profile_index",
     "body_index",
-    "check_body",
     "certify",
     "thick_digraph",
     "topological_order",
@@ -660,25 +659,15 @@ def body_index(cx: Complex, cb_id: str) -> int:
     return checked.body[cb_id]
 
 
-def check_body(cb: CompressionBody, thick, thin, boundary) -> int | None:
-    """The index of ``cb`` when it passes its own checks, the ones
-    :func:`validate` runs on every body, else None.  The levels it names are
-    looked up through ``thick``, ``thin`` and ``boundary``, each taking an id
-    to its record or None; so a body can be checked before the complex that
-    will hold it is built.  It stops at the first failure and reports none."""
-    return _check_cb(cb, _reads(cb, thick, thin, boundary), None)
-
-
-def certify(cb: CompressionBody, thick, thin, boundary) -> CompressionBody:
-    """``cb`` with its certificate flags set from its profile, its levels
-    looked up as by :func:`check_body`.  Only a body with at most one minus
-    level can have either profile; a flag whose level is unknown is off, and
-    the body then fails its checks anyway."""
+def certify(cb: CompressionBody, reads: tuple) -> CompressionBody:
+    """``cb`` with its certificate flags set from its profile, read from
+    ``reads``, what :func:`_reads` gives for it.  Only a body with at most
+    one minus level can have either profile; a flag whose level is unknown
+    is off, and the body then fails its checks anyway."""
     flags = False, False
-    if len(cb.minus) <= 1:
-        plus, minus = _reads(cb, thick, thin, boundary)
-        if plus is not None and None not in minus:
-            flags = _product_profile(plus, minus, cb.tangle), _ball_profile(plus, minus, cb.tangle)
+    plus, minus = reads
+    if len(minus) <= 1 and plus is not None and None not in minus:
+        flags = _product_profile(plus, minus, cb.tangle), _ball_profile(plus, minus, cb.tangle)
     if flags == (cb.product_certificate, cb.ball_certificate):
         return cb
     return replace(cb, product_certificate=flags[0], ball_certificate=flags[1])

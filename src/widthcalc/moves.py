@@ -36,19 +36,22 @@ flags from their profiles.  The result must be valid
 from :func:`~widthcalc.complexity.analyze` of input and result (for example
 ``consolidate.merge_index``), and have a strictly smaller complexity vector
 (``<kind>.monotone``).  The untelescope sequence,
-:func:`elementary_thinning_sequence`, uses the prefix ``elementary``.
+:func:`elementary_thinning_sequence`, uses the prefix ``elementary`` for its
+own checks; each of its steps is a gated move, so its result, valid and
+smaller at every step, is handed on without a second gate.
 
-Validity is decided in two steps, cheap first.  Each rebuilt body runs its
-own checks (:func:`~widthcalc.model.check_body`) on the changed records,
-before any complex is built; a body that fails would put a violation in the
-result's report, so the move is rejected at once without building the
-result, and most rejected candidates end here.  Only a candidate whose
-rebuilt bodies pass is built, once, and validated whole
-(:func:`~widthcalc.model.validate`).  The gate records on the result that it
-was derived from the move's valid input, with the rebuilt bodies' indices:
-the rebuilt bodies are not checked twice, and a body whose record and the
-surfaces of its plus level and minus ports are the very objects the input
-holds is not checked again, even when the move re-pointed those levels.
+Validity is decided in two steps, cheap first.  The levels each rebuilt body
+reads are looked up once in the changed records, before any complex is
+built; they serve both to certify the body and to run its own checks.  A
+body that fails would put a violation in the result's report, so the move
+is rejected at once without building the result, and most rejected
+candidates end here.  Only a candidate whose rebuilt bodies pass is built,
+once, and validated whole (:func:`~widthcalc.model.validate`).  The gate
+records on the result that it was derived from the move's valid input, with
+the rebuilt bodies' indices: the rebuilt bodies are not checked twice, and a
+body whose record and the surfaces of its plus level and minus ports are the
+very objects the input holds is not checked again, even when the move
+re-pointed those levels.
 
 A :class:`MoveRejected` formats its message when it is first read: the
 message of ``result_invalid`` is the report of a whole validation of the
@@ -82,14 +85,15 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _check_cb,
     _derived,
     _id_list,
     _ids,
     _kept,
     _need,
+    _reads,
     body_index,
     certify,
-    check_body,
     components,
     emit_tangle,
     euler_char,
@@ -437,8 +441,9 @@ def _gated(rule: str):
     check, which gets the analyses of input and result (None for no check).
     The gate sets each rebuilt body's certificate flags from its profile and
     runs its own checks on the records; only when they pass is the result
-    built, once.  The gate alone runs the acceptance order the module
-    docstring describes, with rule names prefixed by ``rule``.
+    built, once, and it must then be valid, pass ``check`` and have a
+    strictly smaller vector.  The gate alone runs the acceptance order the
+    module docstring describes, with rule names prefixed by ``rule``.
     """
     def gated(build: Callable[[Complex, Move], Built]):
         @functools.wraps(build)
@@ -448,38 +453,35 @@ def _gated(rule: str):
             checked = _check_rebuilt(maps)
             if checked is None:
                 raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_derived(_build(maps), cx))))
-            return _accept(rule, cx, _derived(_build(maps), cx, checked), check)
+            out = _derived(_build(maps), cx, checked)
+            if not validate(out).ok:
+                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out)))
+            before, after = analyze(cx), analyze(out)
+            if check is not None:
+                check(before, after)
+            if compare(after.vector, before.vector) != LT:
+                raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
+            return out
         return apply
     return gated
 
 
 def _check_rebuilt(maps: tuple[Records, ...]) -> dict[str, int] | None:
-    """Certify every rebuilt body in place, then check each on its own: the
-    bodies' indices, or None when one fails, which puts a violation in the
-    result's report."""
+    """Read each rebuilt body's levels once, certify every rebuilt body in
+    place, then check each on its own: the bodies' indices, or None when one
+    fails, which puts a violation in the result's report."""
     thick, thin, boundary, cbs = maps
+    reads = {}
     for cb_id, cb in cbs.put.items():
-        cbs.put[cb_id] = certify(cb, thick.get, thin.get, boundary.get)
+        reads[cb_id] = _reads(cb, thick.get, thin.get, boundary.get)
+        cbs.put[cb_id] = certify(cb, reads[cb_id])
     checked = {}
     for cb_id, cb in cbs.put.items():
-        index = check_body(cb, thick.get, thin.get, boundary.get)
+        index = _check_cb(cb, reads[cb_id], None)
         if index is None:
             return None
         checked[cb_id] = index
     return checked
-
-
-def _accept(rule: str, cx: Complex, out: Complex, check: Check | None = None) -> Complex:
-    """The rest of the gate on a built result ``out`` of ``cx``: it must be
-    valid, pass ``check`` and have a strictly smaller vector."""
-    if not validate(out).ok:
-        raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out)))
-    before, after = analyze(cx), analyze(out)
-    if check is not None:
-        check(before, after)
-    if compare(after.vector, before.vector) != LT:
-        raise MoveRejected(f"{rule}.monotone", "complexity did not strictly decrease")
-    return out
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
@@ -748,8 +750,9 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
     parallel pieces, so the remaining work is merging the new bodies into
     their old thin neighbours, repeated until no certified product touches a
     thin level.  The doubly spotted level always survives and the complexity
-    vector strictly decreases.  Every step is a gated move, so the result
-    goes through the rest of the gate (:func:`_accept`) as it is.
+    vector strictly decreases.  Every step is a gated move, so the last
+    step's result is valid and, the vector order being transitive, smaller
+    than ``cx``'s: it needs no second gate.
     """
     require_valid(cx)
     if find_product_on_thin(cx) is not None:
@@ -761,7 +764,7 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
     if m.outcome.thin_id not in result.thin:
         raise MoveRejected("elementary.doubly_spotted",
                            "the doubly spotted level did not survive consolidation")
-    return _accept("elementary", cx, result)
+    return result
 
 
 # ---------------------------------------------------------------------------

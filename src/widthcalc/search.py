@@ -210,8 +210,12 @@ class RewriteGraph:
     vectors: dict[str, tuple[int, ...]]
     edges: list[tuple[str, dict, str]]
     truncated: set[str]
-    complete: bool
     diagnostics: Counter[tuple[str | None, str]] = field(default_factory=Counter)
+
+    @property
+    def complete(self) -> bool:
+        """Whether no edge to a new node was dropped for the budget."""
+        return not self.truncated
 
     def successors(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -242,7 +246,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     forms: dict = {}
     root = canonical_hash(cx, _forms=forms)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
-                         edges=[], truncated=set(), complete=True)
+                         edges=[], truncated=set())
     seen_edges: set[tuple[str, str, str]] = set()
     order = [root]
     for digest in order:  # grows while it is read: a FIFO queue
@@ -252,7 +256,6 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
                 if len(graph.nodes) >= max_nodes:
-                    graph.complete = False
                     graph.truncated.add(digest)
                     continue
                 graph.nodes[dst] = result

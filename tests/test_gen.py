@@ -16,6 +16,31 @@ def test_generated_complexes_are_valid():
         assert validate(cx).ok
 
 
+def test_an_invalid_attempt_raises_and_names_its_report(monkeypatch):
+    """The generator makes one attempt: an invalid one raises with its
+    report instead of being replaced by a second attempt."""
+    from dataclasses import replace
+
+    from widthcalc import gen
+
+    real = gen._gen_complex_once
+    attempts = []
+
+    def once_invalid(cfg, rng):
+        cx = real(cfg, rng)
+        attempts.append(cx)
+        if len(attempts) > 1:
+            return cx
+        body = min(cx.cbs.values(), key=lambda c: c.id)
+        bridges = replace(body.tangle, bridges=body.tangle.bridges + 1)
+        return replace(cx, cbs={**cx.cbs, body.id: replace(body, tangle=bridges)})
+
+    monkeypatch.setattr(gen, "_gen_complex_once", once_invalid)
+    with pytest.raises(RuntimeError, match=r"invalid complex: .*conservation_up"):
+        gen_complex(GenConfig(max_thick=3, seed=1))
+    assert len(attempts) == 1
+
+
 def test_generation_is_deterministic():
     cfg = GenConfig(max_thick=3, seed=123)
     assert gen_complex(cfg) == gen_complex(cfg)

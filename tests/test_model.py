@@ -279,7 +279,7 @@ def test_a_repeated_minus_port_is_reported_on_the_body():
                        [CompressionBody("u", "H", ("S", "S")), cb("d", "H")])
     violations = [v for v in validate(cx).violations if v.subject == "u"]
     assert [str(v) for v in violations] == ["[port_multiplicity] u: repeated minus port"]
-    assert model.check_body(cx.cbs["u"], cx.thick.get, cx.thin.get, cx.boundary.get) is None
+    assert _stopping_check(cx, cx.cbs["u"]) is None
 
 
 @pytest.mark.parametrize("n", [2, 2000])
@@ -802,7 +802,7 @@ def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
 def test_validate_reports_non_integer_fields_of_library_records(cx, body, report):
     # the field is reported once; a body that reads it gets no index
     assert str(validate(cx)) == report
-    assert model.check_body(cx.cbs[body], cx.thick.get, cx.thin.get, cx.boundary.get) is None
+    assert _stopping_check(cx, cx.cbs[body]) is None
 
 
 odd_values = st.integers(-2, 4) | st.floats() | st.text(max_size=2) | st.none() | st.booleans()
@@ -835,6 +835,12 @@ def test_validate_never_raises_on_odd_field_values(pair):
     assert report == validate(replace(cx)) and str(report)
 
 
+def _stopping_check(cx, body):
+    """The check the move gate runs on a body, on the levels of ``cx`` it
+    reads: the body's index, or None at its first failure."""
+    return model._check_cb(body, model._reads(body, cx.thick.get, cx.thin.get, cx.boundary.get), None)
+
+
 def _checks_of_every_body(cx):
     """Each body's index from the stopping check and from the reporting one,
     and the violations the stopping check built, counted by patching
@@ -852,7 +858,7 @@ def _checks_of_every_body(cx):
         full = model._check_cb(body, reads, [])
         real, model.Violation = model.Violation, Counted
         try:
-            fast = model.check_body(body, cx.thick.get, cx.thin.get, cx.boundary.get)
+            fast = model._check_cb(body, reads, None)
         finally:
             model.Violation = real
         got.append((fast, full))
@@ -861,16 +867,17 @@ def _checks_of_every_body(cx):
 
 @settings(max_examples=200, deadline=None)
 @given(messy_complexes() | complexes_with_odd_fields().map(lambda pair: pair[1]))
-def test_check_body_stops_at_the_first_failure_and_builds_no_report(cx):
-    """``check_body`` decides as the reporting check does, and builds no
-    violation and no message for a body that fails."""
+def test_stopping_check_stops_at_the_first_failure_and_builds_no_report(cx):
+    """The stopping check (``_check_cb`` with no report) decides as the
+    reporting check does, and builds no violation and no message for a body
+    that fails."""
     got, built = _checks_of_every_body(cx)
     assert built == []
     for fast, full in got:
         assert fast == full
 
 
-def test_check_body_builds_nothing_on_the_rejections_of_thin(monkeypatch):
+def test_gate_body_checks_build_nothing_on_the_rejections_of_thin(monkeypatch):
     """Work-count gate: over 20 thin-random instances the move gate's body
     checks built 706 violations that nothing read; now none is built outside
     a validation."""
@@ -886,7 +893,7 @@ def test_check_body_builds_nothing_on_the_rejections_of_thin(monkeypatch):
             built[bool(in_gate)] += 1
             super().__init__(*args)
 
-    check = model.check_body
+    check = moves._check_cb
 
     def gated(*args):
         in_gate.append(True)
@@ -896,7 +903,7 @@ def test_check_body_builds_nothing_on_the_rejections_of_thin(monkeypatch):
             in_gate.pop()
 
     monkeypatch.setattr(model, "Violation", Counted)
-    monkeypatch.setattr(moves, "check_body", gated)
+    monkeypatch.setattr(moves, "_check_cb", gated)
     for i in range(20):
         thin_run(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)), enumerate_moves)
     assert built[True] == 0

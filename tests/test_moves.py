@@ -789,10 +789,10 @@ def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
                 checked_apply(cx, m)
             except MoveRejected:
                 pass
-    assert counts == {"valid": 2660, "invalid": 0, "formatted": 614}
+    assert counts == {"valid": 1887, "invalid": 0, "formatted": 614}
     _final, trace = thin_run(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves, cap=10)
     assert len(trace.steps) == 10
-    assert counts["valid"] > 2660 and counts["formatted"] > 614
+    assert counts["valid"] > 1887 and counts["formatted"] > 614
 
 
 def test_gate_checks_rebuilt_bodies_first_and_formats_the_report_when_read(one_bridge_sphere, monkeypatch):
@@ -879,8 +879,8 @@ def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, ta
     """For every candidate that passes its kind's pre-checks, the gate's
     decision on the changed records, before any complex is built, is
     whether every rebuilt body of the built result passes its own checks
-    (``check_body``), and the indices it hands on are the ones a full
-    validation gives.  Candidates are the proposer's and general
+    (the stopping ``_check_cb``), and the indices it hands on are the ones a
+    full validation gives.  Candidates are the proposer's and general
     redistributions with drawn tangles."""
     cx = gen_complex(GenConfig(max_thick=4, seed=seed))
     candidates = enumerate_moves(cx)
@@ -895,12 +895,43 @@ def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, ta
         checked = moves._check_rebuilt(maps)
         out = moves._build(maps)
         rebuilt = list(maps[3].put)
+        reads = {cb_id: model._reads(out.cbs[cb_id], out.thick.get, out.thin.get, out.boundary.get)
+                 for cb_id in rebuilt}
         assert (checked is not None) == all(
-            model.check_body(out.cbs[cb_id], out.thick.get, out.thin.get, out.boundary.get) is not None
-            for cb_id in rebuilt)
+            model._check_cb(out.cbs[cb_id], reads[cb_id], None) is not None for cb_id in rebuilt)
         if checked is not None:
             body = model._validation(out).body
             assert checked == {cb_id: body[cb_id] for cb_id in rebuilt}
+
+
+def test_gate_reads_each_rebuilt_body_once(monkeypatch):
+    """Work-count gate: the gate looks up the levels of each rebuilt body
+    once, and the same reads set its certificate flags and run its own
+    checks.  Looking them up for each apart read every body of at most one
+    minus port twice."""
+    reads = Counter()
+    real = model._reads
+
+    def counting(cb, *args):
+        reads[cb.id] += 1
+        return real(cb, *args)
+
+    monkeypatch.setattr(model, "_reads", counting)
+    monkeypatch.setattr(moves, "_reads", counting)
+    rebuilt = narrow = 0
+    for seed in range(20):
+        cx = gen_complex(GenConfig(max_thick=4, seed=seed))
+        for m in enumerate_moves(cx):
+            try:
+                maps, _check = _BUILDS[type(m)].__wrapped__(cx, m)
+            except MoveRejected:
+                continue
+            reads.clear()
+            moves._check_rebuilt(maps)
+            assert reads == dict.fromkeys(maps[3].put, 1)
+            rebuilt += len(maps[3].put)
+            narrow += sum(len(body.minus) <= 1 for body in maps[3].put.values())
+    assert rebuilt > narrow > 0
 
 
 def test_boundary_reduce_keeps_outcomes_per_exact_disc(monkeypatch):

@@ -162,6 +162,7 @@ def test_thin_rechecks_only_the_bodies_each_move_touched(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(model, "_check_cb", counting)
+    monkeypatch.setattr(moves, "_check_cb", counting)
     final, trace = thin(gen_complex(GenConfig(max_thick=24, seed=0)), enumerate_moves)
     assert trace.terminal and len(trace.steps) == 42
     assert complexity(final) == (88, 76, 76, 70, 66, 66, 60, 52, 50, 50, 44,
@@ -207,6 +208,7 @@ def test_thin_checks_each_rebuilt_body_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(model, "_check_cb", counting)
+    monkeypatch.setattr(moves, "_check_cb", counting)
     final, trace = thin(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves)
     assert trace.terminal and len(trace.steps) == 109
     assert calls == 7925

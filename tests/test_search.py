@@ -1080,6 +1080,36 @@ def test_golden_driver_outcomes():
     assert digest == DRIVER_GOLDEN_DIGEST
 
 
+UNION_THIN_GOLDEN_DIGEST = "c6c6252f5941be267c94dd420c0d7f0d73ea77f4e29fa8f4663c7d9b9ca79cc8"
+
+
+def test_golden_thin_on_unions():
+    """What ``thin`` does under both policies on shuffled unions of 2 to 4
+    relabelled copies, every other one beside a component that owns a small
+    boundary sphere: the start digest, each step's digest and move document,
+    the sorted rejection counts and the bytes of the final complex."""
+    rng = random.Random(18)
+    outcomes = []
+    kinds = Counter()
+    for i in range(6):
+        base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1800 + i))
+        for copies in (2, 3, 4):
+            parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
+            if (i + copies) % 2:
+                parts.append(_small_sphere_part())
+            cx = _union(parts, rng)
+            for policy in ("first", "greedy-max-drop"):
+                final, trace = thin(cx, enumerate_moves, policy=policy)
+                kinds.update(s.move["kind"] for s in trace.steps)
+                outcomes.append([trace.start_digest, trace.terminal,
+                                 [[s.digest, s.move] for s in trace.steps],
+                                 sorted([*key, n] for key, n in trace.diagnostics.items()),
+                                 json.dumps(emit_complex(final))])
+    assert len(kinds) >= 3
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+    assert digest == UNION_THIN_GOLDEN_DIGEST
+
+
 def test_rewrite_graph_skips_offers_that_are_not_moves(one_bridge_sphere):
     """A proposer may offer anything; an offer that is not a move is
     rejected like an invalid certificate, not looked up."""

@@ -27,6 +27,7 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _ball_profile,
     _ids,
     build_complex,
     ghost_excess,
@@ -44,6 +45,7 @@ from .moves import (
     UndoRemovable,
     Untelescope,
     UntelescopeOutcome,
+    _products_on_thin,
     _sphere_blocks,
     applicable,
 )
@@ -214,8 +216,7 @@ def _gen_complex_once(cfg: GenConfig, rng: random.Random) -> Complex:
             b = (p_h - s["v"]) // 2
             tangle = Tangle(s["v"], b, s["gh"], s["loops"])
             is_plant = plant is not None and c == cd
-            ball = (not ports_of[c] and g_h == 0 and p_h in (0, 2)
-                    and tangle.counts() in ((0, 0, 0, 0), (0, 1, 0, 0)))
+            ball = _ball_profile(Surface(g_h, p_h), [port_surface[p] for p in ports_of[c]], tangle)
             bodies.append(CompressionBody(
                 c, t, tuple(ports_of[c]), tangle,
                 product_certificate=is_plant, ball_certificate=ball))
@@ -290,11 +291,7 @@ def enumerate_moves(cx: Complex) -> list[Move]:
     Candidates are not pre-filtered through the full engine; callers apply
     them and skip rejections.
     """
-    moves: list[Move] = []
-    for cb_id in sorted(cx.cbs):
-        cb = cx.cbs[cb_id]
-        if cb.product_certificate and len(cb.minus) == 1 and cb.minus[0] in cx.thin:
-            moves.append(Consolidate(thick=cb.plus, thin=cb.minus[0]))
+    moves: list[Move] = [Consolidate(thick=t_id, thin=f_id) for t_id, f_id in _products_on_thin(cx)]
 
     # destabilizing needs a component free of small boundary spheres
     blocked = _sphere_blocks(cx)
@@ -338,5 +335,5 @@ def gen_move(cx: Complex, rng: random.Random) -> Move | None:
     """A random certificate that the engine accepts, or None."""
     candidates = enumerate_moves(cx)
     rng.shuffle(candidates)
-    return next((move for move, _result in applicable(cx, candidates, Counter())), None)
+    return next((move for move, _result, _vector in applicable(cx, candidates, Counter())), None)
 

@@ -487,11 +487,12 @@ def validate(cx: Complex) -> ValidationReport:
     digraph on thick levels is acyclic and non-empty.  The checks run once
     per complex; later calls return the same report.
 
-    A complex the engine derived from a valid one (a move's result, or one
-    component by :func:`restrict`) skips the checks of a body whose record,
-    plus-level surface and minus-port surfaces are the very objects they
-    were there: the body's index is read from the valid complex.  The report,
-    indices and flow digraph are the same as a full validation's.
+    A complex the engine derived from a valid one (a move's result, one
+    component by :func:`restrict`, or a union the candidate loop joins from
+    components) skips the checks of a body whose record, plus-level surface
+    and minus-port surfaces are the very objects they were there: the body's
+    index is read from the valid complex.  The report, indices and flow
+    digraph are the same as a full validation's.
     """
     return validation(cx).report
 

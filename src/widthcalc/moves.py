@@ -59,6 +59,22 @@ result, the same as a full validation's, and the result is built and that
 report worked out only when someone prints it.  A caller that only counts
 rules, like :func:`~widthcalc.search.thin`, pays for none of it.
 
+Every driver reads one candidate loop, :func:`applicable`, which applies
+each offer per component.  The vector of a disjoint union is the sorted
+merge of its parts' vectors, and comparing sorted vectors is the multiset
+order, where M < N exactly when M + K < N + K (Dershowitz & Manna, CACM 22,
+1979): a move that touches one component is decided on it alone as on the
+whole complex.  An offer goes to the component that holds every id it names
+(:func:`named_ids`), and to the whole complex when those ids span components
+(a fresh outcome id taken elsewhere, for ``untelescope.fresh_ids``), when it
+is not a move, or when ``elementary.pre`` applies.  Every other rule reads
+only the component, ``destabilize.boundary_sphere`` included.  A complex
+keeps its components as complexes, each keeps the moves accepted on it with
+their results, and a result joined from components keeps them as its own:
+an untouched copy in a symmetric union, carried as the same object from
+complex to complex, pays for a move once.  Rejections are not kept; each is
+applied again on its component, so :func:`apply_move` raises every one.
+
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
 its JSON key, its type and, for an optional field, its default.  A required
@@ -95,13 +111,16 @@ from .model import (
     body_index,
     certify,
     components,
+    disjoint_union,
     emit_tangle,
     euler_char,
     ghost_excess,
     parse_tangle,
     profile_index,
     require_valid,
+    restrict,
     validate,
+    validation,
 )
 from .complexity import LT, Analysis, analyze, compare
 
@@ -554,8 +573,7 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
     if p_id is None:
         raise MoveRejected("consolidate.product",
                            f"no product-certified body of {m.thick!r} touches {m.thin!r}")
-    if p_id not in (Q.from_cb, Q.to_cb):
-        raise MoveRejected("consolidate.product", "thin level does not touch the product body")
+    # the valid input holds m.thin in the minus levels of Q's two sides only
     a_id = Q.to_cb if Q.from_cb == p_id else Q.from_cb
     b_id = H.lower_cb if p_id == H.upper_cb else H.upper_cb
 
@@ -728,18 +746,18 @@ def _outcome_ids(out: UntelescopeOutcome) -> list[str]:
 
 def find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
     """The (thick, thin) pair of the least body id that is product-certified
-    and has a thin level as its only minus level; None if there is none.
-    Kept on the instance."""
-    return _kept(cx, "_product_on_thin", _find_product_on_thin)
+    and has a thin level as its only minus level; None if there is none."""
+    pairs = _products_on_thin(cx)
+    return pairs[0] if pairs else None
 
 
-def _find_product_on_thin(cx: Complex) -> tuple[str, str] | None:
-    first = min((cb_id for cb_id, cb in cx.cbs.items() if cb.product_certificate
-                 and len(cb.minus) == 1 and cb.minus[0] in cx.thin), default=None)
-    if first is None:
-        return None
-    cb = cx.cbs[first]
-    return cb.plus, cb.minus[0]
+def _products_on_thin(cx: Complex) -> list[tuple[str, str]]:
+    """The (thick, thin) pair of each product-certified body whose only minus
+    level is a thin level, in body-id order.  Kept on the instance; callers
+    must not mutate it."""
+    return _kept(cx, "_products_on_thin", lambda cx: [(thick, thin) for _id, thick, thin in sorted(
+        (cb.id, cb.plus, cb.minus[0]) for cb in cx.cbs.values()
+        if cb.product_certificate and len(cb.minus) == 1 and cb.minus[0] in cx.thin)])
 
 
 def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
@@ -984,24 +1002,6 @@ def apply_move(cx: Complex, m: Move) -> Complex:
 REDUCING = (Destabilize, Unperturb, UndoRemovable)
 
 
-def applicable(cx: Complex, moves: Iterable[Move],
-               rejected: Counter[tuple[str | None, str]]) -> Iterator[tuple[Move, Complex]]:
-    """``(move, result)`` for each of ``moves`` that applies to ``cx``, in order.
-
-    Each rejection is counted in ``rejected`` under (move document ``kind``,
-    rule), and its message is never formatted; an offer that is not a move
-    counts under ``(None, "move.kind")``.  Moves are applied as they are
-    asked for, so a caller that stops early applies no more.
-    """
-    for move in moves:
-        try:
-            result = apply_move(cx, move)
-        except MoveRejected as err:
-            rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
-            continue
-        yield move, result
-
-
 def named_ids(cx: Complex, move) -> list[str] | None:
     """The ids ``move`` names, its thick level first, then a consolidation's
     thin level, an untelescope's outcome ids and split ports, or a
@@ -1024,6 +1024,84 @@ def named_ids(cx: Complex, move) -> list[str] | None:
     return [move.thick] if kind in _KINDS else None
 
 
+def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None, str]]
+               ) -> Iterator[tuple[Move, Complex, tuple[int, ...]]]:
+    """``(move, result, its vector)`` for each of ``offers`` that applies to
+    the valid ``cx``, in order, each applied per component (see the module
+    docstring).
+
+    Each rejection is counted in ``rejected`` under (move document ``kind``,
+    rule), and its message is never formatted; an offer that is not a move
+    counts under ``(None, "move.kind")``.  Offers are applied as they are
+    asked for, so a caller that stops early applies no more.  An offer
+    routed to one of :func:`_parts` is looked up in the moves accepted on
+    that part, kept on it under ``_accepted`` and keyed by value, since a
+    proposer builds new move objects.  The result is the other parts and
+    the parts of the part's result side by side, kept as its ``_parts``, and
+    its vector the sorted merge of theirs.  A ``cx`` of one component
+    applies every offer whole: it reads no ``named_ids`` and hashes no move.
+    """
+    require_valid(cx)
+    parts = _parts(cx)
+    home = None
+    if len(parts) > 1:
+        home = {name: k for k, part in enumerate(parts) for name in _ids(part)}
+    for move in offers:
+        k = None if home is None else _home(cx, move, home)
+        part = cx if k is None else parts[k]
+        accepted = None if k is None else _kept(part, "_accepted", lambda _part: {})
+        try:
+            # no move is hashed before one is accepted on the part
+            result = accepted.get(move) if accepted else None
+        except TypeError:  # a move holding a list, say, is never a key
+            result = None
+        if result is None:
+            try:
+                result = apply_move(part, move)
+            except MoveRejected as err:
+                rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
+                continue
+            if accepted is not None:
+                try:
+                    accepted[move] = result
+                except TypeError:
+                    pass
+        if k is None:
+            yield move, result, analyze(result).vector
+            continue
+        joined = parts[:k] + _parts(result) + parts[k + 1:]
+        # every body of the union passed its checks in ``cx`` or in ``result``
+        union = _derived(disjoint_union(joined), cx, validation(result).body)
+        _kept(union, "_parts", lambda _union: joined)
+        entries = [entry for sub in (*parts[:k], result, *parts[k + 1:])
+                   for entry in analyze(sub).vector]
+        yield move, union, tuple(sorted(entries, reverse=True))
+
+
+def _parts(cx: Complex) -> list[Complex]:
+    """The components of ``cx`` as complexes: ``[cx]`` when it is connected,
+    else each one restricted, kept on the instance."""
+    if len(components(cx)) == 1:
+        return [cx]
+    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
+
+
+def _home(cx: Complex, move, home: dict[str, int]) -> int | None:
+    """The part an offer goes to, by the part ``home`` gives for each id of
+    ``cx``: the one holding its thick level, when every other id it names
+    that ``cx`` holds lies there too.  None for an offer to apply to the
+    whole of ``cx``, which includes one whose decision reads all of it
+    (:func:`named_ids`)."""
+    named = named_ids(cx, move)
+    k = None if named is None else home.get(named[0])
+    if k is None:
+        return None
+    for name in named:
+        if home.get(name, k) != k:
+            return None
+    return k
+
+
 def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
     """No certified product touches a thin level and the proposer offers no
     applicable destabilize/unperturb/undo-removable certificate.  The witness
@@ -1034,7 +1112,7 @@ def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
         return False, Consolidate(thick=hit[0], thin=hit[1])
     if proposer is not None:
         reducing = (m for m in proposer(cx) if isinstance(m, REDUCING))
-        for move, _result in applicable(cx, reducing, Counter()):
+        for move, _result, _vector in applicable(cx, reducing, Counter()):
             return False, move
     return True, None
 

@@ -2,7 +2,7 @@
 
 A proposer is any callable producing a finite list of candidate moves for a
 complex; the engine validates every candidate independently, so a proposer is
-free to over-offer.  Both drivers read them through
+free to over-offer.  Both drivers read them through one candidate loop,
 :func:`~widthcalc.moves.applicable`, counting rejections in ``diagnostics``.
 :func:`thin` repeatedly reduces (consolidations and the
 destabilize/unperturb/undo family) and then applies staged untelescope
@@ -22,28 +22,12 @@ before, and each node of the search keeps the orbits of the automorphisms
 found that fix its prefix.  A run keeps one memo of component forms and
 their rendered text keyed on their records, whose hashes the records keep.
 
-:func:`rewrite_graph` also applies moves per component.  The vector of a
-disjoint union is the sorted merge of its parts' vectors, and comparing
-sorted vectors is the multiset order, where M < N exactly when M + K < N + K
-(Dershowitz & Manna, CACM 22, 1979): a move that touches one component is
-decided on it alone as on the whole node.  Routing reads one list,
-:func:`~widthcalc.moves.named_ids`: an offer goes to the sub-complex of the
-component that holds its thick level when every other id it names that the
-node holds lies there too.  It goes to the whole node when some named id
-lies in another component (a fresh outcome id taken elsewhere among them,
-for ``untelescope.fresh_ids``), or when ``named_ids`` gives None: the offer
-is not a move, or it is an untelescope and a product-certified body touches
-a thin level anywhere (``elementary.pre``).  Every other rule reads only the
-component, the ``destabilize.boundary_sphere`` rule included.  The work a
-run reuses is kept on the objects it was done for: a node keeps its
-components as complexes, and each of them keeps the moves accepted on it
-with their results.  The node's result is its other components and the new
-one's parts side by side, which it keeps as its own; its vector is the
-sorted merge of theirs.  So an untouched copy in a symmetric union, carried
-as the same object from node to node, pays for a move once per run.
-Rejections are not kept, on purpose: each is applied again on the small
-sub-complex, so that every rejection is still raised by
-:func:`~widthcalc.moves.apply_move`, where a caller that wraps it counts it.
+:func:`thin` and :func:`rewrite_graph` both apply offers per component,
+through :func:`~widthcalc.moves.applicable`, which gives each result with
+its vector; a result joined from components has its vector merged from
+theirs and is not analyzed whole.  So an untouched copy in a symmetric
+union, carried as the same object from node to node, pays for a move once
+per run.
 """
 
 from __future__ import annotations
@@ -60,25 +44,19 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
-    _ids,
-    _kept,
     components,
     digraph_cycle,
-    disjoint_union,
     record_text,
     require_valid,
-    restrict,
 )
 from .moves import (
     REDUCING,
     Consolidate,
-    Move,
     Untelescope,
     applicable,
     apply_move,
     emit_move,
     find_product_on_thin,
-    named_ids,
 )
 
 __all__ = [
@@ -147,37 +125,30 @@ def thin(cx: Complex, proposer, policy: str = "first",
     current = cx
     trace = ThinningTrace(canonical_hash(cx, _forms=forms), complexity(cx))
 
-    def record(move: Move, after: Complex, digest: str | None) -> None:
-        vec = complexity(after)
-        assert compare(vec, complexity(current)) == LT
-        if digest is None:
-            digest = canonical_hash(after, _forms=forms)
-        trace.steps.append(TraceStep(digest, emit_move(move), vec))
-
     while True:
-        move = after = digest = None
+        move = after = vec = digest = None
         hit = find_product_on_thin(current)
         if hit is not None:
             move = Consolidate(thick=hit[0], thin=hit[1])
             after = apply_move(current, move)
+            vec = complexity(after)
         else:
             candidates = list(proposer(current))
             reducing = [m for m in candidates if isinstance(m, REDUCING)]
-            move, after = next(applicable(current, reducing, trace.diagnostics), (None, None))
+            move, after, vec = next(applicable(current, reducing, trace.diagnostics), (None,) * 3)
             if move is None:
                 untels = applicable(current, [m for m in candidates
                                               if isinstance(m, (Untelescope, Consolidate))],
                                     trace.diagnostics)
                 if policy == "first":
-                    move, after = next(untels, (None, None))
+                    move, after, vec = next(untels, (None,) * 3)
                 else:
                     # the least vector; among results tied on it, the least digest
-                    least, tied = None, []
-                    for cand, result in untels:
-                        vec = complexity(result)
-                        if least is None or vec < least:
-                            least, tied = vec, []
-                        if vec == least:
+                    tied = []
+                    for cand, result, cand_vec in untels:
+                        if vec is None or cand_vec < vec:
+                            vec, tied = cand_vec, []
+                        if cand_vec == vec:
                             tied.append((cand, result))
                     if tied:
                         digest, _k, move, after = min(
@@ -189,7 +160,10 @@ def thin(cx: Complex, proposer, policy: str = "first",
         if len(trace.steps) >= cap:
             trace.cap_reached = True
             return current, trace
-        record(move, after, digest)
+        assert compare(vec, trace.vectors()[-1]) == LT
+        if digest is None:
+            digest = canonical_hash(after, _forms=forms)
+        trace.steps.append(TraceStep(digest, emit_move(move), vec))
         current = after
 
 
@@ -251,7 +225,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     order = [root]
     for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
-        for move, result, vec in _outcomes(node, proposer(node), graph.diagnostics):
+        for move, result, vec in applicable(node, proposer(node), graph.diagnostics):
             dst = canonical_hash(result, _forms=forms)
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
@@ -267,75 +241,6 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
                 seen_edges.add(key)
                 graph.edges.append((digest, doc, dst))
     return graph
-
-
-def _parts(cx: Complex) -> list[Complex]:
-    """The components of ``cx`` as complexes: ``[cx]`` when it is connected,
-    else each one restricted, kept on the instance."""
-    if len(components(cx)) == 1:
-        return [cx]
-    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
-
-
-def _home(node: Complex, move, home: dict[str, int]) -> int | None:
-    """The component an offer goes to: the one holding its thick level, when
-    every other id it names that the node holds lies there too.  None for an
-    offer to apply to the whole node, which includes one whose decision reads
-    the whole node (:func:`~widthcalc.moves.named_ids`)."""
-    named = named_ids(node, move)
-    k = None if named is None else home.get(named[0])
-    if k is None:
-        return None
-    for name in named:
-        if home.get(name, k) != k:
-            return None
-    return k
-
-
-def _outcomes(node: Complex, offers, rejected):
-    """``(move, result, its vector)`` for each offer that applies to
-    ``node``, in order.
-
-    An offer routed to one of the node's :func:`_parts` is looked up in the
-    moves accepted on that part, kept on it under ``_accepted`` and keyed by
-    value, since each node's proposer builds new move objects.  The result
-    is the node's other parts and the parts of the part's result side by
-    side, kept as its ``_parts``, and its vector the sorted merge of theirs.
-    A node of a single component applies every offer whole: no entry is
-    made and no move is hashed.
-    """
-    parts = _parts(node)
-    home = {}
-    if len(parts) > 1:
-        home = {name: k for k, part in enumerate(parts) for name in _ids(part)}
-    for move in offers:
-        k = _home(node, move, home)
-        if k is None:
-            found = next(applicable(node, (move,), rejected), None)
-            if found is not None:
-                yield move, found[1], complexity(found[1])
-            continue
-        part = parts[k]
-        accepted = _kept(part, "_accepted", lambda _part: {})
-        try:
-            # no move is hashed before one is accepted on the part
-            result = accepted.get(move) if accepted else None
-        except TypeError:  # a move holding a list, say, is never a key
-            result = None
-        if result is None:
-            found = next(applicable(part, (move,), rejected), None)
-            if found is None:
-                continue
-            result = found[1]
-            try:
-                accepted[move] = result
-            except TypeError:
-                pass
-        joined = parts[:k] + _parts(result) + parts[k + 1:]
-        union = disjoint_union(joined)
-        _kept(union, "_parts", lambda _union: joined)
-        yield (move, union,
-               tuple(sorted([entry for sub in joined for entry in complexity(sub)], reverse=True)))
 
 
 def dot_escape(text: str) -> str:

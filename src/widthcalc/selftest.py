@@ -335,7 +335,7 @@ def check_monotone_decrease(fast: bool = False) -> tuple[bool, str]:
         cx = gen_complex(cfg, rng)
         candidates = enumerate_moves(cx)
         rng.shuffle(candidates)  # gen_move's pick, keeping the result it built
-        move, out = next(applicable(cx, candidates, Counter()), (None, None))
+        move, out, _vector = next(applicable(cx, candidates, Counter()), (None,) * 3)
         if move is None:
             continue
         if compare(complexity(out), complexity(cx)) != LT:

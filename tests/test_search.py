@@ -411,9 +411,10 @@ def _union(parts, rng):
 def test_components_of_a_union_are_its_parts():
     """A shuffled union of k relabelled one-level parts has exactly k
     components, each the records of one part, in map order.  A result that
-    a rewrite-graph node joins from its parts keeps as its own parts the
-    very complexes it was joined from: the node's untouched parts and the
-    parts of the touched part's kept result."""
+    the candidate loop joins from a complex's parts keeps as its own parts
+    the very complexes it was joined from: the untouched parts and the parts
+    of the touched part's kept result.  Its vector, and its validation from
+    the bodies already checked, are those of the same records built anew."""
     rng = random.Random(9)
     for k in (1, 2, 5):
         parts = [_relabel(gen_complex(GenConfig(max_thick=1, seed=900 + i)), i)
@@ -428,21 +429,22 @@ def test_components_of_a_union_are_its_parts():
         for component in found:
             prefix = component[0].id.split(".")[0]
             assert component == [rec for rec in records if rec.id.startswith(prefix + ".")]
-        node_parts = search._parts(cx)
+        node_parts = moves._parts(cx)
         joined = 0
-        for move, result, vec in search._outcomes(cx, enumerate_moves(cx), Counter()):
+        for move, result, vec in moves.applicable(cx, enumerate_moves(cx), Counter()):
             if "_parts" not in result.__dict__:
                 continue
             joined += 1
-            got = search._parts(result)
+            got = moves._parts(result)
             (j, touched), = ((j, part) for j, part in enumerate(node_parts)
                              if not any(part is q for q in got))
-            new = search._parts(touched.__dict__["_accepted"][move])
+            new = moves._parts(touched.__dict__["_accepted"][move])
             want = node_parts[:j] + new + node_parts[j + 1:]
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
             assert model.components(result) == [model.components(part)[0] for part in got]
             fresh = model.Complex(result.thick, result.thin, result.boundary, result.cbs)
-            assert vec == complexity(fresh)
+            assert vec == complexity(fresh) == complexity(result)
+            assert model.validation(result) == model.validation(fresh)
         assert (joined > 0) == (k > 1)
 
 
@@ -1108,6 +1110,60 @@ def test_golden_thin_on_unions():
     assert len(kinds) >= 3
     digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
     assert digest == UNION_THIN_GOLDEN_DIGEST
+
+
+def test_thin_on_a_connected_complex_routes_no_offer(monkeypatch):
+    """On a complex of one component the candidate loop applies every offer
+    whole: ``thin`` reads no ``named_ids``.  On a union it does."""
+    calls = Counter()
+    real = moves.named_ids
+
+    def counting(cx, move):
+        calls[len(model.components(cx)) > 1] += 1
+        return real(cx, move)
+
+    monkeypatch.setattr(moves, "named_ids", counting)
+    for i in range(6):
+        cx = gen_complex(GenConfig(max_thick=3, seed=1850 + i))
+        if len(model.components(cx)) == 1:
+            for policy in ("first", "greedy-max-drop"):
+                _final, trace = thin(cx, enumerate_moves, policy=policy)
+                assert trace.steps
+    assert calls == {}
+    thin(_union([_small_sphere_part(), gen_complex(GenConfig(max_thick=2, seed=1856))],
+                random.Random(1)), enumerate_moves)
+    assert calls[True] > 0 and not calls[False]
+
+
+def test_thin_takes_each_vector_from_the_candidate_loop(monkeypatch):
+    """``thin`` computes no ``complexity`` of a result it took from the
+    candidate loop, under either policy: each step's vector, and the least
+    one of the greedy policy, is the loop's."""
+    taken, asked = {}, []  # taken keeps each result alive, so its id stays its own
+    real_loop, real_complexity = search.applicable, search.complexity
+
+    def loop(cx, offers, rejected):
+        for move, result, vec in real_loop(cx, offers, rejected):
+            taken[id(result)] = result
+            yield move, result, vec
+
+    def counting(cx):
+        asked.append(cx)
+        return real_complexity(cx)
+
+    monkeypatch.setattr(search, "applicable", loop)
+    monkeypatch.setattr(search, "complexity", counting)
+    rng = random.Random(19)
+    base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1802))
+    corpus = [_union([_relabel(base, 1), _relabel(base, 2), _small_sphere_part()], rng)]
+    corpus += [gen_complex(GenConfig(max_thick=4, seed=1860 + i)) for i in range(4)]
+    for cx in corpus:
+        for policy in ("first", "greedy-max-drop"):
+            asked.clear()
+            _final, trace = thin(cx, enumerate_moves, policy=policy)
+            assert trace.steps and asked[0] is cx
+            assert not any(id(c) in taken for c in asked)
+    assert taken
 
 
 def test_rewrite_graph_skips_offers_that_are_not_moves(one_bridge_sphere):

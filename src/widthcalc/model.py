@@ -126,35 +126,6 @@ class Tangle:
 EMPTY_TANGLE = Tangle(0, 0, 0, 0)
 
 
-def _hash_kept(cls):
-    """A frozen record class whose instances keep their hash once computed.
-
-    The canonical hash's memo of component forms is keyed on frozensets of
-    records, so the same records are hashed at every step of a run; a
-    record's value never changes, so neither does its hash.  Pickling drops
-    the kept hash, because the hash of a string differs between processes.
-    """
-    compute = cls.__hash__
-
-    def __hash__(self):
-        found = self._hash
-        if found is None:
-            found = compute(self)
-            object.__setattr__(self, "_hash", found)
-        return found
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
-
-    cls._hash = None
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@_hash_kept
 @dataclass(frozen=True)
 class CompressionBody:
     """Boundary-and-tangle summary of one piece of the cut-open pair.
@@ -178,7 +149,6 @@ class CompressionBody:
         object.__setattr__(self, "minus", tuple(sorted(self.minus)))
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class ThickLevel:
     id: str
@@ -187,7 +157,6 @@ class ThickLevel:
     lower_cb: str
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class ThinLevel:
     id: str
@@ -196,7 +165,6 @@ class ThinLevel:
     to_cb: str
 
 
-@_hash_kept
 @dataclass(frozen=True)
 class BoundaryLevel:
     id: str
@@ -813,11 +781,22 @@ def disjoint_union(parts: list[Complex]) -> Complex:
     with disjoint ids.  Its :func:`components` are the parts' records, in
     the order of ``parts``, and are known without a split: the union lists
     the parts' thick levels first, so each component's first record is its
-    part's first thick level."""
+    part's first thick level.  It keeps ``parts`` as its :func:`_parts`."""
     cx = Complex(*({k: v for part in parts for k, v in getattr(part, name).items()}
                    for name in ("thick", "thin", "boundary", "cbs")))
     _kept(cx, "_components", lambda _cx: [components(part)[0] for part in parts])
+    _kept(cx, "_parts", lambda _cx: parts)
     return cx
+
+
+def _parts(cx: Complex) -> list[Complex]:
+    """The components of ``cx`` as complexes, kept on the instance: the
+    parts it was joined from by :func:`disjoint_union`, else ``[cx]`` when
+    it is connected (not kept, so no complex refers to itself), else each
+    component restricted.  Callers must not mutate the list."""
+    if "_parts" not in cx.__dict__ and len(components(cx)) == 1:
+        return [cx]
+    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
 
 
 # ---------------------------------------------------------------------------

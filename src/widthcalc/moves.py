@@ -107,6 +107,7 @@ from .model import (
     _ids,
     _kept,
     _need,
+    _parts,
     _reads,
     body_index,
     certify,
@@ -118,7 +119,6 @@ from .model import (
     parse_tangle,
     profile_index,
     require_valid,
-    restrict,
     validate,
     validation,
 )
@@ -1034,11 +1034,12 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     rule), and its message is never formatted; an offer that is not a move
     counts under ``(None, "move.kind")``.  Offers are applied as they are
     asked for, so a caller that stops early applies no more.  An offer
-    routed to one of :func:`_parts` is looked up in the moves accepted on
-    that part, kept on it under ``_accepted`` and keyed by value, since a
-    proposer builds new move objects.  The result is the other parts and
-    the parts of the part's result side by side, kept as its ``_parts``, and
-    its vector the sorted merge of theirs.  A ``cx`` of one component
+    routed to one of :func:`~widthcalc.model._parts` is looked up in the
+    moves accepted on that part, kept on it under ``_accepted`` and keyed by
+    value, since a proposer builds new move objects.  The result is the
+    :func:`~widthcalc.model.disjoint_union` of the other parts and the parts
+    of the part's result, which keeps them as its parts, and its vector the
+    sorted merge of theirs.  A ``cx`` of one component
     applies every offer whole: it reads no ``named_ids`` and hashes no move.
     """
     require_valid(cx)
@@ -1072,18 +1073,9 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
         joined = parts[:k] + _parts(result) + parts[k + 1:]
         # every body of the union passed its checks in ``cx`` or in ``result``
         union = _derived(disjoint_union(joined), cx, validation(result).body)
-        _kept(union, "_parts", lambda _union: joined)
         entries = [entry for sub in (*parts[:k], result, *parts[k + 1:])
                    for entry in analyze(sub).vector]
         yield move, union, tuple(sorted(entries, reverse=True))
-
-
-def _parts(cx: Complex) -> list[Complex]:
-    """The components of ``cx`` as complexes: ``[cx]`` when it is connected,
-    else each one restricted, kept on the instance."""
-    if len(components(cx)) == 1:
-        return [cx]
-    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
 
 
 def _home(cx: Complex, move, home: dict[str, int]) -> int | None:

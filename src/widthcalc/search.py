@@ -6,9 +6,10 @@ free to over-offer.  Both drivers read them through one candidate loop,
 :func:`~widthcalc.moves.applicable`, counting rejections in ``diagnostics``.
 :func:`thin` repeatedly reduces (consolidations and the
 destabilize/unperturb/undo family) and then applies staged untelescope
-sequences until nothing applies; strict decrease of the complexity vector
-over a well-founded order makes termination unconditional, and a step cap
-guards against certificate bugs anyway.
+sequences until nothing applies, reading each step's offers in one pass of
+the loop; strict decrease of the complexity vector over a well-founded order
+makes termination unconditional, and a step cap guards against certificate
+bugs anyway.
 
 :func:`rewrite_graph` expands every applicable move breadth-first instead,
 keying nodes by a canonical hash so that relabelled copies of a complex
@@ -19,8 +20,9 @@ by individualization-refinement with automorphism pruning (McKay & Piperno,
 J. Symb. Comput. 60, 2014).  Colours are kept as cells, so a round of
 refinement looks only at the cells next to those that split in the round
 before, and each node of the search keeps the orbits of the automorphisms
-found that fix its prefix.  A run keeps one memo of component forms and
-their rendered text keyed on their records, whose hashes the records keep.
+found that fix its prefix.  Each component, as a complex, keeps its form
+and its rendered text on itself, so a component carried as the same object
+from complex to complex is canonized once.
 
 :func:`thin` and :func:`rewrite_graph` both apply offers per component,
 through :func:`~widthcalc.moves.applicable`, which gives each result with
@@ -44,6 +46,8 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
+    _kept,
+    _parts,
     components,
     digraph_cycle,
     record_text,
@@ -111,60 +115,60 @@ def thin(cx: Complex, proposer, policy: str = "first",
     ``policy`` picks among applicable untelescope candidates: ``first`` takes
     them in proposer order, ``greedy-max-drop`` the one whose result has the
     smallest complexity vector (ties broken by canonical hash, and equal
-    hashes by proposer order).  Reducing
-    moves always run first, so the terminal complex is reduced with respect
-    to the proposer.  Invalid certificates are skipped and counted in the
-    trace's ``diagnostics``.  ``cap`` must be at least 0.
+    hashes by proposer order).  Reducing moves always run first, so the
+    terminal complex is reduced with respect to the proposer; before them, a
+    certified product on a thin level is consolidated, and raises
+    :class:`~widthcalc.moves.MoveRejected` if its gate rejects it.  A step
+    reads its offers, in that order, in one pass of the candidate loop.
+    Invalid certificates are skipped and counted in the trace's
+    ``diagnostics``.  ``cap`` must be at least 0.
     """
     if policy not in ("first", "greedy-max-drop"):
         raise ValueError(f"unknown policy {policy!r}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, not {cap}")
     require_valid(cx)
-    forms: dict = {}
     current = cx
-    trace = ThinningTrace(canonical_hash(cx, _forms=forms), complexity(cx))
+    trace = ThinningTrace(canonical_hash(cx), complexity(cx))
+    previous = trace.start_vector
 
     while True:
-        move = after = vec = digest = None
         hit = find_product_on_thin(current)
         if hit is not None:
-            move = Consolidate(thick=hit[0], thin=hit[1])
-            after = apply_move(current, move)
-            vec = complexity(after)
+            forced = Consolidate(thick=hit[0], thin=hit[1])
+            offers = [forced]
         else:
+            forced = None
             candidates = list(proposer(current))
-            reducing = [m for m in candidates if isinstance(m, REDUCING)]
-            move, after, vec = next(applicable(current, reducing, trace.diagnostics), (None,) * 3)
-            if move is None:
-                untels = applicable(current, [m for m in candidates
-                                              if isinstance(m, (Untelescope, Consolidate))],
-                                    trace.diagnostics)
-                if policy == "first":
-                    move, after, vec = next(untels, (None,) * 3)
-                else:
-                    # the least vector; among results tied on it, the least digest
-                    tied = []
-                    for cand, result, cand_vec in untels:
-                        if vec is None or cand_vec < vec:
-                            vec, tied = cand_vec, []
-                        if cand_vec == vec:
-                            tied.append((cand, result))
-                    if tied:
-                        digest, _k, move, after = min(
-                            (canonical_hash(result, _forms=forms), k, cand, result)
-                            for k, (cand, result) in enumerate(tied))
+            offers = [m for m in candidates if isinstance(m, REDUCING)] + \
+                [m for m in candidates if isinstance(m, (Untelescope, Consolidate))]
+        move = after = vec = digest = None
+        tied = []
+        for cand, result, cand_vec in applicable(current, offers, trace.diagnostics):
+            if policy == "first" or forced is not None or isinstance(cand, REDUCING):
+                move, after, vec = cand, result, cand_vec
+                break
+            # the least vector; among results tied on it, the least digest
+            if vec is None or cand_vec < vec:
+                vec, tied = cand_vec, []
+            if cand_vec == vec:
+                tied.append((cand, result))
+        if tied:
+            digest, _k, move, after = min((canonical_hash(result), k, cand, result)
+                                          for k, (cand, result) in enumerate(tied))
         if move is None:
+            if forced is not None:
+                apply_move(current, forced)  # the loop rejected it: raise its rule
             trace.terminal = True
             return current, trace
         if len(trace.steps) >= cap:
             trace.cap_reached = True
             return current, trace
-        assert compare(vec, trace.vectors()[-1]) == LT
+        assert compare(vec, previous) == LT
         if digest is None:
-            digest = canonical_hash(after, _forms=forms)
+            digest = canonical_hash(after)
         trace.steps.append(TraceStep(digest, emit_move(move), vec))
-        current = after
+        current, previous = after, vec
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +221,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, not {max_nodes}")
     require_valid(cx)
-    forms: dict = {}
-    root = canonical_hash(cx, _forms=forms)
+    root = canonical_hash(cx)
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
                          edges=[], truncated=set())
     seen_edges: set[tuple[str, str, str]] = set()
@@ -226,7 +229,7 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
         for move, result, vec in applicable(node, proposer(node), graph.diagnostics):
-            dst = canonical_hash(result, _forms=forms)
+            dst = canonical_hash(result)
             assert compare(vec, graph.vectors[digest]) == LT
             if dst not in graph.nodes:
                 if len(graph.nodes) >= max_nodes:
@@ -539,29 +542,34 @@ def _render(records: list, offset: int) -> list[str]:
     return [", ".join(texts) for texts in sections]
 
 
-def _canonical_document(cx: Complex, forms: dict) -> str:
-    """The canonical form, reusing and filling ``forms``.
+def canonical_form(cx: Complex) -> str:
+    """A relabelling-invariant serialization of the complex, itself a valid
+    instance document with ids ``n0``, ``n1``, ...
 
-    ``forms`` maps a component's records (a frozenset, so a hit is an
-    identical component) to its certificate, its canonically ordered records
-    and its rendered section texts by offset.  The text depends on the
-    offset, the number of records laid out before the component: ids are
+    Exact: two complexes have the same form if and only if one is a
+    relabelling of the other (a bijection of ids that keeps every record's
+    kind, attributes and references).  Each connected component is
+    canonized on its own by individualization-refinement with automorphism
+    pruning, and the components are laid out in the order of their
+    certificates.
+
+    Each of :func:`~widthcalc.model._parts` keeps its form on itself under
+    ``_form``: its certificate, its canonically ordered records and its
+    rendered section texts by offset.  The text depends on the offset, the
+    number of records laid out before the component: ids are
     ``n{offset+i}``, and ports are sorted as strings, so their order changes
-    where an id gains a digit.  A hit renders nothing; the document is the
-    section texts joined inside a fixed envelope, byte for byte the
-    ``json.dumps`` of the whole instance document.
+    where an id gains a digit.  A part carried as the same object into
+    another complex is not canonized again, nor rendered again at an offset
+    it was rendered at; the document is the section texts joined inside a
+    fixed envelope, byte for byte the ``json.dumps`` of the whole instance
+    document.
     """
-    parts = []
-    for records in components(cx):
-        key = frozenset(records)
-        form = forms.get(key)
-        if form is None:
-            form = forms[key] = (*_component_form(records), {})
-        parts.append(form)
-    parts.sort(key=lambda form: form[0])
+    forms = [_kept(part, "_form", lambda part: (*_component_form(components(part)[0]), {}))
+             for part in _parts(cx)]
+    forms.sort(key=lambda form: form[0])
     sections: tuple[list[str], ...] = ([], [], [], [])
     offset = 0
-    for _cert, records, texts in parts:
+    for _cert, records, texts in forms:
         rendered = texts.get(offset)
         if rendered is None:
             rendered = texts[offset] = _render(records, offset)
@@ -573,27 +581,14 @@ def _canonical_document(cx: Complex, forms: dict) -> str:
     return f'{{"thick": [{thick}], "thin": [{thin}], "boundary": [{boundary}], "cbs": [{cbs}]}}'
 
 
-def canonical_form(cx: Complex) -> str:
-    """A relabelling-invariant serialization of the complex, itself a valid
-    instance document with ids ``n0``, ``n1``, ...
-
-    Exact: two complexes have the same form if and only if one is a
-    relabelling of the other (a bijection of ids that keeps every record's
-    kind, attributes and references).  Each connected component is
-    canonized on its own by individualization-refinement with automorphism
-    pruning, and the components are laid out in the order of their
-    certificates.
-    """
-    return _canonical_document(cx, {})
-
-
-def canonical_hash(cx: Complex, *, _forms: dict | None = None) -> str:
+def canonical_hash(cx: Complex) -> str:
     """Digest equal for relabelled copies of the same complex, and only for them.
 
-    ``_forms`` is internal: :func:`thin` and :func:`rewrite_graph` pass one
-    dict per run, so that a component the complexes of a run share is
-    canonized once and rendered once per offset; a complex made of
-    components seen at their offsets hashes a join of cached text.
+    Each component's form is kept on the component as a complex (see
+    :func:`canonical_form`), so a component that the complexes of a
+    :func:`thin` or :func:`rewrite_graph` run share as one object is
+    canonized once and rendered once per offset; a complex made of such
+    components at offsets seen before hashes a join of kept text.
 
     >>> from .model import parse_complex
     >>> doc = {"thick": [{"id": "H", "surface": {"genus": 2, "punctures": 0},
@@ -611,5 +606,4 @@ def canonical_hash(cx: Complex, *, _forms: dict | None = None) -> str:
     >>> canonical_hash(parse_complex(doc)) == canonical_hash(parse_complex(relabel))
     True
     """
-    forms = {} if _forms is None else _forms
-    return hashlib.sha256(_canonical_document(cx, forms).encode()).hexdigest()
+    return hashlib.sha256(canonical_form(cx).encode()).hexdigest()

@@ -950,12 +950,3 @@ def test_record_text_is_what_json_writes_of_the_emitted_record(offset):
     assert ports == sorted(ports)
     assert (ports == sorted(ports, key=lambda port: int(port[1:]))) == (offset == 5)
 
-
-def test_records_keep_their_hash_but_do_not_pickle_it(chain_two):
-    """A record computes its hash once and keeps it; a pickled record
-    carries only its fields, since string hashes differ between processes."""
-    for rec in [*chain_two.thick.values(), *chain_two.thin.values(), *chain_two.cbs.values()]:
-        want = hash(rec)
-        assert rec.__dict__["_hash"] == want == hash(replace(rec))
-        copy_ = pickle.loads(pickle.dumps(rec))
-        assert "_hash" not in copy_.__dict__ and copy_ == rec and hash(copy_) == want

@@ -705,7 +705,7 @@ def test_memo_digests_equal_fresh_hashes_on_unions(monkeypatch):
     assert len(seen) > 200
     assert max(len(model.components(cx)) for cx, _digest in seen) == 12
     for cx, digest in seen:
-        assert fresh(cx) == digest
+        assert fresh(dataclasses.replace(cx)) == digest  # a copy keeps no forms
 
 
 def _filler():
@@ -714,26 +714,38 @@ def _filler():
     return build_complex(thick=[thick("H", 0, 0, "u", "d")], cbs=[cb("u", "H"), cb("d", "H")])
 
 
-def test_memo_text_follows_the_offset_across_digit_boundaries():
-    """One star whose body has four ports recurs, as one memo key, behind 0
-    to 34 fillers of three records, so its ids start at every multiple of 3
-    up to n102.  At offsets 6 and 96 its ports are sorted as strings across
-    n9/n10 and n99/n100, unlike at offset 0; each document under the shared
-    memo equals a fresh one, on first render and on a hit."""
+def test_memo_text_follows_the_offset_across_digit_boundaries(monkeypatch):
+    """One star whose body has four ports is the shared first part of 35
+    disjoint unions, behind 0 to 34 relabelled fillers of three records, so
+    its ids start at every multiple of 3 up to n102.  At offsets 6 and 96
+    its ports are sorted as strings across n9/n10 and n99/n100, unlike at
+    offset 0.  The star keeps its form, so it is canonized once over all 70
+    hashes; each document equals a fresh copy's, on first render and on a
+    hit."""
     star = _star(4)
-    assert validate(star).ok and validate(_filler()).ok
-    rng = random.Random(22)
-    unions = [_union([star] + [_filler() for _ in range(k)], rng) for k in range(35)]
-    forms: dict = {}
-    for cx in unions + unions[::-1]:
-        assert canonical_hash(cx, _forms=forms) == canonical_hash(cx)
+    fillers = [parse_complex(_renamed_doc(_filler(), lambda name, j=j: f"f{j}.{name}"))
+               for j in range(34)]
+    assert validate(star).ok and all(validate(filler).ok for filler in fillers)
+    unions = [model.disjoint_union([star] + fillers[:k]) for k in range(35)]
+    canonized = []
+    form = search._component_form
+
+    def counted(records):
+        canonized.append(records)
+        return form(records)
+
+    monkeypatch.setattr(search, "_component_form", counted)
+    digests = [canonical_hash(cx) for cx in unions + unions[::-1]]
+    assert sum(records is model.components(star)[0] for records in canonized) == 1
+    assert len(canonized) == 35
+    for cx, digest in zip(unions + unions[::-1], digests):
+        assert digest == canonical_hash(dataclasses.replace(cx))
     ports = {}
     for k in (0, 2, 32):
         doc = json.loads(canonical_form(unions[k]))
         ports[k] = next(body["minus"] for body in doc["cbs"] if body["minus"])
     assert ports == {0: ["n1", "n2", "n3", "n4"], 2: ["n10", "n7", "n8", "n9"],
                      32: ["n100", "n97", "n98", "n99"]}
-    assert len(forms) == 35
 
 
 def test_memo_hit_renders_nothing(monkeypatch):
@@ -1172,3 +1184,106 @@ def test_rewrite_graph_skips_offers_that_are_not_moves(one_bridge_sphere):
     graph = rewrite_graph(one_bridge_sphere, lambda cx: [object()])
     assert len(graph.nodes) == 1 and graph.complete
     assert graph.edges == [] and graph.sinks() == [graph.root]
+
+
+def _forced_unions():
+    """Seeded shuffled unions of 2 to 4 parts, the first a relabelled copy
+    of a connected instance with a certified product on a thin level, so
+    that ``thin``'s first step is a forced consolidation."""
+    rng = random.Random(24)
+    bases = [gen_complex(GenConfig(max_thick=3, seed=seed)) for seed in (13, 19, 38, 42)]
+    others = [gen_complex(GenConfig(max_thick=2, seed=2400 + i)) for i in range(6)]
+    unions = []
+    for base in bases:
+        assert len(model.components(base)) == 1 and find_product_on_thin(base) is not None
+        for copies in (2, 3, 4):
+            parts = [_relabel(base, rng.randrange(10**6))]
+            parts += [_relabel(rng.choice(others), rng.randrange(10**6)) for _ in range(copies - 1)]
+            unions.append(_union(parts, rng))
+    return unions
+
+
+def test_a_forced_consolidation_keeps_the_untouched_parts(monkeypatch):
+    """A forced consolidation on a union goes through the candidate loop:
+    the parts it leaves untouched are carried into the result as the same
+    objects, keeping their forms, so hashing the result canonizes only the
+    parts of the changed one."""
+    canonized = []
+    form = search._component_form
+
+    def counted(records):
+        canonized.append(records)
+        return form(records)
+
+    for cx in _forced_unions():
+        canonical_hash(cx)
+        monkeypatch.setattr(search, "_component_form", counted)
+        canonized.clear()
+        after, trace = thin(cx, enumerate_moves, cap=1)
+        monkeypatch.undo()
+        assert trace.steps[0].move["kind"] == "consolidate"
+        before, parts = model._parts(cx), model._parts(after)
+        new = [part for part in parts if not any(part is old for old in before)]
+        assert len(parts) - len(new) == len(before) - 1 and new
+        assert len(canonized) == len(new)
+        assert [model.components(part)[0] for part in new] == canonized
+
+
+def test_a_rejected_forced_consolidation_raises_from_thin(monkeypatch):
+    """A forced consolidation that the gate rejects is not skipped: ``thin``
+    raises its rejection, under its rule, on a connected complex and on a
+    union."""
+    def refuse(cx, move):
+        raise MoveRejected("consolidate.refused", "refused")
+
+    monkeypatch.setitem(moves._KINDS, Consolidate, ("consolidate", refuse))
+    corpus = [gen_complex(GenConfig(max_thick=3, seed=13)), _forced_unions()[0]]
+    for cx in corpus:
+        for policy in ("first", "greedy-max-drop"):
+            with pytest.raises(MoveRejected) as err:
+                thin(cx, enumerate_moves, policy=policy)
+            assert err.value.rule == "consolidate.refused"
+
+
+def _thin_corpus():
+    """Connected instances, some with forced consolidations, and unions."""
+    corpus = [gen_complex(GenConfig(max_thick=3, seed=seed)) for seed in (13, 19, 1860, 1861)]
+    return corpus + _forced_unions()[::4]
+
+
+def test_thin_reads_each_step_in_one_pass_of_the_loop(monkeypatch):
+    """``thin`` calls the candidate loop once per step, plus once for the
+    step that finds no move or meets the cap, under either policy."""
+    calls = []
+    real = search.applicable
+
+    def loop(cx, offers, rejected):
+        calls.append(cx)
+        return real(cx, offers, rejected)
+
+    monkeypatch.setattr(search, "applicable", loop)
+    for cx in _thin_corpus():
+        for policy in ("first", "greedy-max-drop"):
+            for cap in (1_000_000, 1):
+                calls.clear()
+                _final, trace = thin(cx, enumerate_moves, policy=policy, cap=cap)
+                assert trace.steps and trace.terminal == (cap > 1)
+                assert len(calls) == len(trace.steps) + 1
+
+
+def test_thin_never_rebuilds_the_vector_list(monkeypatch):
+    """Each step is checked against the vector of the step before, not
+    against a list of every vector rebuilt per step."""
+    calls = Counter()
+    real = search.ThinningTrace.vectors
+
+    def counting(self):
+        calls["vectors"] += 1
+        return real(self)
+
+    monkeypatch.setattr(search.ThinningTrace, "vectors", counting)
+    for cx in _thin_corpus():
+        for policy in ("first", "greedy-max-drop"):
+            _final, trace = thin(cx, enumerate_moves, policy=policy)
+            assert len(trace.steps) > 1
+    assert calls["vectors"] == 0

@@ -448,6 +448,47 @@ def test_components_of_a_union_are_its_parts():
         assert (joined > 0) == (k > 1)
 
 
+def test_each_complex_is_split_at_most_once(monkeypatch):
+    """Work-count guard on the union-find behind ``model.components``: under
+    ``thin`` with both policies and under ``rewrite_graph``, on seeded
+    shuffled unions and on random instances of up to six thick levels, every
+    complex goes through it at most once, and no complex that the split or
+    ``disjoint_union`` built goes through it at all."""
+    split = Counter()
+    seen, built = [], []  # each complex is kept alive, so its id stays its own
+    real_split, real_union = model._components, model.disjoint_union
+
+    def splitting(cx):
+        seen.append(cx)
+        split[id(cx)] += 1
+        return real_split(cx)
+
+    def joining(parts):
+        union = real_union(parts)
+        built.append(union)
+        return union
+
+    monkeypatch.setattr(model, "_components", splitting)
+    monkeypatch.setattr(model, "disjoint_union", joining)
+    monkeypatch.setattr(moves, "disjoint_union", joining)
+    rng = random.Random(20)
+    corpus = [gen_complex(GenConfig(max_thick=6, seed=2000 + i)) for i in range(6)]
+    for i in range(6):
+        base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=2010 + i))
+        parts = [_relabel(base, rng.randrange(10**6)) for _ in range(2 + i % 3)]
+        if i % 2:
+            parts.append(_small_sphere_part())
+        corpus.append(_union(parts, rng))
+    for cx in corpus:
+        for policy in ("first", "greedy-max-drop"):
+            thin(cx, enumerate_moves, policy=policy)
+        rewrite_graph(cx, enumerate_moves, max_nodes=8)
+    built += [part for cx in seen for part in model._parts(cx) if part is not cx]
+    assert max(split.values()) == 1
+    assert not any(id(cx) in split for cx in built)
+    assert len(split) == 937 and len(built) > 100
+
+
 def test_small_boundary_sphere_blocks_only_its_own_component():
     """A owns a twice-punctured boundary sphere, so A admits no
     destabilization; B is a genus-1 level with empty tangles, which thins to

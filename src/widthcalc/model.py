@@ -69,7 +69,6 @@ __all__ = [
     "topological_order",
     "digraph_cycle",
     "components",
-    "restrict",
     "disjoint_union",
     "parse_complex",
     "emit_record",
@@ -455,12 +454,12 @@ def validate(cx: Complex) -> ValidationReport:
     digraph on thick levels is acyclic and non-empty.  The checks run once
     per complex; later calls return the same report.
 
-    A complex the engine derived from a valid one (a move's result, one
-    component by :func:`restrict`, or a union the candidate loop joins from
-    components) skips the checks of a body whose record, plus-level surface
-    and minus-port surfaces are the very objects they were there: the body's
-    index is read from the valid complex.  The report, indices and flow
-    digraph are the same as a full validation's.
+    A complex the engine derived from a valid one (a move's result, one of
+    the :func:`components` of a complex, or a union the candidate loop joins
+    from components) skips the checks of a body whose record, plus-level
+    surface and minus-port surfaces are the very objects they were there:
+    the body's index is read from the valid complex.  The report, indices
+    and flow digraph are the same as a full validation's.
     """
     return validation(cx).report
 
@@ -719,32 +718,44 @@ def digraph_cycle(edges: Mapping[str, list[str]]) -> list[str] | None:
     return topological_order(edges)[1]
 
 
-def components(cx: Complex) -> list[list]:
-    """The records of each connected component, a record joined to each
-    record it names: a union-find, giving records in map order (thick, thin,
-    boundary, bodies) and components in the order of their first record.
+def components(cx: Complex) -> list[Complex]:
+    """The connected components of ``cx`` as complexes, kept on the
+    instance, so hashing a complex and expanding it as a rewrite-graph node
+    split it once.  They are the parts of a :func:`disjoint_union`; else
+    ``[cx]`` when ``cx`` is connected (kept as None, so no complex refers to
+    itself); else one union-find joins each record to the records it names,
+    and each component, in the order of its first record in map order
+    (:func:`_records`), is a complex of its records in map order, recorded
+    as derived from ``cx`` (see :func:`validate`) and kept as connected.
+    Callers must not mutate the list."""
+    found = _kept(cx, "_components", _components)
+    return [cx] if found is None else found
 
-    Computed on first use and kept on the instance, like :func:`validation`,
-    so that hashing a complex and then expanding it as a rewrite-graph node
-    splits it once.  Callers must not mutate the lists.
-    """
-    return _kept(cx, "_components", _components)
+
+def _records(cx: Complex) -> list:
+    """The records of ``cx`` in map order: thick, thin, boundary, bodies."""
+    return [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
 
 
-def _components(cx: Complex) -> list[list]:
-    records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
+def _find(parent: list | dict, x):
+    """The root of ``x`` in the union-find ``parent`` (list or dict), halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+_SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
+
+
+def _components(cx: Complex) -> list[Complex] | None:
+    records = _records(cx)
     parent = {rec.id: rec.id for rec in records}
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     def join(a: str, *named: str) -> None:
-        root = find(a)
+        root = _find(parent, a)
         for b in named:
             if b in parent:
-                parent[find(b)] = root
+                parent[_find(parent, b)] = root
 
     for t in cx.thick.values():
         join(t.id, t.upper_cb, t.lower_cb)
@@ -756,47 +767,35 @@ def _components(cx: Complex) -> list[list]:
         join(c.id, c.plus, *c.minus)
     groups: dict[str, list] = {}
     for rec in records:
-        groups.setdefault(find(rec.id), []).append(rec)
-    return list(groups.values())
-
-
-_SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
-
-
-def restrict(cx: Complex, records: list) -> Complex:
-    """The complex made of ``records``, one of the :func:`components` of
-    ``cx``, with that one component as its split.  It is recorded as derived
-    from ``cx`` (see :func:`validate`), so when it is validated, no body
-    ``cx`` has checked is checked again."""
-    sections: tuple[dict, ...] = ({}, {}, {}, {})
-    for rec in records:
-        sections[_SECTION[type(rec)]][rec.id] = rec
-    sub = Complex(*sections)
-    _kept(sub, "_components", lambda _sub: [records])
-    return _derived(sub, cx)
+        groups.setdefault(_find(parent, rec.id), []).append(rec)
+    if len(groups) == 1:
+        return None
+    parts = []
+    for group in groups.values():
+        sections: tuple[dict, ...] = ({}, {}, {}, {})
+        for rec in group:
+            sections[_SECTION[type(rec)]][rec.id] = rec
+        part = _derived(Complex(*sections), cx)
+        object.__setattr__(part, "_components", None)
+        parts.append(part)
+    return parts
 
 
 def disjoint_union(parts: list[Complex]) -> Complex:
     """The union of connected complexes, each with a thick level and all
-    with disjoint ids.  Its :func:`components` are the parts' records, in
-    the order of ``parts``, and are known without a split: the union lists
-    the parts' thick levels first, so each component's first record is its
-    part's first thick level.  It keeps ``parts`` as its :func:`_parts`."""
+    with disjoint ids.  Its :func:`components` are ``parts``, in their
+    order, known without a split: the union lists the parts' thick levels
+    first, so each component's first record is its part's first thick
+    level.  Raises ValueError when two parts share an id, or when a part is
+    not connected."""
     cx = Complex(*({k: v for part in parts for k, v in getattr(part, name).items()}
                    for name in ("thick", "thin", "boundary", "cbs")))
-    _kept(cx, "_components", lambda _cx: [components(part)[0] for part in parts])
-    _kept(cx, "_parts", lambda _cx: parts)
+    if len(_ids(cx)) != sum(len(_ids(part)) for part in parts):
+        raise ValueError("the parts of a disjoint union share an id")
+    if any(len(components(part)) != 1 for part in parts):
+        raise ValueError("a part of a disjoint union is not connected")
+    object.__setattr__(cx, "_components", parts)
     return cx
-
-
-def _parts(cx: Complex) -> list[Complex]:
-    """The components of ``cx`` as complexes, kept on the instance: the
-    parts it was joined from by :func:`disjoint_union`, else ``[cx]`` when
-    it is connected (not kept, so no complex refers to itself), else each
-    component restricted.  Callers must not mutate the list."""
-    if "_parts" not in cx.__dict__ and len(components(cx)) == 1:
-        return [cx]
-    return _kept(cx, "_parts", lambda cx: [restrict(cx, records) for records in components(cx)])
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ from .model import (
     _ids,
     _kept,
     _need,
-    _parts,
     _reads,
     body_index,
     certify,
@@ -522,6 +521,14 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
     raise MoveRejected("move.side", f"side must be 'up' or 'down', not {side!r}")
 
 
+def _surface(chi: int, p: int, rule: str) -> Surface:
+    """The closed surface of euler characteristic ``chi`` with ``p``
+    punctures; MoveRejected under ``rule`` when there is none."""
+    if chi % 2 or chi > 2 or p < 0:
+        raise MoveRejected(rule, f"no surface with euler characteristic {chi} and {p} punctures")
+    return Surface((2 - chi) // 2, p)
+
+
 def _sphere_blocks(cx: Complex) -> dict[str, BoundaryLevel]:
     """Thick level id -> the first boundary level of its connected component
     that is a sphere with two or fewer punctures, for the components that
@@ -535,10 +542,10 @@ def _find_sphere_blocks(cx: Complex) -> dict[str, BoundaryLevel]:
     if not small:
         return {}
     blocks = {}
-    for records in components(cx):
-        sphere = next((rec for rec in records if rec.id in small), None)
+    for part in components(cx):
+        sphere = next((b for b in part.boundary.values() if b.id in small), None)
         if sphere is not None:
-            blocks.update((rec.id, sphere) for rec in records if isinstance(rec, ThickLevel))
+            blocks.update(dict.fromkeys(part.thick, sphere))
     return blocks
 
 
@@ -646,10 +653,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     # The doubly spotted level is the double surgery on H; its data is forced.
     chi0 = euler_char(s_minus) + euler_char(s_plus) - euler_char(H.surface)
     p0 = s_minus.punctures + s_plus.punctures - H.surface.punctures
-    if chi0 % 2 or chi0 > 2 or p0 < 0:
-        raise MoveRejected("untelescope.doubly_spotted",
-                           f"no surface with euler characteristic {chi0} and {p0} punctures")
-    f0 = Surface((2 - chi0) // 2, p0)
+    f0 = _surface(chi0, p0, "untelescope.doubly_spotted")
 
     hm, hp = out.h_minus, out.h_plus
     new_thin = ThinLevel(out.thin_id, f0, from_cb=hm.upper.id, to_cb=hp.lower.id)
@@ -864,10 +868,7 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
                                f"{gamma} ghost arcs need {2 * gamma} punctures on the named levels")
         chi_new = euler_char(H.surface) - chi_s + 2 * gamma + 2
         p_new = p - p_s + 2 * gamma + 2 * q
-        if chi_new > 2 or chi_new % 2 or p_new < 0:
-            raise MoveRejected("destabilize.profile",
-                               f"no surface with euler characteristic {chi_new} and {p_new} punctures")
-        new_surface = Surface((2 - chi_new) // 2, p_new)
+        new_surface = _surface(chi_new, p_new, "destabilize.profile")
         side_minus = tuple(x for x in side_cb.minus if x not in s_ids)
         far_minus = far_cb.minus + s_ids
         default_side = None  # solve below
@@ -951,7 +952,7 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
     H = cx.thick[m.thick]
     if H.surface.punctures < 2:
         raise MoveRejected("undo_removable.punctures", "the level meets the graph fewer than twice")
-    up_id, down_id = cx.thick[m.thick].upper_cb, cx.thick[m.thick].lower_cb
+    up_id, down_id = H.upper_cb, H.lower_cb
     up, down = cx.cbs[up_id], cx.cbs[down_id]
 
     if m.tangle_up is not None and m.tangle_down is not None:
@@ -1034,16 +1035,17 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     rule), and its message is never formatted; an offer that is not a move
     counts under ``(None, "move.kind")``.  Offers are applied as they are
     asked for, so a caller that stops early applies no more.  An offer
-    routed to one of :func:`~widthcalc.model._parts` is looked up in the
-    moves accepted on that part, kept on it under ``_accepted`` and keyed by
-    value, since a proposer builds new move objects.  The result is the
-    :func:`~widthcalc.model.disjoint_union` of the other parts and the parts
-    of the part's result, which keeps them as its parts, and its vector the
-    sorted merge of theirs.  A ``cx`` of one component
-    applies every offer whole: it reads no ``named_ids`` and hashes no move.
+    routed to one of the :func:`~widthcalc.model.components` of ``cx``, a
+    part, is looked up in the moves accepted on that part, kept on it under
+    ``_accepted`` and keyed by value, since a proposer builds new move
+    objects.  The result is the :func:`~widthcalc.model.disjoint_union` of
+    the other parts and the components of the part's result, which keeps
+    them as its components, and its vector the sorted merge of theirs.  A
+    ``cx`` of one component applies every offer whole: it reads no
+    ``named_ids`` and hashes no move.
     """
     require_valid(cx)
-    parts = _parts(cx)
+    parts = components(cx)
     home = None
     if len(parts) > 1:
         home = {name: k for k, part in enumerate(parts) for name in _ids(part)}
@@ -1070,7 +1072,7 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
         if k is None:
             yield move, result, analyze(result).vector
             continue
-        joined = parts[:k] + _parts(result) + parts[k + 1:]
+        joined = parts[:k] + components(result) + parts[k + 1:]
         # every body of the union passed its checks in ``cx`` or in ``result``
         union = _derived(disjoint_union(joined), cx, validation(result).body)
         entries = [entry for sub in (*parts[:k], result, *parts[k + 1:])

@@ -46,8 +46,9 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
+    _find,
     _kept,
-    _parts,
+    _records,
     components,
     digraph_cycle,
     record_text,
@@ -411,13 +412,6 @@ def _target_cell(cells: list) -> list[int] | None:
     return next((cell for cell in cells if cell is not None and len(cell) > 1), None)
 
 
-def _find(orbits: list[int], x: int) -> int:
-    """The root of ``x`` in the union-find ``orbits``, halving its path."""
-    while orbits[x] != x:
-        orbits[x] = x = orbits[orbits[x]]
-    return x
-
-
 def _join(orbits: list[int], gamma: list[int]) -> None:
     """Join in the union-find ``orbits`` each point moved by ``gamma`` to its image."""
     for a, b in enumerate(gamma):
@@ -553,19 +547,19 @@ def canonical_form(cx: Complex) -> str:
     pruning, and the components are laid out in the order of their
     certificates.
 
-    Each of :func:`~widthcalc.model._parts` keeps its form on itself under
-    ``_form``: its certificate, its canonically ordered records and its
-    rendered section texts by offset.  The text depends on the offset, the
-    number of records laid out before the component: ids are
+    Each of the :func:`~widthcalc.model.components`, a complex, keeps its
+    form on itself under ``_form``: its certificate, its canonically ordered
+    records and its rendered section texts by offset.  The text depends on
+    the offset, the number of records laid out before the component: ids are
     ``n{offset+i}``, and ports are sorted as strings, so their order changes
-    where an id gains a digit.  A part carried as the same object into
+    where an id gains a digit.  A component carried as the same object into
     another complex is not canonized again, nor rendered again at an offset
     it was rendered at; the document is the section texts joined inside a
     fixed envelope, byte for byte the ``json.dumps`` of the whole instance
     document.
     """
-    forms = [_kept(part, "_form", lambda part: (*_component_form(components(part)[0]), {}))
-             for part in _parts(cx)]
+    forms = [_kept(part, "_form", lambda part: (*_component_form(_records(part)), {}))
+             for part in components(cx)]
     forms.sort(key=lambda form: form[0])
     sections: tuple[list[str], ...] = ([], [], [], [])
     offset = 0

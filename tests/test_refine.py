@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from widthcalc import search
 from widthcalc.gen import GenConfig, gen_complex
-from widthcalc.model import components
+from widthcalc.model import _records, components
 from test_search import _bipartite_flow, _branches, _relabel, _star, _union
 
 
@@ -125,8 +125,8 @@ def test_refinement_matches_the_reference_on_the_seeded_corpus():
     # and the symmetric shapes the hash tests search deep
     corpus += [_star(6), _star(5, 0, 4, drilled=(2,)), _branches(6),
                _bipartite_flow([[0, 1], [2, 3, 4, 5]])]
-    depths = Counter(_check(*_component_graph(records))
-                     for cx in corpus for records in components(cx))
+    depths = Counter(_check(*_component_graph(_records(part)))
+                     for cx in corpus for part in components(cx))
     assert sum(depths.values()) >= 500 and sum(depths.values()) - depths[0] >= 12
     assert max(depths) >= 5
 

@@ -16,6 +16,7 @@ from widthcalc.model import (
     CompressionBody,
     ThickLevel,
     ThinLevel,
+    _records,
     emit_complex,
     emit_record,
     parse_complex,
@@ -420,32 +421,57 @@ def test_components_of_a_union_are_its_parts():
         parts = [_relabel(gen_complex(GenConfig(max_thick=1, seed=900 + i)), i)
                  for i in range(k)]
         cx = _union(parts, rng)
-        records = [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(),
-                   *cx.cbs.values()]
-        found = model.components(cx)
+        records = _records(cx)
+        found = [_records(part) for part in model.components(cx)]
         assert len(found) == k
         assert {component[0].id.split(".")[0] for component in found} == {
             f"k{i}" for i in range(k)}
         for component in found:
             prefix = component[0].id.split(".")[0]
             assert component == [rec for rec in records if rec.id.startswith(prefix + ".")]
-        node_parts = moves._parts(cx)
+        node_parts = model.components(cx)
         joined = 0
         for move, result, vec in moves.applicable(cx, enumerate_moves(cx), Counter()):
-            if "_parts" not in result.__dict__:
+            got = result.__dict__.get("_components")
+            if got is None:
                 continue
             joined += 1
-            got = moves._parts(result)
             (j, touched), = ((j, part) for j, part in enumerate(node_parts)
                              if not any(part is q for q in got))
-            new = moves._parts(touched.__dict__["_accepted"][move])
+            new = model.components(touched.__dict__["_accepted"][move])
             want = node_parts[:j] + new + node_parts[j + 1:]
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
-            assert model.components(result) == [model.components(part)[0] for part in got]
             fresh = model.Complex(result.thick, result.thin, result.boundary, result.cbs)
+            assert model.components(result) is got
+            assert [_records(part) for part in got] == [
+                _records(part) for part in model.components(fresh)]
             assert vec == complexity(fresh) == complexity(result)
             assert model.validation(result) == model.validation(fresh)
         assert (joined > 0) == (k > 1)
+
+
+def test_disjoint_union_refuses_parts_that_share_an_id():
+    """A union of parts that share an id would hold fewer records than its
+    kept split, and hash apart from a copy of itself; so would one whose
+    parts use one id for records of different kinds, with the four map
+    sizes adding up."""
+    a = _filler()
+    b = parse_complex(_renamed_doc(a, lambda name: f"b.{name}"))
+    other = build_complex(thick=[thick("X", 0, 0, "H", "y")], cbs=[cb("H", "X"), cb("y", "X")])
+    assert validate(other).ok and len(model.components(model.disjoint_union([a, b]))) == 2
+    for parts in ([a, a], [a, b, a], [a, other]):
+        with pytest.raises(ValueError, match="share an id"):
+            model.disjoint_union(parts)
+
+
+def test_disjoint_union_refuses_a_part_that_is_not_connected():
+    """A part of two components would be kept as one, so the union's
+    split would disagree with its records."""
+    two = _union([_filler(), _filler()], random.Random(1))
+    assert validate(two).ok and len(model.components(two)) == 2
+    for parts in ([two], [_filler(), two]):
+        with pytest.raises(ValueError, match="not connected"):
+            model.disjoint_union(parts)
 
 
 def test_each_complex_is_split_at_most_once(monkeypatch):
@@ -461,7 +487,9 @@ def test_each_complex_is_split_at_most_once(monkeypatch):
     def splitting(cx):
         seen.append(cx)
         split[id(cx)] += 1
-        return real_split(cx)
+        found = real_split(cx)
+        built.extend(found or ())
+        return found
 
     def joining(parts):
         union = real_union(parts)
@@ -483,7 +511,6 @@ def test_each_complex_is_split_at_most_once(monkeypatch):
         for policy in ("first", "greedy-max-drop"):
             thin(cx, enumerate_moves, policy=policy)
         rewrite_graph(cx, enumerate_moves, max_nodes=8)
-    built += [part for cx in seen for part in model._parts(cx) if part is not cx]
     assert max(split.values()) == 1
     assert not any(id(cx) in split for cx in built)
     assert len(split) == 937 and len(built) > 100
@@ -777,7 +804,7 @@ def test_memo_text_follows_the_offset_across_digit_boundaries(monkeypatch):
 
     monkeypatch.setattr(search, "_component_form", counted)
     digests = [canonical_hash(cx) for cx in unions + unions[::-1]]
-    assert sum(records is model.components(star)[0] for records in canonized) == 1
+    assert sum(records == _records(star) for records in canonized) == 1
     assert len(canonized) == 35
     for cx, digest in zip(unions + unions[::-1], digests):
         assert digest == canonical_hash(dataclasses.replace(cx))
@@ -819,10 +846,6 @@ def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix():
 # ---------------------------------------------------------------------------
 # Components are independent
 # ---------------------------------------------------------------------------
-
-def _records(cx):
-    return [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
-
 
 def _from_records(records):
     """The complex holding exactly ``records``."""
@@ -884,7 +907,7 @@ def test_a_move_decides_on_its_component_as_on_the_union():
                 parts.append(_small_sphere_part())
             graph = rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=4)
             for node in graph.nodes.values():
-                split = model.components(node)
+                split = [_records(part) for part in model.components(node)]
                 home = {rec.id: k for k, records in enumerate(split) for rec in records}
                 for move in enumerate_moves(node):
                     k = home[move.thick]
@@ -927,7 +950,7 @@ def test_offers_that_read_the_whole_node_are_decided_on_it(spheres_with_four_end
         assert graph.diagnostics == {(emit_move(offer)["kind"], rule): 1}
     # a small boundary sphere blocks destabilizing its own component only
     node = _from_records(_records(_small_sphere_part()) + _records(taken))
-    split = model.components(node)
+    split = [_records(part) for part in model.components(node)]
     home = {rec.id: k for k, records in enumerate(split) for rec in records}
     assert _check_law_on(node, Destabilize("stab", "H"), split, home) == "destabilize.boundary_sphere"
     assert _check_law_on(node, Destabilize("stab", "Hm"), split, home) == "accepted"
@@ -1263,11 +1286,11 @@ def test_a_forced_consolidation_keeps_the_untouched_parts(monkeypatch):
         after, trace = thin(cx, enumerate_moves, cap=1)
         monkeypatch.undo()
         assert trace.steps[0].move["kind"] == "consolidate"
-        before, parts = model._parts(cx), model._parts(after)
+        before, parts = model.components(cx), model.components(after)
         new = [part for part in parts if not any(part is old for old in before)]
         assert len(parts) - len(new) == len(before) - 1 and new
         assert len(canonized) == len(new)
-        assert [model.components(part)[0] for part in new] == canonized
+        assert [_records(part) for part in new] == canonized
 
 
 def test_a_rejected_forced_consolidation_raises_from_thin(monkeypatch):

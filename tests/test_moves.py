@@ -1026,6 +1026,38 @@ def test_golden_rejection_messages():
     assert digest.hexdigest() == GOLDEN_REJECTIONS_DIGEST
 
 
+GOLDEN_GATE_DIGEST = "fab69b350b182663265b538ac53000832e0871e8f51a3714e0d75c23449613e7"
+
+
+def test_golden_gate_builds_and_rejections(monkeypatch):
+    """Every complex built while the proposer's offers on 300 seeded
+    instances are applied keeps the key order of each of its four maps, and
+    every rejection keeps its rule and message.  The key order decides the
+    order of violations in a ``result_invalid`` message, which formatting
+    every message reads."""
+    built = []
+    real = model.Complex.__post_init__
+
+    def recording(self):
+        real(self)
+        built.append([list(self.thick), list(self.thin), list(self.boundary), list(self.cbs)])
+
+    monkeypatch.setattr(model.Complex, "__post_init__", recording)
+    outcomes = []
+    for seed in range(300):
+        cx = gen_complex(GenConfig(max_thick=5, seed=seed))
+        for m in enumerate_moves(cx):
+            try:
+                apply_move(cx, m)
+            except MoveRejected as err:
+                outcomes.append([err.rule, str(err)])
+            else:
+                outcomes.append("ok")
+    assert (len(built), sum(outcome != "ok" for outcome in outcomes)) == (5243, 5719)
+    digest = hashlib.sha256(json.dumps([built, outcomes]).encode())
+    assert digest.hexdigest() == GOLDEN_GATE_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Every rejection a hand-built certificate can reach
 # ---------------------------------------------------------------------------

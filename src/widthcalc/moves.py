@@ -29,9 +29,10 @@ Move kinds:
 
 Every kind is accepted by the same gate, in the same order.  The input must
 be valid.  Then come the kind's own pre-checks (ids, sides, profiles, disc
-accounting), which may reject under their own rule names, and the kind works
-out the records it changes; bodies the move rebuilt get their certificate
-flags from their profiles.  The result must be valid
+accounting), which may reject under their own rule names, and the kind
+states its change: the records it puts and the input's ids it drops, which
+the gate alone lays out over the input's maps.  Bodies the move rebuilt get
+their certificate flags from their profiles.  The result must be valid
 (``<kind>.result_invalid``), satisfy the kind's exact index identities, read
 from :func:`~widthcalc.complexity.analyze` of input and result (for example
 ``consolidate.merge_index``), and have a strictly smaller complexity vector
@@ -101,6 +102,7 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _SECTION,
     _check_cb,
     _derived,
     _id_list,
@@ -423,27 +425,41 @@ def solve_tangle(plus: Surface, minus: list[Surface], loops: int = 0) -> Tangle 
 
 
 class Records:
-    """One map of a move's result before it is built: ``put`` set over
-    ``base``.  A put record replaces the base's record of its id in place;
-    one with a new id goes last.  Records are looked up with :meth:`get`,
-    which gives None for an id the map does not hold."""
+    """One map of a move's result before it is built: ``base`` less the ids
+    in ``drop``, with ``put`` set over it.  A put record replaces the base's
+    record of its id in place; one with a new or a dropped id goes last.
+    Records are looked up with :meth:`get`, which gives None for an id the
+    map does not hold."""
 
-    __slots__ = ("base", "put")
+    __slots__ = ("base", "put", "drop")
 
-    def __init__(self, base: Mapping, put: dict | None = None):
+    def __init__(self, base: Mapping, drop: frozenset):
         self.base = base
-        self.put = {} if put is None else put
+        self.put: dict = {}
+        self.drop = drop
 
     def get(self, key: str):
         found = self.put.get(key)
-        return self.base.get(key) if found is None else found
+        return self.base.get(key) if found is None and key not in self.drop else found
 
     def merged(self) -> dict:
-        return {**self.base, **self.put}
+        base = {k: v for k, v in self.base.items() if k not in self.drop} if self.drop else self.base
+        return {**base, **self.put}
 
 
 Check = Callable[[Analysis, Analysis], None]
-Built = tuple[tuple[Records, Records, Records, Records], Check | None]
+# a build's change: the records it puts, of any kind and in order, the ids it drops, its check
+Built = tuple[tuple, frozenset, Check | None]
+
+
+def _maps(cx: Complex, put: tuple, drop: frozenset) -> tuple[Records, ...]:
+    """The thick, thin, boundary and body maps of a move's result over
+    ``cx``'s, which share ``drop`` (no two records share an id), each
+    putting the records of ``put`` of its kind, in order."""
+    maps = (Records(cx.thick, drop), Records(cx.thin, drop), Records(cx.boundary, drop), Records(cx.cbs, drop))
+    for rec in put:
+        maps[_SECTION[type(rec)]].put[rec.id] = rec
+    return maps
 
 
 def _build(maps: tuple[Records, ...]) -> Complex:
@@ -453,21 +469,23 @@ def _build(maps: tuple[Records, ...]) -> Complex:
 def _gated(rule: str):
     """Make a kind's build function into its apply function.
 
-    The build function runs the kind's pre-checks and returns the result's
-    thick, thin, boundary and body maps as :class:`Records` over the input's,
-    whose put bodies are the bodies the move rebuilt, and the kind's index
-    check, which gets the analyses of input and result (None for no check).
-    The gate sets each rebuilt body's certificate flags from its profile and
-    runs its own checks on the records; only when they pass is the result
-    built, once, and it must then be valid, pass ``check`` and have a
-    strictly smaller vector.  The gate alone runs the acceptance order the
+    The build function runs the kind's pre-checks and states only the move's
+    change (:data:`Built`): the records it puts, whose bodies are the bodies
+    the move rebuilt, the input's ids it drops, and the kind's index check,
+    which gets the analyses of input and result (None for no check).  The
+    gate lays that change out over the input's maps (:func:`_maps`),
+    sets each rebuilt body's certificate flags from its profile and runs its
+    own checks on the records; only when they pass is the result built,
+    once, and it must then be valid, pass ``check`` and have a strictly
+    smaller vector.  The gate alone runs the acceptance order the
     module docstring describes, with rule names prefixed by ``rule``.
     """
     def gated(build: Callable[[Complex, Move], Built]):
         @functools.wraps(build)
         def apply(cx: Complex, m: Move) -> Complex:
             require_valid(cx)
-            maps, check = build(cx, m)
+            put, drop, check = build(cx, m)
+            maps = _maps(cx, put, drop)
             checked = _check_rebuilt(maps)
             if checked is None:
                 raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_derived(_build(maps), cx))))
@@ -596,25 +614,18 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
             raise MoveRejected("consolidate.tangle", "no feasible merged tangle")
     merged = CompressionBody(a_id, A.plus, merged_minus, tangle)
 
-    cbs = {k: v for k, v in cx.cbs.items() if k not in (a_id, b_id, p_id)}
-    thin = {k: v for k, v in cx.thin.items() if k != m.thin}
-    for f in list(thin.values()):
-        if f.from_cb == b_id:
-            thin[f.id] = replace(f, from_cb=a_id)
-        elif f.to_cb == b_id:
-            thin[f.id] = replace(f, to_cb=a_id)
-    boundary = dict(cx.boundary)
-    for b in list(boundary.values()):
-        if b.owner == b_id:
-            boundary[b.id] = replace(b, owner=a_id)
-    thick = {k: v for k, v in cx.thick.items() if k != m.thick}
+    # m.thin joins P and A, so it is not among the levels re-pointed from B
+    put = [replace(f, from_cb=a_id) if f.from_cb == b_id else replace(f, to_cb=a_id)
+           for f in cx.thin.values() if b_id in (f.from_cb, f.to_cb)]
+    put += [replace(b, owner=a_id) for b in cx.boundary.values() if b.owner == b_id]
 
     def check(before: Analysis, after: Analysis) -> None:
         if after.body[a_id] != before.body[a_id] + before.body[b_id] - 6:
             raise MoveRejected("consolidate.merge_index",
                                "merged index != index(A) + index(B) - 6")
 
-    return (Records(thick), Records(thin), Records(boundary), Records(cbs, {a_id: merged})), check
+    # ``a_id`` is dropped and put again, so the merged body goes last
+    return (*put, merged), frozenset((m.thick, m.thin, a_id, b_id, p_id)), check
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +688,8 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     cb_hp_down = make_cb(hp.lower, hp.id, s_plus, side2_minus, thin_extra=True)
     cb_hp_up = make_cb(hp.upper, hp.id, s_plus, side1_plus, thin_extra=False)
 
-    thick = {k: v for k, v in cx.thick.items() if k != m.thick}
-    new_thick = {hm.id: ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id),
-                 hp.id: ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id)}
+    put = [ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id),
+           ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id)]
 
     new_owner: dict[str, str] = {}
     for port in side1_minus:
@@ -692,17 +702,12 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         new_owner[port] = cb_hm_up.id
 
     old_up, old_down = H.upper_cb, H.lower_cb
-    thin = {}
-    for f in cx.thin.values():
-        if f.to_cb == old_down:
-            f = thin[f.id] = replace(f, to_cb=new_owner[f.id])
-        if f.from_cb == old_up:
-            thin[f.id] = replace(f, from_cb=new_owner[f.id])
-    thin[out.thin_id] = new_thin
-    boundary = {b.id: replace(b, owner=new_owner[b.id])
-                for b in cx.boundary.values() if b.owner in (old_down, old_up)}
-    cbs = {k: v for k, v in cx.cbs.items() if k not in (old_up, old_down)}
-    new_cbs = {cb.id: cb for cb in (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)}
+    put += [replace(f, to_cb=new_owner[f.id] if f.to_cb == old_down else f.to_cb,
+                    from_cb=new_owner[f.id] if f.from_cb == old_up else f.from_cb)
+            for f in cx.thin.values() if f.to_cb == old_down or f.from_cb == old_up]
+    put.append(new_thin)
+    put += [replace(b, owner=new_owner[b.id]) for b in cx.boundary.values() if b.owner in (old_down, old_up)]
+    put += [cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up]
 
     def check(before: Analysis, after: Analysis) -> None:
         # Body-index bookkeeping around the split level.
@@ -737,8 +742,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         if after.index_up[hp.id] >= iu_before:
             raise MoveRejected("untelescope.upper_index_drop", "upper aggregate index must drop")
 
-    return (Records(thick, new_thick), Records(cx.thin, thin), Records(cx.boundary, boundary),
-            Records(cbs, new_cbs)), check
+    return tuple(put), frozenset((m.thick, old_up, old_down)), check
 
 
 def _outcome_ids(out: UntelescopeOutcome) -> list[str]:
@@ -891,10 +895,10 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     tangle_far = pick(explicit_far, default_far, far_minus, far_cb.tangle.loops, "far")
 
     # the gate sets the rebuilt bodies' certificate flags
-    cbs = {side_id: CompressionBody(side_id, side_cb.plus, side_minus, tangle_side),
-           far_id: CompressionBody(far_id, far_cb.plus, far_minus, tangle_far)}
-    thick = {m.thick: ThickLevel(m.thick, new_surface, H.upper_cb, H.lower_cb)}
-    boundary = {s: replace(cx.boundary[s], owner=far_id) for s in s_ids}
+    put = (ThickLevel(m.thick, new_surface, H.upper_cb, H.lower_cb),
+           *(replace(cx.boundary[s], owner=far_id) for s in s_ids),
+           CompressionBody(side_id, side_cb.plus, side_minus, tangle_side),
+           CompressionBody(far_id, far_cb.plus, far_minus, tangle_far))
 
     def check(before: Analysis, after: Analysis) -> None:
         if after.body[H.upper_cb] >= before.body[H.upper_cb]:
@@ -902,8 +906,7 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
         if after.body[H.lower_cb] >= before.body[H.lower_cb]:
             raise MoveRejected("destabilize.lower_drop", "lower body index must drop strictly")
 
-    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary, boundary),
-            Records(cx.cbs, cbs)), check
+    return put, frozenset(), check
 
 
 # ---------------------------------------------------------------------------
@@ -932,11 +935,9 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
     if m.merge_case == "vertical_bridge" and far.tangle.verticals < 1:
         raise MoveRejected("unperturb.verticals", "vertical-bridge merge needs a far vertical arc")
 
-    cbs = {near_id: replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1)),
-           far_id: replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))}
-    thick = {m.thick: replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))}
-    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary),
-            Records(cx.cbs, cbs)), None
+    return (replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2)),
+            replace(near, tangle=replace(near.tangle, bridges=near.tangle.bridges - 1)),
+            replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))), frozenset(), None
 
 
 @_gated("undo_removable")
@@ -956,26 +957,23 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
     up, down = cx.cbs[up_id], cx.cbs[down_id]
 
     if m.tangle_up is not None and m.tangle_down is not None:
+        _side_cbs(cx, m.thick, m.loop_side)  # checked although a redistribution makes no loop
         t_up, t_down = m.tangle_up, m.tangle_down
     elif m.tangle_up is None and m.tangle_down is None:
         if up.tangle.bridges < 1 or down.tangle.bridges < 1:
             raise MoveRejected("undo_removable.bridges", "loop pattern needs a bridge arc on each side")
         t_up = replace(up.tangle, bridges=up.tangle.bridges - 1)
         t_down = replace(down.tangle, bridges=down.tangle.bridges - 1)
-        if m.loop_side == "up":
+        if _side_cbs(cx, m.thick, m.loop_side)[0] == up_id:
             t_up = replace(t_up, loops=t_up.loops + 1)
-        elif m.loop_side == "down":
-            t_down = replace(t_down, loops=t_down.loops + 1)
         else:
-            raise MoveRejected("move.side", f"side must be 'up' or 'down', not {m.loop_side!r}")
+            t_down = replace(t_down, loops=t_down.loops + 1)
     else:
         raise MoveRejected("undo_removable.redistribution",
                            "a general redistribution supplies both tangles")
 
-    cbs = {up_id: replace(up, tangle=t_up), down_id: replace(down, tangle=t_down)}
-    thick = {m.thick: replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2))}
-    return (Records(cx.thick, thick), Records(cx.thin), Records(cx.boundary),
-            Records(cx.cbs, cbs)), None
+    return (replace(H, surface=Surface(H.surface.genus, H.surface.punctures - 2)),
+            replace(up, tangle=t_up), replace(down, tangle=t_down)), frozenset(), None
 
 
 # ---------------------------------------------------------------------------

@@ -1188,6 +1188,38 @@ def test_golden_thin_on_unions():
     assert digest == UNION_THIN_GOLDEN_DIGEST
 
 
+def test_body_checks_of_thin_and_rewrite_graph_are_pinned(monkeypatch):
+    """Work-count guard: the body checks (``_check_cb`` calls, wherever the
+    gate or a validation makes them) of ``thin`` on 80 thin-random instances,
+    and of ``rewrite_graph`` (budget 20) on the shuffled unions of
+    ``test_golden_thin_on_unions``.  Every body check that a move's or a
+    component's unchanged reads make needless is skipped; none is added."""
+    calls = 0
+    real = model._check_cb
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(model, "_check_cb", counting)
+    monkeypatch.setattr(moves, "_check_cb", counting, raising=False)
+    for i in range(80):
+        thin(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)), enumerate_moves)
+    assert calls == 6940
+
+    calls = 0
+    rng = random.Random(18)
+    for i in range(6):
+        base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1800 + i))
+        for copies in (2, 3, 4):
+            parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
+            if (i + copies) % 2:
+                parts.append(_small_sphere_part())
+            rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=20)
+    assert calls == 6629
+
+
 def test_thin_on_a_connected_complex_routes_no_offer(monkeypatch):
     """On a complex of one component the candidate loop applies every offer
     whole: ``thin`` reads no ``named_ids``.  On a union it does."""

@@ -147,12 +147,12 @@ def cmd_apply(args) -> int:
     cx, doc = _load_valid(args)
     move_docs = [_load_json(path) for path in args.move or []]
     if not move_docs:
-        # instance documents may embed their move sequence
+        # instance documents may embed their move sequence, possibly empty
         try:
-            move_docs = _need(doc, "moves", list, "instance", [])
+            move_docs = _need(doc, "moves", list, "instance", None)
         except SchemaError as err:
             return _fail_io(f"bad instance document {args.instance}: {err}")
-        if not move_docs:
+        if move_docs is None:
             return _fail_io("no moves given (--move flags or an embedded 'moves' array)")
     for n, move_doc in enumerate(move_docs):
         try:

@@ -32,7 +32,9 @@ All values are immutable, and this is enforced: the records are frozen
 dataclasses and a complex's four maps are read-only views of private copies.
 Operations are pure functions and never mutate a complex, so instances can be
 shared freely across threads, and what :func:`validate` works out about a
-complex is computed once and kept on the instance.
+complex is computed once and kept on the instance.  Each body record keeps,
+off its fields, the last check of its own it passed: what the check read and
+the index it gave, reused wherever the record reads the same surfaces.
 """
 
 from __future__ import annotations
@@ -142,6 +144,7 @@ class CompressionBody:
     tangle: Tangle = EMPTY_TANGLE
     product_certificate: bool = False
     ball_certificate: bool = False
+    _passed = None  # not a field: the last check passed, set by _body_index
 
     def __post_init__(self):
         # canonical port order keeps value equality independent of input order
@@ -192,7 +195,11 @@ class Complex:
             object.__setattr__(self, name, MappingProxyType(getattr(self, name).copy()))
 
     def __reduce__(self):
-        # read-only views do not pickle; rebuild from plain dicts, without the cached work
+        """Rebuild from plain dicts, since read-only views do not pickle,
+        without the work kept on the complex.  Pickled bodies keep the check
+        they last passed, with the surfaces it read; the copy reuses it only
+        where a body reads those very surface objects, which one pickle
+        keeps as one object each."""
         return Complex, (dict(self.thick), dict(self.thin), dict(self.boundary), dict(self.cbs))
 
     def level_surface(self, level_id: str) -> Surface:
@@ -450,45 +457,42 @@ def validate(cx: Complex) -> ValidationReport:
     references resolve consistently, every surface/tangle count is a
     non-negative integer, puncture conservation and handle feasibility hold
     for each compression body, certificates match their numeric conditions,
-    no once-punctured sphere occurs as a thin or boundary level, and the flow
-    digraph on thick levels is acyclic and non-empty.  The checks run once
-    per complex; later calls return the same report.
+    no once-punctured sphere occurs as a thin or boundary level, no two
+    records of different kinds share an id, and the flow digraph on thick
+    levels is acyclic and non-empty.  The checks run once per complex; later
+    calls return the same report.
 
-    A complex the engine derived from a valid one (a move's result, one of
-    the :func:`components` of a complex, or a union the candidate loop joins
-    from components) skips the checks of a body whose record, plus-level
-    surface and minus-port surfaces are the very objects they were there:
-    the body's index is read from the valid complex.  The report, indices
-    and flow digraph are the same as a full validation's.
+    A body's own checks read only its record and the surfaces of its plus
+    level and minus ports, and a body that passes them keeps those surfaces
+    and its index (:func:`_body_index`).  In any complex where the same
+    record reads the very same surface objects, as in a move's result, one
+    of the :func:`components` of a complex or a union the candidate loop
+    joins from components, the checks are skipped and the kept index read.
+    The report, indices and flow digraph are the same as a full
+    validation's.
     """
     return validation(cx).report
 
 
-def _derived(cx: Complex, base: Complex, checked: Mapping[str, int] | None = None) -> Complex:
-    """``cx``, recorded as just built from ``base``, and ``checked`` as the
-    indices of the bodies that passed their own checks on the records ``cx``
-    holds (a move gate's rebuilt bodies).  Its validation drops the record."""
-    object.__setattr__(cx, "_derived", (base, checked or {}))
-    return cx
-
-
-def _same_reads(cb: CompressionBody, reads: tuple, base: Complex) -> bool:
-    """Whether ``cb`` and its ``reads``, as :func:`_reads` gives them, are the
-    very objects that ``base`` holds and gives for the same id."""
-    if base.cbs.get(cb.id) is not cb:
-        return False
-    was = _reads(cb, base.thick.get, base.thin.get, base.boundary.get)
-    return reads[0] is was[0] and all(map(is_, reads[1], was[1]))
+def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None) -> int | None:
+    """``_check_cb(cb, reads, out)``, kept on ``cb`` when it passes, as
+    ``(reads, index)``: the check reads nothing but ``cb`` and ``reads``, so
+    in any complex where ``cb`` reads the very same surface objects the kept
+    index is returned with no check.  Threads sharing ``cb`` may overwrite
+    each other's entry; each entry is right for its own reads, and a reader
+    compares and returns the one entry it read."""
+    passed = cb._passed
+    if passed is not None:
+        was = passed[0]
+        if was[0] is reads[0] and all(map(is_, was[1], reads[1])):
+            return passed[1]
+    index = _check_cb(cb, reads, out)
+    if index is not None:
+        object.__setattr__(cb, "_passed", (reads, index))
+    return index
 
 
 def _validation(cx: Complex) -> Validation:
-    # A valid base proves that a body with the same reads passes its checks.
-    base, checked = cx.__dict__.pop("_derived", (None, {}))
-    known = None
-    if base is not None:
-        base_validation = validation(base)
-        if base_validation.report.ok:
-            known = base_validation.body
     thick, thin, boundary = cx.thick.get, cx.thin.get, cx.boundary.get
     out: list[Violation] = []
 
@@ -511,6 +515,14 @@ def _validation(cx: Complex) -> Validation:
 
     if not cx.thick:
         out.append(Violation("empty_complex", "-", "a complex has at least one thick level"))
+    if len(_ids(cx)) < len(cx.thick) + len(cx.thin) + len(cx.boundary) + len(cx.cbs):
+        seen: set[str] = set()
+        shared: set[str] = set()
+        for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
+            shared |= seen & pool.keys()
+            seen |= pool.keys()
+        out.extend(Violation("shared_id", key, "records of different kinds share this id")
+                   for key in sorted(shared))
 
     # Which body is the upper / lower side of which thick level.
     upper_of: dict[str, str] = {}
@@ -529,14 +541,7 @@ def _validation(cx: Complex) -> Validation:
 
     body: dict[str, int] = {}
     for cb in cx.cbs.values():
-        if cb.id in checked:
-            index = checked[cb.id]
-        else:
-            reads = _reads(cb, thick, thin, boundary)
-            if known is not None and _same_reads(cb, reads, base):
-                index = known[cb.id]
-            else:
-                index = _check_cb(cb, reads, out)
+        index = _body_index(cb, _reads(cb, thick, thin, boundary), out)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)
@@ -725,9 +730,8 @@ def components(cx: Complex) -> list[Complex]:
     ``[cx]`` when ``cx`` is connected (kept as None, so no complex refers to
     itself); else one union-find joins each record to the records it names,
     and each component, in the order of its first record in map order
-    (:func:`_records`), is a complex of its records in map order, recorded
-    as derived from ``cx`` (see :func:`validate`) and kept as connected.
-    Callers must not mutate the list."""
+    (:func:`_records`), is a complex of its records in map order, kept as
+    connected.  Callers must not mutate the list."""
     found = _kept(cx, "_components", _components)
     return [cx] if found is None else found
 
@@ -775,7 +779,7 @@ def _components(cx: Complex) -> list[Complex] | None:
         sections: tuple[dict, ...] = ({}, {}, {}, {})
         for rec in group:
             sections[_SECTION[type(rec)]][rec.id] = rec
-        part = _derived(Complex(*sections), cx)
+        part = Complex(*sections)
         object.__setattr__(part, "_components", None)
         parts.append(part)
     return parts

@@ -47,12 +47,11 @@ built; they serve both to certify the body and to run its own checks.  A
 body that fails would put a violation in the result's report, so the move
 is rejected at once without building the result, and most rejected
 candidates end here.  Only a candidate whose rebuilt bodies pass is built,
-once, and validated whole (:func:`~widthcalc.model.validate`).  The gate
-records on the result that it was derived from the move's valid input, with
-the rebuilt bodies' indices: the rebuilt bodies are not checked twice, and a
-body whose record and the surfaces of its plus level and minus ports are the
-very objects the input holds is not checked again, even when the move
-re-pointed those levels.
+once, and validated whole (:func:`~widthcalc.model.validate`).  Each body
+keeps the last check it passed, with the surfaces it read, so the rebuilt
+bodies are not checked twice, and a body whose record and the surfaces of
+its plus level and minus ports are the very objects the input holds is not
+checked again, even when the move re-pointed those levels.
 
 A :class:`MoveRejected` formats its message when it is first read: the
 message of ``result_invalid`` is the report of a whole validation of the
@@ -103,8 +102,7 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
-    _check_cb,
-    _derived,
+    _body_index,
     _id_list,
     _ids,
     _kept,
@@ -121,7 +119,6 @@ from .model import (
     profile_index,
     require_valid,
     validate,
-    validation,
 )
 from .complexity import LT, Analysis, analyze, compare
 
@@ -454,8 +451,9 @@ Built = tuple[tuple, frozenset, Check | None]
 
 def _maps(cx: Complex, put: tuple, drop: frozenset) -> tuple[Records, ...]:
     """The thick, thin, boundary and body maps of a move's result over
-    ``cx``'s, which share ``drop`` (no two records share an id), each
-    putting the records of ``put`` of its kind, in order."""
+    ``cx``'s, which share ``drop`` (``cx`` is valid, so no two of its
+    records share an id), each putting the records of ``put`` of its kind,
+    in order."""
     maps = (Records(cx.thick, drop), Records(cx.thin, drop), Records(cx.boundary, drop), Records(cx.cbs, drop))
     for rec in put:
         maps[_SECTION[type(rec)]].put[rec.id] = rec
@@ -486,10 +484,9 @@ def _gated(rule: str):
             require_valid(cx)
             put, drop, check = build(cx, m)
             maps = _maps(cx, put, drop)
-            checked = _check_rebuilt(maps)
-            if checked is None:
-                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_derived(_build(maps), cx))))
-            out = _derived(_build(maps), cx, checked)
+            if not _check_rebuilt(maps):
+                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_build(maps))))
+            out = _build(maps)
             if not validate(out).ok:
                 raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out)))
             before, after = analyze(cx), analyze(out)
@@ -502,22 +499,17 @@ def _gated(rule: str):
     return gated
 
 
-def _check_rebuilt(maps: tuple[Records, ...]) -> dict[str, int] | None:
+def _check_rebuilt(maps: tuple[Records, ...]) -> bool:
     """Read each rebuilt body's levels once, certify every rebuilt body in
-    place, then check each on its own: the bodies' indices, or None when one
-    fails, which puts a violation in the result's report."""
+    place, then check each on its own (:func:`~widthcalc.model._body_index`,
+    which keeps each pass on the body): whether all pass.  One that fails
+    puts a violation in the result's report."""
     thick, thin, boundary, cbs = maps
     reads = {}
     for cb_id, cb in cbs.put.items():
         reads[cb_id] = _reads(cb, thick.get, thin.get, boundary.get)
         cbs.put[cb_id] = certify(cb, reads[cb_id])
-    checked = {}
-    for cb_id, cb in cbs.put.items():
-        index = _check_cb(cb, reads[cb_id], None)
-        if index is None:
-            return None
-        checked[cb_id] = index
-    return checked
+    return all(_body_index(cb, reads[cb_id], None) is not None for cb_id, cb in cbs.put.items())
 
 
 def _fresh(cx: Complex, ids: list[str], rule: str) -> None:
@@ -1070,9 +1062,7 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
         if k is None:
             yield move, result, analyze(result).vector
             continue
-        joined = parts[:k] + components(result) + parts[k + 1:]
-        # every body of the union passed its checks in ``cx`` or in ``result``
-        union = _derived(disjoint_union(joined), cx, validation(result).body)
+        union = disjoint_union(parts[:k] + components(result) + parts[k + 1:])
         entries = [entry for sub in (*parts[:k], result, *parts[k + 1:])
                    for entry in analyze(sub).vector]
         yield move, union, tuple(sorted(entries, reverse=True))

@@ -5,6 +5,8 @@ back to: the one-bridge sphere, a two-level chain, and the spherical
 splitting whose untelescope is worked out entry by entry in the move tests.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from widthcalc.model import (
@@ -34,6 +36,12 @@ def bdy(id, g, p, owner, drilled=False):
 def cb(id, plus, minus=(), v=0, b=0, gh=0, loops=0, product=False, ball=False):
     return CompressionBody(id, plus, tuple(minus), Tangle(v, b, gh, loops),
                            product_certificate=product, ball_certificate=ball)
+
+
+def unchecked(cx: Complex) -> Complex:
+    """``cx`` with every body record built anew, so that no body keeps a
+    check it passed: its validation checks every body."""
+    return replace(cx, cbs={key: replace(body) for key, body in cx.cbs.items()})
 
 
 @pytest.fixture

@@ -196,6 +196,29 @@ def test_apply_embedded_moves(tmp_path, capsys):
     assert main(["apply", str(bare)]) == 2  # nothing to apply is a usage error
 
 
+def test_apply_replays_a_thin_run_of_no_step(tmp_path, capsys):
+    """``thin`` on an input it leaves unchanged takes no step; its empty move
+    list, embedded, applies and writes the input back.  A null ``moves``, like
+    a missing one, is still a usage error."""
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(emit_complex(gen_complex(GenConfig(max_thick=5, seed=7)))))
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["thin", str(start), "--quiet", "--out", str(once)]) == 0
+    capsys.readouterr()
+    assert main(["thin", str(once), "--quiet", "--out", str(twice)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1  # the start line, and no step
+    doc = json.loads(once.read_text())
+    replay, replayed = tmp_path / "replay.json", tmp_path / "replayed.json"
+    replay.write_text(json.dumps({**doc, "moves": []}))
+    assert main(["apply", str(replay), "--quiet", "--out", str(replayed)]) == 0
+    assert replayed.read_bytes() == twice.read_bytes()
+    replay.write_text(json.dumps({**doc, "moves": None}))
+    assert main(["apply", str(replay), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no moves given" in err
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"kind": "consolidate"}, "'thick'"),
     ({"kind": "consolidate", "thick": ["J"], "thin": "F"}, "move.thick"),

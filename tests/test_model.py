@@ -4,7 +4,7 @@ import json
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +31,7 @@ from widthcalc.model import (
 from widthcalc import model, moves
 from widthcalc.complexity import complexity
 from widthcalc.gen import GenConfig, gen_complex
-from conftest import bdy, cb, sphere_chain, thick, thin
+from conftest import bdy, cb, sphere_chain, thick, thin, unchecked
 
 
 def test_euler_char_values():
@@ -173,6 +173,24 @@ def test_empty_complex_rejected():
     assert "empty_complex" in validate(Complex()).codes()
 
 
+def test_records_of_different_kinds_may_not_share_an_id():
+    """A thick level and a body both named ``u`` read valid in every other
+    check; the shared id is a violation naming it, once per shared id."""
+    cx = Complex(thick={"u": thick("u", 0, 2, "u", "d")},
+                 cbs={"u": cb("u", "u", b=1), "d": cb("d", "u", b=1)})
+    report = validate(cx)
+    assert report.violations == (
+        model.Violation("shared_id", "u", "records of different kinds share this id"),)
+    with pytest.raises(ValidationError):
+        moves.apply_move(cx, moves.UndoRemovable("u"))
+    apart = Complex(thick={"H": thick("H", 0, 2, "u", "d")},
+                    cbs={"u": cb("u", "H", b=1), "d": cb("d", "H", b=1)})
+    assert validate(apart).ok
+    both = Complex(thick={"u": thick("u", 0, 2, "u", "d")}, thin={"d": thin("d", 0, 0, "u", "d")},
+                   cbs={"u": cb("u", "u", b=1), "d": cb("d", "u", b=1)})
+    assert [v.subject for v in validate(both).violations if v.code == "shared_id"] == ["d", "u"]
+
+
 def test_validate_is_idempotent(one_bridge_sphere):
     assert validate(one_bridge_sphere) == validate(one_bridge_sphere)
 
@@ -203,11 +221,12 @@ def _perturbed(cx, rng):
 
 
 def test_validation_against_a_base_equals_a_full_validation():
-    """Whatever one record changes, validating a complex recorded as derived
-    from the one it came from gives the full validation: report, indices,
-    digraph and order.  Bases are valid or invalid; a level whose surface
-    changed must re-check the bodies whose plus level or minus port it is,
-    even when their records stay."""
+    """Whatever one record changes, validating a complex after the one it
+    came from, so that the bodies they share keep the checks they passed
+    there, gives the full validation: report, indices, digraph and order.
+    Bases are valid or invalid; a level whose surface changed must re-check
+    the bodies whose plus level or minus port it is, even when their records
+    stay."""
     rng = random.Random(13)
     outcomes = {True: 0, False: 0}
     for seed in range(80):
@@ -215,8 +234,9 @@ def test_validation_against_a_base_equals_a_full_validation():
         for trial in range(12):
             base = _perturbed(cx, rng) if trial % 4 == 0 else cx
             out = _perturbed(base, rng)
-            got = model.validation(model._derived(out, base))
-            assert got == model._validation(out)
+            model.validation(base)
+            got = model.validation(out)
+            assert got == model._validation(unchecked(out))
             outcomes[got.report.ok] += 1
     assert outcomes[True] > 150 and outcomes[False] > 500
 
@@ -236,7 +256,7 @@ def _checks_by_body(monkeypatch, cx) -> list[str]:
     return seen
 
 
-def test_a_derived_complex_rechecks_a_body_only_when_what_it_reads_changed(chain_two, monkeypatch):
+def test_a_body_is_rechecked_only_when_what_it_reads_changed(chain_two, monkeypatch):
     """A level re-pointed at other bodies keeps its surface object, so the
     bodies reading it are not checked again; a level given an equal but
     distinct surface is a new input, and they are.  Either way the kept
@@ -245,16 +265,49 @@ def test_a_derived_complex_rechecks_a_body_only_when_what_it_reads_changed(chain
     assert validate(base).ok
     f = base.thin["F"]
     repointed = replace(base, thin={"F": replace(f, from_cb=f.from_cb)})
-    assert _checks_by_body(monkeypatch, model._derived(repointed, base)) == []
-    assert model.validation(repointed) == model._validation(repointed)
+    assert _checks_by_body(monkeypatch, repointed) == []
+    assert model.validation(repointed) == model._validation(unchecked(repointed))
 
     resurfaced = replace(base, thin={"F": replace(f, surface=Surface(0, 0))})
     assert resurfaced.thin["F"].surface == f.surface
-    assert _checks_by_body(monkeypatch, model._derived(resurfaced, base)) == ["Hu", "Jd"]
-    assert model.validation(resurfaced) == model._validation(resurfaced)
+    assert _checks_by_body(monkeypatch, resurfaced) == ["Hu", "Jd"]
+    assert model.validation(resurfaced) == model._validation(unchecked(resurfaced))
 
-    # a derived record is read once and dropped with the validation
+    # no complex records the complex it came from
     assert "_derived" not in repointed.__dict__ and "_derived" not in resurfaced.__dict__
+
+
+def test_a_body_keeps_the_last_check_it_passed(chain_two, monkeypatch):
+    """A body keeps the surfaces its last passed check read and its index,
+    off its fields: value, hash and repr do not change.  A record rebuilt
+    with ``replace`` keeps nothing.  Another complex reuses the index only
+    where the body reads the very same surface objects: an equal but
+    distinct surface is checked again.  A pickled complex carries its
+    bodies' entries with the surfaces they read."""
+    cx = chain_two
+    hu = cx.cbs["Hu"]
+    seen = (hu == replace(hu), hash(hu), repr(hu))
+    assert hu._passed is None
+    assert _checks_by_body(monkeypatch, cx) == ["Hu", "Hd", "Ju", "Jd"]
+    reads, index = hu._passed
+    assert index == model.validation(cx).body["Hu"]
+    assert reads[0] is cx.thick["H"].surface and reads[1][0] is cx.thin["F"].surface
+    assert (hu == replace(hu), hash(hu), repr(hu)) == seen
+    assert "_passed" not in {f.name for f in fields(hu)}
+
+    rebuilt = replace(hu, tangle=Tangle(*hu.tangle.counts()))
+    assert rebuilt == hu and rebuilt._passed is None
+
+    h = cx.thick["H"]
+    same = replace(cx, thick={**cx.thick, "H": replace(h, upper_cb=h.upper_cb)})
+    assert _checks_by_body(monkeypatch, same) == []
+    equal = replace(cx, thick={**cx.thick, "H": replace(h, surface=Surface(0, 0))})
+    assert equal.thick["H"].surface == h.surface
+    assert _checks_by_body(monkeypatch, equal) == ["Hu", "Hd"]
+
+    copied = pickle.loads(pickle.dumps(equal))
+    assert _checks_by_body(monkeypatch, copied) == []
+    assert model.validation(copied) == model._validation(unchecked(copied)) == model.validation(equal)
 
 
 def test_validation_takes_only_the_complex():
@@ -831,8 +884,9 @@ def complexes_with_odd_fields(draw):
 @given(complexes_with_odd_fields())
 def test_validate_never_raises_on_odd_field_values(pair):
     base, cx = pair
-    report = model.validation(model._derived(cx, base)).report
-    assert report == validate(replace(cx)) and str(report)
+    model.validation(base)
+    report = model.validation(cx).report
+    assert report == validate(unchecked(cx)) and str(report)
 
 
 def _stopping_check(cx, body):
@@ -893,7 +947,7 @@ def test_gate_body_checks_build_nothing_on_the_rejections_of_thin(monkeypatch):
             built[bool(in_gate)] += 1
             super().__init__(*args)
 
-    check = moves._check_cb
+    check = moves._body_index
 
     def gated(*args):
         in_gate.append(True)
@@ -903,7 +957,7 @@ def test_gate_body_checks_build_nothing_on_the_rejections_of_thin(monkeypatch):
             in_gate.pop()
 
     monkeypatch.setattr(model, "Violation", Counted)
-    monkeypatch.setattr(moves, "_check_cb", gated)
+    monkeypatch.setattr(moves, "_body_index", gated)
     for i in range(20):
         thin_run(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)), enumerate_moves)
     assert built[True] == 0

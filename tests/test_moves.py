@@ -46,7 +46,7 @@ from widthcalc.moves import (
     parse_move,
 )
 from widthcalc.search import thin as thin_run
-from conftest import bdy, cb, thick, thin
+from conftest import bdy, cb, thick, thin, unchecked
 
 
 def disc(q=0, separating=False, genus=None, punctures=None, ports=None):
@@ -878,8 +878,8 @@ def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, ta
     """For every candidate that passes its kind's pre-checks, the gate's
     decision on the changed records, before any complex is built, is
     whether every rebuilt body of the built result passes its own checks
-    (the stopping ``_check_cb``), and the indices it hands on are the ones a
-    full validation gives.  Candidates are the proposer's and general
+    (the stopping ``_check_cb``), and the indices it keeps on the rebuilt
+    bodies are the ones a full validation gives.  Candidates are the proposer's and general
     redistributions with drawn tangles."""
     cx = gen_complex(GenConfig(max_thick=4, seed=seed))
     candidates = enumerate_moves(cx)
@@ -892,15 +892,16 @@ def test_gate_decides_rebuilt_bodies_as_body_passes_on_the_built_result(seed, ta
         except MoveRejected:
             continue
         maps = moves._maps(cx, put, drop)
-        checked = moves._check_rebuilt(maps)
+        passed = moves._check_rebuilt(maps)
         out = moves._build(maps)
         rebuilt = list(maps[3].put)
         reads = {cb_id: model._reads(out.cbs[cb_id], out.thick.get, out.thin.get, out.boundary.get)
                  for cb_id in rebuilt}
-        assert (checked is not None) == all(
+        assert passed == all(
             model._check_cb(out.cbs[cb_id], reads[cb_id], None) is not None for cb_id in rebuilt)
-        if checked is not None:
-            body = model._validation(out).body
+        if passed:
+            checked = {cb_id: out.cbs[cb_id]._passed[1] for cb_id in rebuilt}
+            body = model._validation(unchecked(out)).body
             assert checked == {cb_id: body[cb_id] for cb_id in rebuilt}
 
 

@@ -757,7 +757,7 @@ def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
 
     def recording(out, **kwargs):
         report = real(out, **kwargs)
-        assert model.validation(out) == model._validation(out)
+        assert model.validation(out) == model._validation(unchecked(out))
         if reading["message"]:
             reading["out"] = out
         else:
@@ -773,7 +773,7 @@ def test_gate_validation_of_every_result_equals_a_full_validation(monkeypatch):
                 message = str(err)
                 reading["message"] = False
                 assert reading["out"] is not None
-                assert message == f"{err.rule}: {model._validation(reading['out']).report}"
+                assert message == f"{err.rule}: {model._validation(unchecked(reading['out'])).report}"
                 counts["formatted"] += 1
             raise
 

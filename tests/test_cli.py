@@ -92,6 +92,19 @@ def test_validate_non_list_section_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "instance.thick" in err
 
 
+def test_validate_duplicate_ids_exit_two(tmp_path, capsys, one_bridge_sphere):
+    path = tmp_path / "dup.json"
+    for section, key, message in (("thick", "id", "duplicate id 'H'"),
+                                  ("cbs", "id", "duplicate id within a collection")):
+        doc = emit_complex(one_bridge_sphere)
+        doc["cbs"][1]["id"] = doc[section][0][key]
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad instance document {path}: {message}\n"
+
+
 def test_apply_non_list_embedded_moves_exit_two(tmp_path, capsys):
     inst, _ = _consolidatable(tmp_path)
     doc = json.loads(Path(inst).read_text())

@@ -832,6 +832,116 @@ def test_validate_total_on_arbitrary_structures(cx):
     assert report == validate(cx)  # idempotent, and it never raised
 
 
+def _reference_thick_digraph(cx):
+    """The flow digraph worked out on its own, apart from validation: a
+    verbatim copy of the reference definition."""
+    thick_of_upper = {t.upper_cb: t.id for t in cx.thick.values()}
+    thick_of_lower = {t.lower_cb: t.id for t in cx.thick.values()}
+    edges: dict[str, list[str]] = {t: [] for t in cx.thick}
+    for f in cx.thin.values():
+        src = thick_of_upper.get(f.from_cb)
+        dst = thick_of_lower.get(f.to_cb)
+        if src is not None and dst is not None:
+            edges[src].append(dst)
+    for outs in edges.values():
+        outs.sort()
+    return edges
+
+
+def _assert_digraph_is_the_reference(cx):
+    want = _reference_thick_digraph(cx)
+    assert model.validation(cx).edges == want
+    assert thick_digraph(cx) == want
+
+
+def test_flow_digraph_equals_the_reference_on_seeded_and_hand_built_complexes():
+    """Edges join thick levels through the bodies they name, whether those
+    bodies exist or not: a thin level leaving the missing upper body ``u`` of
+    ``H`` for the lower body ``jd`` of ``J`` is the edge ``H -> J`` of an
+    invalid complex."""
+    for i in range(80):
+        _assert_digraph_is_the_reference(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)))
+    dangling = Complex(thick={"H": thick("H", 0, 0, "u", "d"), "J": thick("J", 0, 0, "ju", "jd")},
+                       thin={"F": thin("F", 0, 0, "u", "jd")},
+                       cbs={"d": cb("d", "H"), "ju": cb("ju", "J"), "jd": cb("jd", "J", minus=("F",))})
+    assert not validate(dangling).ok
+    assert thick_digraph(dangling) == {"H": ["J"], "J": []}
+    _assert_digraph_is_the_reference(dangling)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_complexes())
+def test_flow_digraph_equals_the_reference_on_arbitrary_structures(cx):
+    _assert_digraph_is_the_reference(cx)
+
+
+def test_thick_digraph_returns_a_copy_no_caller_can_change(diamond_four):
+    want = _reference_thick_digraph(diamond_four)
+    vector = complexity(unchecked(diamond_four))
+    got = thick_digraph(diamond_four)
+    for outs in got.values():
+        outs.clear()
+    got["X"] = ["H"]
+    assert model.validation(diamond_four).edges == want
+    assert complexity(diamond_four) == vector
+    assert thick_digraph(diamond_four) == want
+
+
+def _schema_error(build) -> str:
+    with pytest.raises(SchemaError) as err:
+        build()
+    return str(err.value)
+
+
+def test_duplicate_id_messages_of_build_complex():
+    """An id shared by two kinds is named, the first such in pool order
+    (thick, thin, boundary, cbs) whatever the order of the ids; an id
+    repeated within one collection alone gives the one message that names
+    no id."""
+    assert _schema_error(lambda: build_complex(
+        thick=[thick("k", 0, 2, "u", "d")],
+        cbs=[cb("u", "k", b=1), cb("k", "k", b=1)])) == "duplicate id 'k'"
+    assert _schema_error(lambda: build_complex(
+        thick=[thick("z", 0, 2, "u", "d")], thin=[thin("a", 0, 0, "u", "d")],
+        boundary=[bdy("z", 0, 0, "d")],
+        cbs=[cb("u", "z", b=1), cb("a", "z", b=1)])) == "duplicate id 'z'"
+    assert _schema_error(lambda: build_complex(
+        thick=[thick("H", 0, 2, "u", "d")],
+        cbs=[cb("u", "H", b=1), cb("u", "H", b=1)])) == "duplicate id within a collection"
+    assert _schema_error(lambda: build_complex(
+        thick=[thick("H", 0, 2, "u", "d"), thick("H", 0, 2, "u", "d")],
+        thin=[thin("d", 0, 0, "u", "d")],
+        cbs=[cb("u", "H", b=1), cb("d", "H", b=1)])) == "duplicate id 'd'"
+
+
+def test_duplicate_id_messages_of_parse_complex(one_bridge_sphere, chain_two):
+    def parsed(cx, edit) -> str:
+        doc = emit_complex(cx)
+        edit(doc)
+        return _schema_error(lambda: parse_complex(doc))
+
+    def cross(doc):
+        doc["cbs"][0]["id"] = doc["thick"][0]["id"]
+
+    def two_cross(doc):
+        doc["thin"][0]["id"] = "J"
+        doc["cbs"][0]["id"] = "H"
+
+    def within(doc):
+        doc["cbs"][1]["id"] = doc["cbs"][0]["id"]
+
+    def both(doc):
+        doc["thick"][1]["id"] = "H"
+        doc["cbs"][0]["id"] = "F"
+
+    assert parsed(one_bridge_sphere, cross) == "duplicate id 'H'"
+    # the thin level "J" repeats a thick id before the body "H" does
+    assert parsed(chain_two, two_cross) == "duplicate id 'J'"
+    assert parsed(one_bridge_sphere, within) == "duplicate id within a collection"
+    # two thick levels "H", and a body named as the thin level "F"
+    assert parsed(chain_two, both) == "duplicate id 'F'"
+
+
 def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
     return build_complex([ThickLevel("H", surface, "u", "d")], [], [],
                          [CompressionBody("u", "H", (), tangle),

@@ -217,21 +217,22 @@ def build_complex(
     boundary: list[BoundaryLevel] | tuple[BoundaryLevel, ...] = (),
     cbs: list[CompressionBody] | tuple[CompressionBody, ...] = (),
 ) -> Complex:
-    """Assemble a complex from record lists, rejecting duplicate ids."""
+    """Assemble a complex from record lists, rejecting duplicate ids by one
+    count against its kept :func:`_ids`, and naming the first in pool order
+    that records of two kinds share."""
     cx = Complex(
         thick={t.id: t for t in thick},
         thin={t.id: t for t in thin},
         boundary={b.id: b for b in boundary},
         cbs={c.id: c for c in cbs},
     )
-    seen: set[str] = set()
-    for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
-        for key in pool:
-            if key in seen:
-                raise SchemaError(f"duplicate id {key!r}")
-            seen.add(key)
-    if len(cx.thick) != len(thick) or len(cx.thin) != len(thin) \
-            or len(cx.boundary) != len(boundary) or len(cx.cbs) != len(cbs):
+    if len(_ids(cx)) < len(thick) + len(thin) + len(boundary) + len(cbs):
+        seen: set[str] = set()
+        for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
+            for key in pool:
+                if key in seen:
+                    raise SchemaError(f"duplicate id {key!r}")
+                seen.add(key)
         raise SchemaError("duplicate id within a collection")
     return cx
 
@@ -418,7 +419,8 @@ class Validation:
     """What validating a complex works out: the report, the index of every
     body that passes its own checks, the flow digraph (:func:`thick_digraph`)
     and a topological order of it, sources first, which is empty when the
-    digraph has a cycle."""
+    digraph has a cycle.  The digraph comes from the side maps of the checks,
+    in their pass over thin levels."""
 
     report: ValidationReport
     body: dict[str, int]
@@ -524,22 +526,23 @@ def _validation(cx: Complex) -> Validation:
         out.extend(Violation("shared_id", key, "records of different kinds share this id")
                    for key in sorted(shared))
 
-    # Which body is the upper / lower side of which thick level.
+    # Which body id, known or not, is the upper / lower side of which thick level.
     upper_of: dict[str, str] = {}
     lower_of: dict[str, str] = {}
     for t in cx.thick.values():
         if t.upper_cb == t.lower_cb:
             out.append(Violation("thick_sides", t.id, "upper and lower bodies must be distinct"))
+        upper_of[t.upper_cb] = lower_of[t.lower_cb] = t.id
         for role, cb_id in (("upper", t.upper_cb), ("lower", t.lower_cb)):
             if cb_id not in cx.cbs:
                 out.append(Violation("dangling_reference", t.id, f"{role} body {cb_id!r} unknown"))
-            else:
-                if cx.cbs[cb_id].plus != t.id:
-                    out.append(Violation("plus_mismatch", t.id,
-                                         f"{role} body {cb_id!r} does not name this level as its positive boundary"))
-                (upper_of if role == "upper" else lower_of)[cb_id] = t.id
+            elif cx.cbs[cb_id].plus != t.id:
+                out.append(Violation("plus_mismatch", t.id,
+                                     f"{role} body {cb_id!r} does not name this level as its positive boundary"))
 
+    # Each body's own checks and side, and the bodies holding each port.
     body: dict[str, int] = {}
+    holders: dict[str, list[str]] = {}
     for cb in cx.cbs.values():
         index = _body_index(cb, _reads(cb, thick, thin, boundary), out)
         if index is not None:
@@ -548,14 +551,17 @@ def _validation(cx: Complex) -> Validation:
         if cb.plus in cx.thick and roles != 1:
             out.append(Violation("plus_mismatch", cb.id,
                                  "body must be the upper or lower side of exactly one thick level"))
-
-    # Port incidence: a thin level lies in the minus set of exactly its two
-    # named bodies, a boundary level in exactly its owner's.
-    holders: dict[str, list[str]] = {}
-    for cb in cx.cbs.values():
         for port in cb.minus:
             holders.setdefault(port, []).append(cb.id)
+
+    # Flow edges: a thin level runs from the thick level of the body it exits
+    # to that of the body it enters.  Port incidence: a thin level lies in the
+    # minus sets of exactly its two bodies, a boundary level in its owner's.
+    edges: dict[str, list[str]] = {t: [] for t in cx.thick}
     for t in cx.thin.values():
+        src, dst = upper_of.get(t.from_cb), lower_of.get(t.to_cb)
+        if src is not None and dst is not None:
+            edges[src].append(dst)
         if t.from_cb == t.to_cb:
             out.append(Violation("thin_endpoints", t.id, "sides of a thin level must be distinct bodies"))
         if t.from_cb not in cx.cbs or t.to_cb not in cx.cbs:
@@ -581,7 +587,8 @@ def _validation(cx: Complex) -> Validation:
             out.append(Violation("port_multiplicity", b.id,
                                  f"boundary level held by {sorted(got)} but owned by {b.owner!r}"))
 
-    edges = thick_digraph(cx)
+    for outs in edges.values():
+        outs.sort()
     order, cycle = topological_order(edges)
     if cycle is not None:
         out.append(Violation("closed_flow_line", "->".join(cycle),
@@ -666,19 +673,10 @@ def thick_digraph(cx: Complex) -> dict[str, list[str]]:
     """Edge multiset on thick levels, one edge per thin level.
 
     The edge runs from the thick level whose upper body the thin level exits
-    to the one whose lower body it enters.
+    to the one whose lower body it enters, whether those bodies exist or not.
+    It is a fresh copy of :func:`validation`'s, which validates ``cx`` once.
     """
-    thick_of_upper = {t.upper_cb: t.id for t in cx.thick.values()}
-    thick_of_lower = {t.lower_cb: t.id for t in cx.thick.values()}
-    edges: dict[str, list[str]] = {t: [] for t in cx.thick}
-    for f in cx.thin.values():
-        src = thick_of_upper.get(f.from_cb)
-        dst = thick_of_lower.get(f.to_cb)
-        if src is not None and dst is not None:
-            edges[src].append(dst)
-    for outs in edges.values():
-        outs.sort()
-    return edges
+    return {src: list(outs) for src, outs in validation(cx).edges.items()}
 
 
 def topological_order(edges: Mapping[str, list[str]]) -> tuple[tuple[str, ...], list[str] | None]:

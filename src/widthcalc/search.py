@@ -57,7 +57,6 @@ from .model import (
 from .moves import (
     REDUCING,
     Consolidate,
-    Untelescope,
     applicable,
     apply_move,
     emit_move,
@@ -95,7 +94,8 @@ class ThinningTrace:
     result.  ``terminal`` says that no move applied at the end;
     ``cap_reached`` that the run stopped at its step cap instead.
     ``diagnostics`` counts the skipped candidates by (move document
-    ``kind``, the rule that rejected it); the messages are never formatted.
+    ``kind``, the rule that rejected it), an offer that is not a move under
+    ``(None, "move.kind")``; the messages are never formatted.
     """
 
     start_digest: str
@@ -103,7 +103,7 @@ class ThinningTrace:
     steps: list[TraceStep] = field(default_factory=list)
     terminal: bool = False
     cap_reached: bool = False
-    diagnostics: Counter[tuple[str, str]] = field(default_factory=Counter)
+    diagnostics: Counter[tuple[str | None, str]] = field(default_factory=Counter)
 
     def vectors(self) -> list[tuple[int, ...]]:
         return [self.start_vector] + [s.vector for s in self.steps]
@@ -120,9 +120,10 @@ def thin(cx: Complex, proposer, policy: str = "first",
     terminal complex is reduced with respect to the proposer; before them, a
     certified product on a thin level is consolidated, and raises
     :class:`~widthcalc.moves.MoveRejected` if its gate rejects it.  A step
-    reads its offers, in that order, in one pass of the candidate loop.
-    Invalid certificates are skipped and counted in the trace's
-    ``diagnostics``.  ``cap`` must be at least 0.
+    reads its offers, the reducing ones and then the rest, each in proposer
+    order, in one pass of the candidate loop.  Invalid certificates and
+    offers that are not moves are skipped and counted in the trace's
+    ``diagnostics`` (see :class:`ThinningTrace`).  ``cap`` must be at least 0.
     """
     if policy not in ("first", "greedy-max-drop"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -142,7 +143,7 @@ def thin(cx: Complex, proposer, policy: str = "first",
             forced = None
             candidates = list(proposer(current))
             offers = [m for m in candidates if isinstance(m, REDUCING)] + \
-                [m for m in candidates if isinstance(m, (Untelescope, Consolidate))]
+                [m for m in candidates if not isinstance(m, REDUCING)]
         move = after = vec = digest = None
         tied = []
         for cand, result, cand_vec in applicable(current, offers, trace.diagnostics):

@@ -369,6 +369,23 @@ def test_rewrite_graph_counts_rejections_by_kind_and_rule():
     assert len(by_hand) > 3
 
 
+def test_thin_counts_offers_that_are_not_moves():
+    """``thin`` reads every offer, counting one that is not a move like
+    :func:`rewrite_graph` does; it reads the reducing offers first, so an
+    offer that is not a move is read only at steps where none reduces."""
+    final, _trace = thin(gen_complex(GenConfig(max_thick=3, seed=5)), enumerate_moves)
+    _same, trace = thin(final, lambda c: [object()])
+    assert trace.terminal and not trace.steps
+    assert trace.diagnostics == {(None, "move.kind"): 1}
+    for policy, added in (("first", 5), ("greedy-max-drop", 4)):
+        cx = gen_complex(GenConfig(max_thick=3, seed=5))
+        want_final, want = thin(cx, enumerate_moves, policy=policy)
+        got_final, got = thin(cx, lambda c: [object(), *enumerate_moves(c)], policy=policy)
+        assert got_final == want_final and got.steps == want.steps
+        assert got.diagnostics - want.diagnostics == {(None, "move.kind"): added}
+        assert want.diagnostics - got.diagnostics == Counter()
+
+
 # ---------------------------------------------------------------------------
 # canonical hashing
 # ---------------------------------------------------------------------------

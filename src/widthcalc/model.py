@@ -554,9 +554,9 @@ def _validation(cx: Complex) -> Validation:
         for port in cb.minus:
             holders.setdefault(port, []).append(cb.id)
 
-    # Flow edges: a thin level runs from the thick level of the body it exits
-    # to that of the body it enters.  Port incidence: a thin level lies in the
-    # minus sets of exactly its two bodies, a boundary level in its owner's.
+    # A thin level is a flow edge from the thick level of the upper body it
+    # exits to that of the lower body it enters, and lies in the minus sets
+    # of exactly its two bodies; a boundary level lies in its owner's alone.
     edges: dict[str, list[str]] = {t: [] for t in cx.thick}
     for t in cx.thin.values():
         src, dst = upper_of.get(t.from_cb), lower_of.get(t.to_cb)

@@ -1105,6 +1105,17 @@ def vertical_over_boundary():
                          cbs=[cb("u", "H", minus=("B",), v=2), cb("d", "H", b=1, ball=True)])
 
 
+@pytest.fixture
+def genus_two_over_boundaries():
+    """A four-punctured genus-2 level: two bridge arcs above onto a genus-2
+    boundary, four vertical arcs below onto a four-punctured sphere.  Cut
+    along non-separating discs, the upper new body keeps the genus-2
+    boundary under a genus-1 level, which no tangle fits."""
+    return build_complex(thick=[thick("H", 2, 4, "u", "d")],
+                         boundary=[bdy("B0", 2, 0, "u"), bdy("B1", 0, 4, "d")],
+                         cbs=[cb("u", "H", minus=("B0",), b=2), cb("d", "H", minus=("B1",), v=4)])
+
+
 def _split_lower(split: SplitData | None, separating: bool = True) -> Untelescope:
     """An untelescope of the four-ended sphere whose lower disc carries ``split``."""
     return Untelescope("H", disc_minus=DiscData(0, separating, split),
@@ -1169,6 +1180,15 @@ _REJECTIONS = [
      "disc.split", "tangle sides must sum to the body tangle"),
     ("one_bridge_sphere", UndoRemovable("H", loop_side="left", tangle_up=Tangle(), tangle_down=Tangle()),
      "move.side", _SIDE),
+    ("one_bridge_sphere", Consolidate("H", "X"), "consolidate.thin", "unknown thin level 'X'"),
+    ("diamond_four", Consolidate("H", "FA"), "consolidate.product",
+     "no product-certified body of 'H' touches 'FA'"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1",), ghost_arcs=2),
+     "destabilize.tangle", "no feasible tangle for the near body"),
+    ("ghost_handlebody", Destabilize("ghost_bdy", "H", boundary_ids=("S1", "S2"), ghost_arcs=4),
+     "destabilize.tangle", "no feasible tangle for the far body"),
+    ("genus_two_over_boundaries", Untelescope("H", disc(0), disc(0), _outcome()), "untelescope.tangle",
+     "no feasible tangle for body 'cpu'"),
 ]
 
 
@@ -1195,6 +1215,9 @@ def test_every_rejection_a_certificate_can_reach(request, fixture, move, rule, m
       fix the aggregates.
     * ``boundary_reduce.identity``: the index formula gives it for every
       disc that ``compress_surface`` accepts.
+    * ``consolidate.tangle``: no generated certificate reaches it.  Every
+      consolidation of the generated instances, offered or inside an
+      untelescope sequence, solves its merged tangle.
     """
     cx = request.getfixturevalue(fixture)
     assert validate(cx).ok

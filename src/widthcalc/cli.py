@@ -183,7 +183,11 @@ def cmd_thin(args) -> int:
     _check_at_least(args, "cap", 0)
     cx, _ = _load_valid(args)
     policy = "greedy-max-drop" if args.policy == "greedy" else "first"
-    final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
+    try:
+        final, trace = thin(cx, enumerate_moves, policy=policy, cap=args.cap)
+    except MoveRejected as err:  # a forced consolidation the gate refused
+        print(f"rejected: {err}", file=sys.stderr)
+        return DOMAIN_ERROR
     print(json.dumps({"start": {"digest": trace.start_digest,
                                 "vector": list(trace.start_vector)}}))
     for step in trace.steps:

@@ -79,7 +79,10 @@ Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
 its JSON key, its type and, for an optional field, its default.  A required
 key must be present with a value of the stated JSON type.  An optional key
-may be missing or null, and then reads as its default.  An optional field
+may be missing or null, and then reads as its default.  A key that no row
+lists is refused, after the object's own fields are read; a tangle holds
+only its four counts, and only the top-level object holds ``kind``.  An
+optional field
 whose value is None is written as null, except the few rows marked to be
 omitted instead (a disc's ``split`` and a split's ``tangles``).  A malformed
 document raises :class:`~widthcalc.model.SchemaError` naming the field.
@@ -102,6 +105,7 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
+    _TANGLE_KEYS,
     _body_index,
     _id_list,
     _ids,
@@ -531,6 +535,50 @@ def _side_cbs(cx: Complex, thick_id: str, side: str) -> tuple[str, str]:
     raise MoveRejected("move.side", f"side must be 'up' or 'down', not {side!r}")
 
 
+def _thick(cx: Complex, thick_id: str, kind: str) -> ThickLevel:
+    """The thick level ``thick_id``; MoveRejected under ``<kind>.thick``
+    when ``cx`` has none."""
+    level = cx.thick.get(thick_id)
+    if level is None:
+        raise MoveRejected(f"{kind}.thick", f"unknown thick level {thick_id!r}")
+    return level
+
+
+def _tangle(given: Tangle | None, plus: Surface, minus_ids: Iterable[str],
+            level: Callable[[str], Surface], loops: int, rule: str, message: str) -> Tangle:
+    """``given`` when it is not None, else the tangle :func:`solve_tangle`
+    picks over ``plus`` and the surfaces ``level`` gives for ``minus_ids``;
+    MoveRejected(rule, message) when none is feasible."""
+    if given is not None:
+        return given
+    solved = solve_tangle(plus, [level(p) for p in minus_ids], loops)
+    if solved is None:
+        raise MoveRejected(rule, message)
+    return solved
+
+
+def _rehome(cx: Complex, bodies: Iterable[CompressionBody], old: set[str]) -> list:
+    """The levels of ``cx`` among the ports of the rebuilt ``bodies`` whose
+    back-reference names a body in ``old``, each pointed at the body that
+    now holds it: a thin level's ``from_cb`` when that end is in ``old``,
+    else its ``to_cb``, and a boundary level's ``owner``.  Only those ports
+    are read."""
+    put = []
+    for body in bodies:
+        for port in body.minus:
+            f = cx.thin.get(port)
+            if f is not None:
+                if f.from_cb in old:
+                    put.append(replace(f, from_cb=body.id))
+                elif f.to_cb in old:
+                    put.append(replace(f, to_cb=body.id))
+                continue
+            b = cx.boundary.get(port)
+            if b is not None and b.owner in old:
+                put.append(replace(b, owner=body.id))
+    return put
+
+
 def _surface(chi: int, p: int, rule: str) -> Surface:
     """The closed surface of euler characteristic ``chi`` with ``p``
     punctures; MoveRejected under ``rule`` when there is none."""
@@ -575,12 +623,10 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
     checked to equal ``index(A) + index(B) - 6`` and the complexity vector to
     strictly decrease (it loses exactly the deleted level's entry).
     """
-    if m.thick not in cx.thick:
-        raise MoveRejected("consolidate.thick", f"unknown thick level {m.thick!r}")
-    if m.thin not in cx.thin:
+    H = _thick(cx, m.thick, "consolidate")
+    Q = cx.thin.get(m.thin)
+    if Q is None:
         raise MoveRejected("consolidate.thin", f"unknown thin level {m.thin!r}")
-    H = cx.thick[m.thick]
-    Q = cx.thin[m.thin]
 
     p_id = None
     for cand in (H.upper_cb, H.lower_cb):
@@ -596,20 +642,9 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
 
     A, B = cx.cbs[a_id], cx.cbs[b_id]
     merged_minus = tuple(p for p in A.minus if p != m.thin) + B.minus
-    plus_a = cx.thick[A.plus].surface
-    minus_surfaces = [cx.level_surface(p) for p in merged_minus]
-    if m.merged_tangle is not None:
-        tangle = m.merged_tangle
-    else:
-        tangle = solve_tangle(plus_a, minus_surfaces, loops=A.tangle.loops + B.tangle.loops)
-        if tangle is None:
-            raise MoveRejected("consolidate.tangle", "no feasible merged tangle")
+    tangle = _tangle(m.merged_tangle, cx.thick[A.plus].surface, merged_minus, cx.level_surface,
+                     A.tangle.loops + B.tangle.loops, "consolidate.tangle", "no feasible merged tangle")
     merged = CompressionBody(a_id, A.plus, merged_minus, tangle)
-
-    # m.thin joins P and A, so it is not among the levels re-pointed from B
-    put = [replace(f, from_cb=a_id) if f.from_cb == b_id else replace(f, to_cb=a_id)
-           for f in cx.thin.values() if b_id in (f.from_cb, f.to_cb)]
-    put += [replace(b, owner=a_id) for b in cx.boundary.values() if b.owner == b_id]
 
     def check(before: Analysis, after: Analysis) -> None:
         if after.body[a_id] != before.body[a_id] + before.body[b_id] - 6:
@@ -617,7 +652,7 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
                                "merged index != index(A) + index(B) - 6")
 
     # ``a_id`` is dropped and put again, so the merged body goes last
-    return (*put, merged), frozenset((m.thick, m.thin, a_id, b_id, p_id)), check
+    return (*_rehome(cx, (merged,), {b_id}), merged), frozenset((m.thick, m.thin, a_id, b_id, p_id)), check
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +673,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     far-side aggregate indices are fixed and near-side ones drop strictly,
     and the complexity vector strictly decreases.
     """
-    if m.thick not in cx.thick:
-        raise MoveRejected("untelescope.thick", f"unknown thick level {m.thick!r}")
-    H = cx.thick[m.thick]
+    H = _thick(cx, m.thick, "untelescope")
     out = m.outcome
     _fresh(cx, _outcome_ids(out), "untelescope")
 
@@ -661,45 +694,26 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     hm, hp = out.h_minus, out.h_plus
     new_thin = ThinLevel(out.thin_id, f0, from_cb=hm.upper.id, to_cb=hp.lower.id)
 
+    def level(port: str) -> Surface:
+        return f0 if port == out.thin_id else cx.level_surface(port)
+
     def make_cb(spec: BodySpec, plus_id: str, plus_surface: Surface,
                 minus: tuple[str, ...], thin_extra: bool) -> CompressionBody:
         ports = ((out.thin_id,) if thin_extra else ()) + minus
-        if spec.tangle is not None:
-            tangle = spec.tangle
-        else:
-            surfaces = [f0 if p == out.thin_id else cx.level_surface(p) for p in ports]
-            solved = solve_tangle(plus_surface, surfaces)
-            if solved is None:
-                raise MoveRejected("untelescope.tangle",
-                                   f"no feasible tangle for body {spec.id!r}")
-            tangle = solved
+        tangle = _tangle(spec.tangle, plus_surface, ports, level, 0, "untelescope.tangle",
+                         f"no feasible tangle for body {spec.id!r}")
         return CompressionBody(spec.id, plus_id, ports, tangle)
 
     cb_hm_down = make_cb(hm.lower, hm.id, s_minus, side1_minus, thin_extra=False)
     cb_hm_up = make_cb(hm.upper, hm.id, s_minus, side2_plus, thin_extra=True)
     cb_hp_down = make_cb(hp.lower, hp.id, s_plus, side2_minus, thin_extra=True)
     cb_hp_up = make_cb(hp.upper, hp.id, s_plus, side1_plus, thin_extra=False)
-
-    put = [ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id),
-           ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id)]
-
-    new_owner: dict[str, str] = {}
-    for port in side1_minus:
-        new_owner[port] = cb_hm_down.id
-    for port in side2_minus:
-        new_owner[port] = cb_hp_down.id
-    for port in side1_plus:
-        new_owner[port] = cb_hp_up.id
-    for port in side2_plus:
-        new_owner[port] = cb_hm_up.id
+    bodies = (cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up)
 
     old_up, old_down = H.upper_cb, H.lower_cb
-    put += [replace(f, to_cb=new_owner[f.id] if f.to_cb == old_down else f.to_cb,
-                    from_cb=new_owner[f.id] if f.from_cb == old_up else f.from_cb)
-            for f in cx.thin.values() if f.to_cb == old_down or f.from_cb == old_up]
-    put.append(new_thin)
-    put += [replace(b, owner=new_owner[b.id]) for b in cx.boundary.values() if b.owner in (old_down, old_up)]
-    put += [cb_hm_down, cb_hm_up, cb_hp_down, cb_hp_up]
+    put = (ThickLevel(hm.id, s_minus, upper_cb=hm.upper.id, lower_cb=hm.lower.id),
+           ThickLevel(hp.id, s_plus, upper_cb=hp.upper.id, lower_cb=hp.lower.id),
+           *_rehome(cx, bodies, {old_up, old_down}), new_thin, *bodies)
 
     def check(before: Analysis, after: Analysis) -> None:
         # Body-index bookkeeping around the split level.
@@ -734,7 +748,7 @@ def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
         if after.index_up[hp.id] >= iu_before:
             raise MoveRejected("untelescope.upper_index_drop", "upper aggregate index must drop")
 
-    return tuple(put), frozenset((m.thick, old_up, old_down)), check
+    return put, frozenset((m.thick, old_up, old_down)), check
 
 
 def _outcome_ids(out: UntelescopeOutcome) -> list[str]:
@@ -805,9 +819,7 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     """
     if m.variant not in DESTAB_VARIANTS:
         raise MoveRejected("destabilize.variant", f"unknown variant {m.variant!r}")
-    if m.thick not in cx.thick:
-        raise MoveRejected("destabilize.thick", f"unknown thick level {m.thick!r}")
-    H = cx.thick[m.thick]
+    H = _thick(cx, m.thick, "destabilize")
     sphere = _sphere_blocks(cx).get(m.thick)
     if sphere is not None:
         raise MoveRejected("destabilize.boundary_sphere",
@@ -828,10 +840,10 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
         new_surface = Surface(g - 1, p + 2 * q)
         side_minus, far_minus = side_cb.minus, far_cb.minus
         if q:
-            default_side = replace(side_cb.tangle, bridges=side_cb.tangle.bridges + 1)
-            default_far = replace(far_cb.tangle, bridges=far_cb.tangle.bridges + 1)
+            kept_side = replace(side_cb.tangle, bridges=side_cb.tangle.bridges + 1)
+            kept_far = replace(far_cb.tangle, bridges=far_cb.tangle.bridges + 1)
         else:
-            default_side, default_far = side_cb.tangle, far_cb.tangle
+            kept_side, kept_far = side_cb.tangle, far_cb.tangle
     else:
         if m.variant in ("bdy", "merid_bdy"):
             if gamma != 0:
@@ -867,30 +879,21 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
         new_surface = _surface(chi_new, p_new, "destabilize.profile")
         side_minus = tuple(x for x in side_cb.minus if x not in s_ids)
         far_minus = far_cb.minus + s_ids
-        default_side = None  # solve below
-        default_far = None
+        kept_side = kept_far = None  # solved below
 
-    def pick(explicit: Tangle | None, default: Tangle | None,
-             minus: tuple[str, ...], loops: int, who: str) -> Tangle:
-        if explicit is not None:
-            return explicit
-        if default is not None:
-            return default
-        solved = solve_tangle(new_surface, [cx.level_surface(x) for x in minus], loops=loops)
-        if solved is None:
-            raise MoveRejected("destabilize.tangle", f"no feasible tangle for the {who} body")
-        return solved
-
-    explicit_side = m.tangle_up if m.side == "up" else m.tangle_down
-    explicit_far = m.tangle_down if m.side == "up" else m.tangle_up
-    tangle_side = pick(explicit_side, default_side, side_minus, side_cb.tangle.loops, "near")
-    tangle_far = pick(explicit_far, default_far, far_minus, far_cb.tangle.loops, "far")
+    given_side, given_far = (m.tangle_up, m.tangle_down) if m.side == "up" else (m.tangle_down, m.tangle_up)
+    tangle_side = _tangle(kept_side if given_side is None else given_side, new_surface, side_minus,
+                          cx.level_surface, side_cb.tangle.loops, "destabilize.tangle",
+                          "no feasible tangle for the near body")
+    tangle_far = _tangle(kept_far if given_far is None else given_far, new_surface, far_minus,
+                         cx.level_surface, far_cb.tangle.loops, "destabilize.tangle",
+                         "no feasible tangle for the far body")
+    far = CompressionBody(far_id, far_cb.plus, far_minus, tangle_far)
 
     # the gate sets the rebuilt bodies' certificate flags
     put = (ThickLevel(m.thick, new_surface, H.upper_cb, H.lower_cb),
-           *(replace(cx.boundary[s], owner=far_id) for s in s_ids),
-           CompressionBody(side_id, side_cb.plus, side_minus, tangle_side),
-           CompressionBody(far_id, far_cb.plus, far_minus, tangle_far))
+           *_rehome(cx, (far,), {side_id}),
+           CompressionBody(side_id, side_cb.plus, side_minus, tangle_side), far)
 
     def check(before: Analysis, after: Analysis) -> None:
         if after.body[H.upper_cb] >= before.body[H.upper_cb]:
@@ -911,11 +914,9 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
     side disappear; on the far side the merge consumes a second bridge arc
     (``bridge_bridge``) or pairs with a vertical arc (``vertical_bridge``),
     leaving vertical counts unchanged either way."""
-    if m.thick not in cx.thick:
-        raise MoveRejected("unperturb.thick", f"unknown thick level {m.thick!r}")
+    H = _thick(cx, m.thick, "unperturb")
     if m.merge_case not in ("bridge_bridge", "vertical_bridge"):
         raise MoveRejected("unperturb.case", f"unknown merge case {m.merge_case!r}")
-    H = cx.thick[m.thick]
     if H.surface.punctures < 2:
         raise MoveRejected("unperturb.punctures", "the level meets the graph fewer than twice")
     near_id, far_id = _side_cbs(cx, m.thick, m.near_side)
@@ -940,9 +941,7 @@ def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
     ``loop_side``.  A general redistribution may supply both new tangles,
     subject to conservation against the two-fewer-punctures level.
     """
-    if m.thick not in cx.thick:
-        raise MoveRejected("undo_removable.thick", f"unknown thick level {m.thick!r}")
-    H = cx.thick[m.thick]
+    H = _thick(cx, m.thick, "undo_removable")
     if H.surface.punctures < 2:
         raise MoveRejected("undo_removable.punctures", "the level meets the graph fewer than twice")
     up_id, down_id = H.upper_cb, H.lower_cb
@@ -1127,6 +1126,20 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
 }
 
 
+# The keys each object of a move document may hold: its rows' keys, ``kind``
+# for a move (only ever the top-level object), and a tangle's four counts.
+_KEYS = {spec: frozenset(row[0] for row in rows) | ({"kind"} if spec in _KINDS else set())
+         for spec, rows in _ROWS.items()}
+_KEYS[Tangle] = frozenset(_TANGLE_KEYS)
+
+
+def _refuse_unknown(spec, val: dict, where: str) -> None:
+    """SchemaError naming the first key of ``val`` that ``spec`` does not list."""
+    for key in val:
+        if key not in _KEYS[spec]:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+
+
 def _json_type(spec) -> type:
     if isinstance(spec, (list, tuple)):
         return list
@@ -1141,7 +1154,9 @@ def _decode(spec, val, where: str):
             raise SchemaError(f"{where}: expected a list of two")
         return tuple(_decode(s, v, where) for s, v in zip(spec, val))
     if spec is Tangle:
-        return parse_tangle(val, where)
+        tangle = parse_tangle(val, where)
+        _refuse_unknown(Tangle, val, where)
+        return tangle
     if spec in _ROWS:
         values = []
         for key, row_spec, *optional in _ROWS[spec]:
@@ -1150,6 +1165,7 @@ def _decode(spec, val, where: str):
                 values.append(got)  # missing or null: the default
             else:
                 values.append(_decode(row_spec, got, f"{where}.{key}"))
+        _refuse_unknown(spec, val, where)
         return spec(*values)
     if not isinstance(val, spec) or (spec is int and isinstance(val, bool)):
         raise SchemaError(f"{where}: expected {spec.__name__}")
@@ -1185,8 +1201,9 @@ def emit_move(m: Move) -> dict:
 
 
 def parse_move(doc: dict) -> Move:
-    """Decode a move document; raises SchemaError naming the missing or
-    mistyped field when malformed.  Optional fields may be missing or null."""
+    """Decode a move document; raises SchemaError naming the missing,
+    mistyped or unknown field when malformed.  Optional fields may be
+    missing or null."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("move: expected an object with a 'kind' field")
     kind = doc["kind"]

@@ -45,6 +45,7 @@ from .model import (
     Complex,
     ThickLevel,
     ThinLevel,
+    ValidationError,
     _SECTION,
     _find,
     _kept,
@@ -53,6 +54,7 @@ from .model import (
     digraph_cycle,
     record_text,
     require_valid,
+    validate,
 )
 from .moves import (
     REDUCING,
@@ -558,6 +560,10 @@ def canonical_form(cx: Complex) -> str:
     it was rendered at; the document is the section texts joined inside a
     fixed envelope, byte for byte the ``json.dumps`` of the whole instance
     document.
+
+    Raises ValidationError, whose report lists the ``dangling_reference``
+    violations, when a record names an id that ``cx`` does not hold; ``cx``
+    is validated only then.
     """
     forms = [_kept(part, "_form", lambda part: (*_component_form(_records(part)), {}))
              for part in components(cx)]
@@ -567,7 +573,10 @@ def canonical_form(cx: Complex) -> str:
     for _cert, records, texts in forms:
         rendered = texts.get(offset)
         if rendered is None:
-            rendered = texts[offset] = _render(records, offset)
+            try:
+                rendered = texts[offset] = _render(records, offset)
+            except KeyError:  # a reference to no record: the report names it
+                raise ValidationError(validate(cx)) from None
         for out, text in zip(sections, rendered):
             if text:
                 out.append(text)
@@ -583,7 +592,8 @@ def canonical_hash(cx: Complex) -> str:
     :func:`canonical_form`), so a component that the complexes of a
     :func:`thin` or :func:`rewrite_graph` run share as one object is
     canonized once and rendered once per offset; a complex made of such
-    components at offsets seen before hashes a join of kept text.
+    components at offsets seen before hashes a join of kept text.  Raises
+    ValidationError on a dangling reference, as :func:`canonical_form` does.
 
     >>> from .model import parse_complex
     >>> doc = {"thick": [{"id": "H", "surface": {"genus": 2, "punctures": 0},

@@ -549,3 +549,30 @@ def test_cli_exits_cleanly_on_any_document(instance, move):
                      ["explore", str(inst), "--cap", "5", "--format", "json"],
                      ["thin", str(inst), "--cap", "3"]):
             assert main(argv + ["--quiet"]) in (0, 1, 2)
+
+
+def test_apply_refuses_a_misspelt_move_key_exit_two(tmp_path, capsys):
+    inst, _ = _consolidatable(tmp_path)
+    move = tmp_path / "typo.json"
+    move.write_text(json.dumps({"kind": "unperturb", "thick": "J", "near_sid": "down"}))
+    assert main(["apply", inst, "--move", str(move)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad move document #0: move: unknown field 'near_sid'\n"
+
+
+def test_thin_reports_a_rejected_forced_consolidation_exit_one(tmp_path, capsys, monkeypatch):
+    """``thin`` raises the rejection of a forced consolidation; the command
+    prints it on one line, as ``apply`` does, and nothing on stdout."""
+    from widthcalc import moves
+
+    def refuse(cx, move):
+        raise moves.MoveRejected("consolidate.refused", "refused")
+
+    monkeypatch.setitem(moves._KINDS, Consolidate, ("consolidate", refuse))
+    inst = tmp_path / "forced.json"
+    inst.write_text(json.dumps(emit_complex(gen_complex(GenConfig(max_thick=3, seed=13)))))
+    for policy in ("first", "greedy"):
+        assert main(["thin", str(inst), "--policy", policy]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "rejected: consolidate.refused: refused\n")

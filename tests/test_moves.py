@@ -1266,3 +1266,56 @@ def test_untelescope_reads_a_tangle_its_body_spec_carries(spheres_with_four_ends
         apply_untelescope(cx, with_lower(Tangle(loops=1)))
     assert err.value.rule == "untelescope.result_invalid"
     assert "[handle_feasibility] cmd:" in str(err.value)
+
+
+def _nested_untelescope_doc() -> dict:
+    """An untelescope document holding an object of every nested kind: discs,
+    a split with tangles, the outcome, thick specs and body specs."""
+    split = SplitData((0, 0), (0, 0), (("S2",), ("S1",)), (Tangle(), Tangle()))
+    doc = emit_move(_split_lower(split))
+    doc["outcome"]["h_minus"]["lower"]["tangle"] = {"v": 0, "b": 0, "gh": 0, "loops": 0}
+    return doc
+
+
+def _with(path: tuple, key: str, value=0) -> dict:
+    doc = _nested_untelescope_doc()
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "unperturb", "thick": "H", "near_sid": "down"}, "move: unknown field 'near_sid'"),
+    ({"kind": "destabilize", "variant": "bdy", "thick": "H", "boundry_ids": ["S1"]},
+     "move: unknown field 'boundry_ids'"),
+    (_with((), "thin"), "move: unknown field 'thin'"),
+    (_with(("disc_plus",), "splt", {"genus": [0, 0], "punctures": [0, 0], "ports": [[], []]}),
+     "move.disc_plus: unknown field 'splt'"),
+    (_with(("disc_minus", "split"), "port", []), "move.disc_minus.split: unknown field 'port'"),
+    (_with(("outcome",), "thin"), "move.outcome: unknown field 'thin'"),
+    (_with(("outcome", "h_plus"), "kind", "untelescope"), "move.outcome.h_plus: unknown field 'kind'"),
+    (_with(("outcome", "h_plus", "upper"), "tangles"), "move.outcome.h_plus.upper: unknown field 'tangles'"),
+    (_with(("outcome", "h_minus", "lower", "tangle"), "ghosts"),
+     "move.outcome.h_minus.lower.tangle: unknown field 'ghosts'"),
+    (_with(("disc_minus", "split", "tangles", 1), "id", "t"),
+     "move.disc_minus.split.tangles: unknown field 'id'"),
+    ({"kind": "consolidate", "thick": "H", "thn": "F"}, "move: missing field 'thin'"),
+    ({"kind": "unperturb", "thick": "H", "near_sid": "down", "merge_case": 1},
+     "move.merge_case: expected str"),
+], ids=["move-near-side", "move-boundary-ids", "move", "disc", "split", "outcome", "thick-spec",
+        "body-spec", "tangle", "split-tangle", "missing-first", "mistyped-first"])
+def test_a_move_document_refuses_a_key_no_row_lists(doc, message):
+    """A misspelt key is refused, never read as the default, at every
+    nesting level; a missing or mistyped field is named before it."""
+    with pytest.raises(SchemaError) as err:
+        parse_move(doc)
+    assert str(err.value) == message
+
+
+def test_a_move_document_without_unknown_keys_still_parses():
+    doc = _nested_untelescope_doc()
+    move = parse_move(doc)
+    assert move.outcome.h_minus.lower.tangle == Tangle()
+    assert emit_move(move) == doc

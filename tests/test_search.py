@@ -1398,3 +1398,20 @@ def test_thin_never_rebuilds_the_vector_list(monkeypatch):
             _final, trace = thin(cx, enumerate_moves, policy=policy)
             assert len(trace.steps) > 1
     assert calls["vectors"] == 0
+
+
+@pytest.mark.parametrize("dangling", ["minus-port", "lower-body"])
+def test_canonical_form_raises_validation_error_on_a_dangling_reference(dangling):
+    """A record naming an id the complex does not hold raises the complex's
+    report, as ``analyze`` does, not a bare KeyError."""
+    if dangling == "minus-port":
+        cx = build_complex(thick=[thick("H", 0, 2, "u", "d")],
+                           cbs=[cb("u", "H", minus=("X",), b=1), cb("d", "H", b=1)])
+    else:
+        cx = build_complex(thick=[thick("H", 0, 2, "u", "zz")],
+                           cbs=[cb("u", "H", b=1), cb("d", "H", b=1)])
+    for canon in (canonical_form, canonical_hash):
+        with pytest.raises(model.ValidationError) as err:
+            canon(cx)
+        assert err.value.report == validate(cx)
+        assert "dangling_reference" in err.value.report.codes()

@@ -804,7 +804,15 @@ def disjoint_union(parts: list[Complex]) -> Complex:
 # JSON document format
 # ---------------------------------------------------------------------------
 
+_SURFACE_KEYS = ("genus", "punctures")
 _TANGLE_KEYS = ("v", "b", "gh", "loops")
+# The keys each instance record may hold, in field order.
+_RECORD_KEYS = {
+    "thick": ("id", "surface", "upper_cb", "lower_cb"),
+    "thin": ("id", "surface", "from_cb", "to_cb"),
+    "boundary": ("id", "surface", "owner", "is_drilled_vertex"),
+    "cbs": ("id", "plus", "minus", "tangle", "product_certificate", "ball_certificate"),
+}
 
 
 _REQUIRED = object()
@@ -815,17 +823,7 @@ def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
 
     With a ``default``, the field is optional and a missing or null value
     yields the default.
-
-    Success on a plain ``dict`` holding a value of exactly ``kind`` returns
-    after the object's type test, one ``dict.get`` and the value's exact
-    type test.  Everything else (a missing or null field, a wrong type, a
-    subclass of ``dict`` or of ``kind``) falls through to the full checks,
-    which raise the SchemaError or accept the value.
     """
-    if type(obj) is dict:
-        val = obj.get(key)
-        if type(val) is kind:
-            return val
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if key not in obj or (obj[key] is None and default is not _REQUIRED):
@@ -840,6 +838,13 @@ def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     return val
 
 
+def _refuse_unknown(obj: dict, keys, where: str) -> None:
+    """SchemaError naming the first key of ``obj`` that ``keys`` does not list."""
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown field {key!r}")
+
+
 def _id_list(val, where: str) -> tuple[str, ...]:
     if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
         raise SchemaError(f"{where}: expected a list of ids")
@@ -847,7 +852,9 @@ def _id_list(val, where: str) -> tuple[str, ...]:
 
 
 def parse_surface(obj: dict, where: str = "surface") -> Surface:
-    return Surface(_need(obj, "genus", int, where), _need(obj, "punctures", int, where))
+    s = Surface(_need(obj, "genus", int, where), _need(obj, "punctures", int, where))
+    _refuse_unknown(obj, _SURFACE_KEYS, where)
+    return s
 
 
 def emit_surface(s: Surface) -> dict:
@@ -855,8 +862,10 @@ def emit_surface(s: Surface) -> dict:
 
 
 def parse_tangle(obj: dict, where: str = "tangle") -> Tangle:
-    return Tangle(_need(obj, "v", int, where), _need(obj, "b", int, where),
-                  _need(obj, "gh", int, where), _need(obj, "loops", int, where))
+    t = Tangle(_need(obj, "v", int, where), _need(obj, "b", int, where),
+               _need(obj, "gh", int, where), _need(obj, "loops", int, where))
+    _refuse_unknown(obj, _TANGLE_KEYS, where)
+    return t
 
 
 def emit_tangle(t: Tangle) -> dict:
@@ -869,46 +878,110 @@ def parse_complex(doc: dict) -> Complex:
     Top-level keys are ``thick``, ``thin``, ``boundary`` and ``cbs``; ids are
     strings; surfaces are ``{"genus": int, "punctures": int}``; tangles are
     ``{"v": int, "b": int, "gh": int, "loops": int}``; certificates are
-    booleans.  A missing or null top-level key reads as an empty list.
-    Domain invariants are *not* checked here: any well-typed document parses
-    and is then judged by :func:`validate`.
+    booleans.  A missing or null top-level key reads as an empty list, and
+    other top-level keys are left alone.  A record, surface or tangle that
+    holds a key the format does not list for it is refused, after its own
+    fields are read.  Domain invariants are *not* checked here: any
+    well-typed document parses and is then judged by :func:`validate`.
+
+    A record that is a plain ``dict`` holding exactly its listed keys, each
+    with a value of exactly its JSON type, is read in one pass, and the
+    records read so share one :class:`Surface` per ``(genus, punctures)``
+    and one :class:`Tangle` per count tuple.  Any other record (an optional
+    key missing or null, a subclass of a JSON type, a wrong type or an
+    unknown key) is read field by field, which names the first fault.
     """
     if not isinstance(doc, dict):
         raise SchemaError("instance: expected a JSON object")
+    surfaces: dict[tuple[int, int], Surface] = {}
+    tangles: dict[tuple[int, int, int, int], Tangle] = {}
+
+    def surface(obj) -> Surface | None:
+        """The shared surface of ``obj`` when its one pass accepts it."""
+        if type(obj) is dict and len(obj) == 2:
+            key = obj.get("genus"), obj.get("punctures")
+            if type(key[0]) is int and type(key[1]) is int:
+                found = surfaces.get(key)
+                if found is None:
+                    found = surfaces[key] = Surface(*key)
+                return found
+        return None
+
     thick = []
     for item in _need(doc, "thick", list, "instance", []):
-        thick.append(ThickLevel(
+        if type(item) is dict and len(item) == 4:
+            i, s = item.get("id"), surface(item.get("surface"))
+            up, down = item.get("upper_cb"), item.get("lower_cb")
+            if type(i) is str and s is not None and type(up) is str and type(down) is str:
+                thick.append(ThickLevel(i, s, up, down))
+                continue
+        rec = ThickLevel(
             _need(item, "id", str, "thick"),
             parse_surface(_need(item, "surface", dict, "thick"), "thick.surface"),
             _need(item, "upper_cb", str, "thick"),
             _need(item, "lower_cb", str, "thick"),
-        ))
+        )
+        _refuse_unknown(item, _RECORD_KEYS["thick"], "thick")
+        thick.append(rec)
     thin = []
     for item in _need(doc, "thin", list, "instance", []):
-        thin.append(ThinLevel(
+        if type(item) is dict and len(item) == 4:
+            i, s = item.get("id"), surface(item.get("surface"))
+            src, dst = item.get("from_cb"), item.get("to_cb")
+            if type(i) is str and s is not None and type(src) is str and type(dst) is str:
+                thin.append(ThinLevel(i, s, src, dst))
+                continue
+        rec = ThinLevel(
             _need(item, "id", str, "thin"),
             parse_surface(_need(item, "surface", dict, "thin"), "thin.surface"),
             _need(item, "from_cb", str, "thin"),
             _need(item, "to_cb", str, "thin"),
-        ))
+        )
+        _refuse_unknown(item, _RECORD_KEYS["thin"], "thin")
+        thin.append(rec)
     boundary = []
     for item in _need(doc, "boundary", list, "instance", []):
-        boundary.append(BoundaryLevel(
+        if type(item) is dict and len(item) == 4:
+            i, s = item.get("id"), surface(item.get("surface"))
+            owner, drilled = item.get("owner"), item.get("is_drilled_vertex")
+            if type(i) is str and s is not None and type(owner) is str and type(drilled) is bool:
+                boundary.append(BoundaryLevel(i, s, owner, drilled))
+                continue
+        rec = BoundaryLevel(
             _need(item, "id", str, "boundary"),
             parse_surface(_need(item, "surface", dict, "boundary"), "boundary.surface"),
             _need(item, "owner", str, "boundary"),
             _need(item, "is_drilled_vertex", bool, "boundary", False),
-        ))
+        )
+        _refuse_unknown(item, _RECORD_KEYS["boundary"], "boundary")
+        boundary.append(rec)
     cbs = []
     for item in _need(doc, "cbs", list, "instance", []):
-        cbs.append(CompressionBody(
+        if type(item) is dict and len(item) == 6:
+            i, plus, minus, t = item.get("id"), item.get("plus"), item.get("minus"), item.get("tangle")
+            product, ball = item.get("product_certificate"), item.get("ball_certificate")
+            if (type(i) is str and type(plus) is str and type(minus) is list
+                    and all([type(port) is str for port in minus])
+                    and type(product) is bool and type(ball) is bool
+                    and type(t) is dict and len(t) == 4):
+                key = t.get("v"), t.get("b"), t.get("gh"), t.get("loops")
+                if (type(key[0]) is int and type(key[1]) is int
+                        and type(key[2]) is int and type(key[3]) is int):
+                    tangle = tangles.get(key)
+                    if tangle is None:
+                        tangle = tangles[key] = Tangle(*key)
+                    cbs.append(CompressionBody(i, plus, tuple(minus), tangle, product, ball))
+                    continue
+        rec = CompressionBody(
             _need(item, "id", str, "cbs"),
             _need(item, "plus", str, "cbs"),
             _id_list(_need(item, "minus", list, "cbs", []), "cbs.minus"),
             parse_tangle(_need(item, "tangle", dict, "cbs"), "cbs.tangle"),
             _need(item, "product_certificate", bool, "cbs", False),
             _need(item, "ball_certificate", bool, "cbs", False),
-        ))
+        )
+        _refuse_unknown(item, _RECORD_KEYS["cbs"], "cbs")
+        cbs.append(rec)
     return build_complex(thick, thin, boundary, cbs)
 
 

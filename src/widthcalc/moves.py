@@ -105,13 +105,13 @@ from .model import (
     ThickLevel,
     ThinLevel,
     _SECTION,
-    _TANGLE_KEYS,
     _body_index,
     _id_list,
     _ids,
     _kept,
     _need,
     _reads,
+    _refuse_unknown,
     body_index,
     certify,
     components,
@@ -1126,18 +1126,11 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
 }
 
 
-# The keys each object of a move document may hold: its rows' keys, ``kind``
-# for a move (only ever the top-level object), and a tangle's four counts.
+# The keys each object of a move document may hold: its rows' keys, and
+# ``kind`` for a move (only ever the top-level object).  A tangle's parser
+# checks its own keys.
 _KEYS = {spec: frozenset(row[0] for row in rows) | ({"kind"} if spec in _KINDS else set())
          for spec, rows in _ROWS.items()}
-_KEYS[Tangle] = frozenset(_TANGLE_KEYS)
-
-
-def _refuse_unknown(spec, val: dict, where: str) -> None:
-    """SchemaError naming the first key of ``val`` that ``spec`` does not list."""
-    for key in val:
-        if key not in _KEYS[spec]:
-            raise SchemaError(f"{where}: unknown field {key!r}")
 
 
 def _json_type(spec) -> type:
@@ -1154,9 +1147,7 @@ def _decode(spec, val, where: str):
             raise SchemaError(f"{where}: expected a list of two")
         return tuple(_decode(s, v, where) for s, v in zip(spec, val))
     if spec is Tangle:
-        tangle = parse_tangle(val, where)
-        _refuse_unknown(Tangle, val, where)
-        return tangle
+        return parse_tangle(val, where)
     if spec in _ROWS:
         values = []
         for key, row_spec, *optional in _ROWS[spec]:
@@ -1165,7 +1156,7 @@ def _decode(spec, val, where: str):
                 values.append(got)  # missing or null: the default
             else:
                 values.append(_decode(row_spec, got, f"{where}.{key}"))
-        _refuse_unknown(spec, val, where)
+        _refuse_unknown(val, _KEYS[spec], where)
         return spec(*values)
     if not isinstance(val, spec) or (spec is int and isinstance(val, bool)):
         raise SchemaError(f"{where}: expected {spec.__name__}")

@@ -2,6 +2,7 @@ import argparse
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -74,6 +75,29 @@ def test_non_boolean_certificate_exit_two(tmp_path, capsys, one_bridge_sphere):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "ball_certificate" in err
+
+
+@pytest.mark.parametrize("section, key, misspelt", [
+    ("thick", None, "uper_cb"),
+    ("thin", None, "form_cb"),
+    ("boundary", "is_drilled_vertex", "is_drilled_vertx"),
+    ("cbs", "minus", "mnus"),
+    ("cbs", "product_certificate", "product_certficate"),
+    ("cbs", None, "ball_certifcate"),
+])
+def test_misspelt_instance_key_exit_two(tmp_path, capsys, section, key, misspelt):
+    # with the key it stands for missing or present, the misspelling is
+    # refused, never read as the key's default
+    doc = emit_complex(gen_complex(GenConfig(max_thick=5), random.Random(4)))
+    record = doc[section][0]
+    record[misspelt] = record.pop(key) if key else True
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad instance document {path}: "
+                            f"{section}: unknown field {misspelt!r}\n")
 
 
 def test_seed_is_read_by_gen_only(instance_file):

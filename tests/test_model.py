@@ -5,6 +5,7 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -767,10 +768,82 @@ def _subclassed(value):
     return value
 
 
-def test_parse_accepts_dict_str_and_list_subclasses():
+@pytest.fixture(scope="module")
+def bench_chain():
+    """The benchmark's ``workloads.chain`` document builder."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+    return workloads.chain
+
+
+# The optional keys of each section's records.
+OPTIONAL_KEYS = (("boundary", "is_drilled_vertex"), ("cbs", "minus"),
+                 ("cbs", "product_certificate"), ("cbs", "ball_certificate"))
+
+
+def _with_optional_keys_dropped(doc):
+    """``doc``, then for each optional key a copy with it deleted from every
+    record of its section and a copy with it set to null there."""
+    yield doc
+    for section, key in OPTIONAL_KEYS:
+        for drop in (dict.pop, lambda item, key: item.__setitem__(key, None)):
+            changed = copy.deepcopy(doc)
+            for item in changed[section]:
+                drop(item, key)
+            yield changed
+
+
+def test_parse_accepts_dict_str_and_list_subclasses(bench_chain):
+    # A plain document is read in one pass per record, the same document of
+    # subclasses field by field; both must give the same complex and report.
     doc = _subclassed(SCHEMA_BASE)
     assert isinstance(doc["thick"][0]["id"], _Id)
-    assert parse_complex(doc) == parse_complex(SCHEMA_BASE)
+    generated = [emit_complex(gen_complex(GenConfig(max_thick=6), random.Random(seed)))
+                 for seed in range(12)]
+    assert any(gen["boundary"] for gen in generated)
+    chains = [bench_chain(n, random.Random(n)) for n in (1, 2, 40)]
+    cases = 0
+    for base in (SCHEMA_BASE, *generated, *chains):
+        for plain in _with_optional_keys_dropped(base):
+            fast, fallback = parse_complex(plain), parse_complex(_subclassed(plain))
+            assert fast == fallback
+            assert validate(fast) == validate(fallback)
+            cases += 1
+    assert cases == 16 * 9
+
+
+def test_parse_shares_one_surface_and_one_tangle_per_distinct_value(bench_chain):
+    cx = parse_complex(bench_chain(800, random.Random(1)))
+    levels = [*cx.thick.values(), *cx.thin.values()]
+    surfaces = {id(level.surface): level.surface for level in levels}
+    assert len(surfaces) == len({(s.genus, s.punctures) for s in surfaces.values()}) < 16
+    tangles = {id(body.tangle): body.tangle for body in cx.cbs.values()}
+    assert len(tangles) == len({t.counts() for t in tangles.values()}) < 16
+
+
+# A misspelling of one key each object may hold.
+MISSPELT = {"thick": "uper_cb", "thin": "form_cb", "boundary": "is_drilled_vertx",
+            "cbs": "ball_certifcate", "thick.surface": "genera", "thin.surface": "puncture",
+            "boundary.surface": "Genus", "cbs.tangle": "ghosts"}
+
+
+@pytest.mark.parametrize("where", sorted(MISSPELT))
+def test_unknown_keys_are_refused_after_the_fields_are_read(where):
+    path = where.split(".")
+    last = {"thick": "lower_cb", "thin": "to_cb", "boundary": "owner", "cbs": "plus",
+            "surface": "punctures", "tangle": "loops"}[path[-1]]
+    doc = copy.deepcopy(SCHEMA_BASE)
+    node = _holder(doc, path + [last])
+    node[MISSPELT[where]] = node[last]
+    assert _schema_message(doc) == f"{where}: unknown field {MISSPELT[where]!r}"
+    assert _schema_message(_subclassed(doc)) == f"{where}: unknown field {MISSPELT[where]!r}"
+    # a missing or mistyped field is named before the unknown key
+    kind = type(node[last])
+    node[last] = []
+    assert _schema_message(doc) == f"{where}.{last}: expected {kind.__name__}"
+    del node[last]
+    assert _schema_message(doc) == f"{where}: missing field {last!r}"
 
 
 @pytest.mark.parametrize("counts, report", [

@@ -1019,12 +1019,25 @@ def test_thin_first_on_a_union_ends_in_the_union_of_thin_forms():
         assert canonical_hash(final) == canonical_hash(_union(alone, rng))
 
 
+def _four_copies():
+    """A shuffled union of four relabelled copies of one seeded one-level base."""
+    base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4, seed=4001))
+    rng = random.Random(23)
+    return _union([_relabel(base, rng.randrange(10**6)) for _ in range(4)], rng)
+
+
 def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
     """Work-count gate: on a union of four relabelled copies, an untouched
     copy pays for an accepted move once per run, not once per node; every
-    rejection is still raised by ``apply_move``."""
+    rejection is still raised by ``apply_move``.  ``built`` counts the calls
+    of the kinds' apply functions (``moves._KINDS``)."""
     calls = Counter()
     real = moves.apply_move
+    for kind, (name, apply) in list(moves._KINDS.items()):
+        def built(cx, move, apply=apply):
+            calls["built"] += 1
+            return apply(cx, move)
+        monkeypatch.setitem(moves._KINDS, kind, (name, built))
 
     def counted(cx, move):
         try:
@@ -1036,13 +1049,11 @@ def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
         return result
 
     monkeypatch.setattr(moves, "apply_move", counted)
-    base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4, seed=4001))
-    rng = random.Random(23)
-    cx = _union([_relabel(base, rng.randrange(10**6)) for _ in range(4)], rng)
-    graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
+    graph = rewrite_graph(_four_copies(), enumerate_moves, max_nodes=20)
     assert len(graph.nodes) == 20
     assert calls["rejected"] == 311
     assert calls["accepted"] == 44  # 359 when every node applies every move whole
+    assert calls["built"] == 355
     for digest, node in graph.nodes.items():
         fresh = model.Complex(node.thick, node.thin, node.boundary, node.cbs)
         assert model.components(node) == model.components(fresh)
@@ -1176,28 +1187,34 @@ def test_golden_driver_outcomes():
 UNION_THIN_GOLDEN_DIGEST = "c6c6252f5941be267c94dd420c0d7f0d73ea77f4e29fa8f4663c7d9b9ca79cc8"
 
 
-def test_golden_thin_on_unions():
-    """What ``thin`` does under both policies on shuffled unions of 2 to 4
-    relabelled copies, every other one beside a component that owns a small
-    boundary sphere: the start digest, each step's digest and move document,
-    the sorted rejection counts and the bytes of the final complex."""
+def _shuffled_unions():
+    """Shuffled unions of 2 to 4 relabelled copies of six seeded bases,
+    every other one beside a component that owns a small boundary sphere."""
     rng = random.Random(18)
-    outcomes = []
-    kinds = Counter()
     for i in range(6):
         base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1800 + i))
         for copies in (2, 3, 4):
             parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
             if (i + copies) % 2:
                 parts.append(_small_sphere_part())
-            cx = _union(parts, rng)
-            for policy in ("first", "greedy-max-drop"):
-                final, trace = thin(cx, enumerate_moves, policy=policy)
-                kinds.update(s.move["kind"] for s in trace.steps)
-                outcomes.append([trace.start_digest, trace.terminal,
-                                 [[s.digest, s.move] for s in trace.steps],
-                                 sorted([*key, n] for key, n in trace.diagnostics.items()),
-                                 json.dumps(emit_complex(final))])
+            yield _union(parts, rng)
+
+
+def test_golden_thin_on_unions():
+    """What ``thin`` does under both policies on shuffled unions of 2 to 4
+    relabelled copies, every other one beside a component that owns a small
+    boundary sphere: the start digest, each step's digest and move document,
+    the sorted rejection counts and the bytes of the final complex."""
+    outcomes = []
+    kinds = Counter()
+    for cx in _shuffled_unions():
+        for policy in ("first", "greedy-max-drop"):
+            final, trace = thin(cx, enumerate_moves, policy=policy)
+            kinds.update(s.move["kind"] for s in trace.steps)
+            outcomes.append([trace.start_digest, trace.terminal,
+                             [[s.digest, s.move] for s in trace.steps],
+                             sorted([*key, n] for key, n in trace.diagnostics.items()),
+                             json.dumps(emit_complex(final))])
     assert len(kinds) >= 3
     digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
     assert digest == UNION_THIN_GOLDEN_DIGEST
@@ -1224,15 +1241,48 @@ def test_body_checks_of_thin_and_rewrite_graph_are_pinned(monkeypatch):
     assert calls == 6940
 
     calls = 0
-    rng = random.Random(18)
-    for i in range(6):
-        base = gen_complex(GenConfig(max_thick=2, max_genus=2, max_punctures=4, seed=1800 + i))
-        for copies in (2, 3, 4):
-            parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
-            if (i + copies) % 2:
-                parts.append(_small_sphere_part())
-            rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=20)
+    for cx in _shuffled_unions():
+        rewrite_graph(cx, enumerate_moves, max_nodes=20)
     assert calls == 6629
+
+
+def test_a_part_decides_each_routed_offer_as_a_fresh_copy_does():
+    """Guard for decisions kept on a component: at every node of
+    ``rewrite_graph`` (budget 20) on the shuffled unions of
+    ``test_golden_thin_on_unions`` and on the four-copy union of
+    ``test_rewrite_graph_reuses_accepted_results_across_nodes``, each offer
+    routed to a part is applied twice to that part, as the run left it, and
+    once to a fresh complex of the part's records.  All three give the same
+    rule and message, or results with equal canonical hashes.  A part
+    carried to a later node with an offer it was checked on there is not
+    checked again: ``apply_move`` sees only the part and the offer."""
+    def outcome(cx, move):
+        try:
+            return canonical_hash(apply_move(cx, move))
+        except MoveRejected as err:
+            return err.rule, str(err)
+
+    routed = Counter()
+    for cx in [*_shuffled_unions(), _four_copies()]:
+        graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
+        seen = set()
+        for node in graph.nodes.values():
+            parts = model.components(node)
+            if len(parts) == 1:
+                continue
+            home = {name: k for k, part in enumerate(parts) for name in model._ids(part)}
+            fresh = [model.Complex(part.thick, part.thin, part.boundary, part.cbs)
+                     for part in parts]
+            for move in enumerate_moves(node):
+                k = moves._home(node, move, home)
+                if k is None or (id(parts[k]), move) in seen:
+                    continue
+                seen.add((id(parts[k]), move))
+                first, again = outcome(parts[k], move), outcome(parts[k], move)
+                want = outcome(fresh[k], move)
+                assert first == again == want, move
+                routed[isinstance(want, str)] += 1
+    assert routed[True] > 100 and routed[False] > 1000
 
 
 def test_thin_on_a_connected_complex_routes_no_offer(monkeypatch):

@@ -69,11 +69,14 @@ whole complex.  An offer goes to the component that holds every id it names
 (a fresh outcome id taken elsewhere, for ``untelescope.fresh_ids``), when it
 is not a move, or when ``elementary.pre`` applies.  Every other rule reads
 only the component, ``destabilize.boundary_sphere`` included.  A complex
-keeps its components as complexes, each keeps the moves accepted on it with
-their results, and a result joined from components keeps them as its own:
-an untouched copy in a symmetric union, carried as the same object from
-complex to complex, pays for a move once.  Rejections are not kept; each is
-applied again on its component, so :func:`apply_move` raises every one.
+keeps its components as complexes, each keeps its decisions (the result of
+each move accepted on it, the rule of each rejected), and a result joined
+from components keeps them as its own: an untouched copy in a symmetric
+union, carried as the same object from complex to complex, decides a move
+once.  A kept rejection is still raised by :func:`apply_move` every time
+the move is offered, without building anything, so a caller that counts
+rejections around :func:`apply_move` counts every one; only the rule is
+kept, and the message is worked out again if it is read.
 
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
@@ -175,10 +178,14 @@ class MoveRejected(Exception):
         self.rule = rule
         self._message = message
 
-    def __str__(self) -> str:
+    @property
+    def message(self) -> str:
         if callable(self._message):
             self._message = self._message()
-        return f"{self.rule}: {self._message}"
+        return self._message
+
+    def __str__(self) -> str:
+        return f"{self.rule}: {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -982,11 +989,44 @@ _KINDS: dict[type, tuple[str, Callable[[Complex, Move], Complex]]] = {
 
 
 def apply_move(cx: Complex, m: Move) -> Complex:
-    """Apply any move; untelescope certificates run the full staged sequence."""
+    """Apply any move; untelescope certificates run the full staged sequence.
+
+    A component that :func:`applicable` routed offers to keeps its
+    decisions under ``_decided``, keyed by move value: the result of each
+    move accepted on it and the rule of each rejected.  On such a complex a
+    move is looked up there first; a kept rule is raised again at once, and
+    its message worked out, when it is read, by deciding the move again.
+    Sound because a complex never changes and each kind's apply function
+    reads only the complex and the move."""
     kind = _KINDS.get(type(m))
     if kind is None:
         raise MoveRejected("move.kind", f"unknown move {m!r}")
-    return kind[1](cx, m)
+    decided = cx.__dict__.get("_decided")
+    try:
+        found = None if decided is None else decided.get(m)
+    except TypeError:  # a move holding a list, say, is never a key
+        decided = found = None
+    if found is None:
+        try:
+            found = kind[1](cx, m)
+        except MoveRejected as err:
+            if decided is not None:
+                decided[m] = err.rule
+            raise
+        if decided is not None:
+            decided[m] = found
+    elif type(found) is str:
+        raise MoveRejected(found, functools.partial(_message_again, kind[1], cx, m))
+    return found
+
+
+def _message_again(apply, cx: Complex, m: Move) -> str:
+    """The message of ``m``'s rejection by ``apply`` on ``cx``, decided again."""
+    try:
+        apply(cx, m)
+    except MoveRejected as err:
+        return err.message
+    raise AssertionError(f"{m!r} was rejected on this complex before")
 
 
 REDUCING = (Destabilize, Unperturb, UndoRemovable)
@@ -1025,9 +1065,11 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     counts under ``(None, "move.kind")``.  Offers are applied as they are
     asked for, so a caller that stops early applies no more.  An offer
     routed to one of the :func:`~widthcalc.model.components` of ``cx``, a
-    part, is looked up in the moves accepted on that part, kept on it under
-    ``_accepted`` and keyed by value, since a proposer builds new move
-    objects.  The result is the :func:`~widthcalc.model.disjoint_union` of
+    part, is looked up in the decisions kept on that part under
+    ``_decided`` and keyed by value, since a proposer builds new move
+    objects (see :func:`apply_move`): a kept result is taken as it is, and
+    any other offer goes to :func:`apply_move`, which raises a kept rule
+    again.  The result is the :func:`~widthcalc.model.disjoint_union` of
     the other parts and the components of the part's result, which keeps
     them as its components, and its vector the sorted merge of theirs.  A
     ``cx`` of one component applies every offer whole: it reads no
@@ -1041,23 +1083,18 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     for move in offers:
         k = None if home is None else _home(cx, move, home)
         part = cx if k is None else parts[k]
-        accepted = None if k is None else _kept(part, "_accepted", lambda _part: {})
+        decided = None if k is None else _kept(part, "_decided", lambda _part: {})
         try:
-            # no move is hashed before one is accepted on the part
-            result = accepted.get(move) if accepted else None
+            # no move is hashed before one is decided on the part
+            result = decided.get(move) if decided else None
         except TypeError:  # a move holding a list, say, is never a key
             result = None
-        if result is None:
+        if not isinstance(result, Complex):  # a kept rule is raised again by apply_move
             try:
                 result = apply_move(part, move)
             except MoveRejected as err:
                 rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
                 continue
-            if accepted is not None:
-                try:
-                    accepted[move] = result
-                except TypeError:
-                    pass
         if k is None:
             yield move, result, analyze(result).vector
             continue

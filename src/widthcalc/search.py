@@ -27,9 +27,13 @@ from complex to complex is canonized once.
 :func:`thin` and :func:`rewrite_graph` both apply offers per component,
 through :func:`~widthcalc.moves.applicable`, which gives each result with
 its vector; a result joined from components has its vector merged from
-theirs and is not analyzed whole.  So an untouched copy in a symmetric
-union, carried as the same object from node to node, pays for a move once
-per run.
+theirs and is not analyzed whole.  Each component keeps what was decided
+on it, accepted results and the rules of rejections alike, so an untouched
+copy in a symmetric union, carried as the same object from node to node,
+decides each offer once per run.  A kept rejection is still raised by
+:func:`~widthcalc.moves.apply_move` at every node that offers it, and
+counted in ``diagnostics`` there, so callers that count around
+``apply_move`` see every one.
 """
 
 from __future__ import annotations
@@ -185,7 +189,8 @@ class RewriteGraph:
     docstring); ``truncated`` holds those that lost an edge to a new node to
     the budget.  ``diagnostics`` counts rejected offers like
     :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``;
-    a rejection is applied and counted again at every node that offers it."""
+    a rejection is counted, and raised by ``apply_move``, at every node that
+    offers it, though a component decides it once."""
 
     root: str
     nodes: dict[str, Complex]

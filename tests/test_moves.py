@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ from widthcalc.complexity import LT, compare, complexity, index_down, index_up
 from widthcalc.gen import GenConfig, enumerate_moves, gen_complex
 from widthcalc.model import (
     BoundaryLevel,
+    CompressionBody,
     SchemaError,
     Surface,
     Tangle,
@@ -214,6 +216,47 @@ def test_consolidate_rejects_infeasible_tangle():
     with pytest.raises(MoveRejected):
         apply_consolidate(cx, Consolidate(thick="J", thin="F",
                                           merged_tangle=Tangle(0, 2, 2, 0)))
+
+
+def _conserving(p_plus, p_minus, max_loops):
+    """Every tangle, up to ``max_loops`` core loops, that conserves the
+    given puncture counts."""
+    for v in range(min(p_plus, p_minus) + 1):
+        if (p_plus - v) % 2 == 0 and (p_minus - v) % 2 == 0:
+            for loops in range(max_loops + 1):
+                yield Tangle(v, (p_plus - v) // 2, (p_minus - v) // 2, loops)
+
+
+def test_consolidation_derives_a_feasible_merged_tangle_on_every_valid_chain():
+    """``consolidate.tangle`` is unreachable without a given tangle: on
+    every valid two-level chain of small surfaces, where H's upper body A
+    meets J's product body across F and J's upper body B holds boundary
+    levels and up to two core loops, the consolidation is accepted."""
+    valid = Counter()
+    levels = [(g, p) for g in range(3) for p in range(4)]
+    for (gh, ph), (gj, pj) in itertools.product(
+            [(g, p) for g in range(4) for p in range(5)], levels):
+        for extra_a in ((), ((0, 2),), ((1, 1),), ((0, 1), (0, 1))):
+            for minus_b in ((), ((0, 0),), ((0, 2),), ((0, 1), (0, 1)), ((1, 0),), ((0, 3), (0, 1))):
+                ports_a = [bdy(f"A{i}", g, p, "Hu") for i, (g, p) in enumerate(extra_a)]
+                ports_b = [bdy(f"B{i}", g, p, "Ju") for i, (g, p) in enumerate(minus_b)]
+                p_a = pj + sum(p for _g, p in extra_a)
+                p_b = sum(p for _g, p in minus_b)
+                for t_a, t_b, t_d in itertools.product(
+                        _conserving(ph, p_a, 1), _conserving(pj, p_b, 2), _conserving(ph, 0, 0)):
+                    cx = build_complex(
+                        thick=[thick("H", gh, ph, "Hu", "Hd"), thick("J", gj, pj, "Ju", "Jd")],
+                        thin=[thin("F", gj, pj, from_cb="Hu", to_cb="Jd")],
+                        boundary=ports_a + ports_b,
+                        cbs=[CompressionBody("Hu", "H", ("F", *(b.id for b in ports_a)), t_a),
+                             CompressionBody("Hd", "H", (), t_d),
+                             cb("Jd", "J", minus=("F",), v=pj, product=True),
+                             CompressionBody("Ju", "J", tuple(b.id for b in ports_b), t_b)])
+                    if not validate(cx).ok:
+                        continue
+                    apply_consolidate(cx, Consolidate(thick="J", thin="F"))
+                    valid[t_b.loops > 0] += 1
+    assert valid == {False: 823, True: 473}
 
 
 # ---------------------------------------------------------------------------
@@ -1215,9 +1258,20 @@ def test_every_rejection_a_certificate_can_reach(request, fixture, move, rule, m
       fix the aggregates.
     * ``boundary_reduce.identity``: the index formula gives it for every
       disc that ``compress_surface`` accepts.
-    * ``consolidate.tangle``: no generated certificate reaches it.  Every
-      consolidation of the generated instances, offered or inside an
-      untelescope sequence, solves its merged tangle.
+    * ``consolidate.tangle``: a given merged tangle is taken as it is, and
+      the derived one is feasible whenever the input is valid.  The product
+      makes the thin level a copy of the deleted thick level, so B's own
+      check (that level's genus covers B's minus genus, core loops and
+      ghost excess) and A's pay for the merged body's minus genus and the core loops of
+      both.  The merged minus side has A's and B's punctures less the thin
+      level's, so its parity is right, and it needs at most A's plus B's
+      ghost arcs less their bridge arcs.  Those land on A's and B's
+      anchors less the thin level, whose spanning forest is A's and B's
+      together, or one arc smaller when the thin level is punctured and
+      B's minus side is not, and then B has a bridge arc to make up for
+      it; so the merged ghost excess is at most the sum of theirs.
+      ``test_consolidation_derives_a_feasible_merged_tangle_on_every_valid_chain``
+      checks 1,296 valid chains, 473 of them with core loops on B.
     """
     cx = request.getfixturevalue(fixture)
     assert validate(cx).ok

@@ -475,6 +475,31 @@ def _build(maps: tuple[Records, ...]) -> Complex:
     return Complex(*(records.merged() for records in maps))
 
 
+def _hood(cx: Complex, thick_id: str) -> tuple | None:
+    """The read set of a move at thick level ``thick_id``, up to building its
+    result: the level's record, its :func:`_sphere_blocks` entry, its two
+    bodies, and the kind (thin or not) and surface of each minus port of
+    those bodies, in port order; None when ``cx`` has no such level.  A
+    build states what it writes (:data:`Built`); a kind's pre-checks and the
+    gate's rebuilt-body checks read nothing outside this, except that an
+    untelescope's outcome ids must be fresh and ``elementary.pre`` reads the
+    whole complex, and a consolidation reads the far body across its thin
+    level.  Kept on the instance per level."""
+    hoods = _kept(cx, "_hoods", lambda _cx: {})
+    hood = hoods.get(thick_id)
+    if hood is None:
+        t = cx.thick.get(thick_id)
+        if t is None:
+            return None
+        up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
+        hood = [t, _sphere_blocks(cx).get(thick_id), up, down]
+        for port in up.minus + down.minus:
+            level = cx.thin.get(port)
+            hood += (True, level.surface) if level is not None else (False, cx.boundary[port].surface)
+        hood = hoods[thick_id] = tuple(hood)
+    return hood
+
+
 def _gated(rule: str):
     """Make a kind's build function into its apply function.
 

@@ -6,6 +6,7 @@ splitting whose untelescope is worked out entry by entry in the move tests.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +123,12 @@ def sphere_chain(n: int, closed: bool = False) -> Complex:
         bodies.append(cb(f"{t}d", t, minus=[below[f"{t}d"]] if f"{t}d" in below else []))
     return build_complex(thick=[thick(t, 1, 0, f"{t}u", f"{t}d") for t in ids],
                          thin=thins, cbs=bodies)
+
+
+@pytest.fixture(scope="session")
+def bench_chain():
+    """The benchmark's ``workloads.chain`` document builder."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+    return workloads.chain

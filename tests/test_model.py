@@ -5,7 +5,6 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import fields, replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -766,15 +765,6 @@ def _subclassed(value):
     if isinstance(value, str):
         return _Id(value)
     return value
-
-
-@pytest.fixture(scope="module")
-def bench_chain():
-    """The benchmark's ``workloads.chain`` document builder."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        import workloads
-    return workloads.chain
 
 
 # The optional keys of each section's records.

@@ -1285,6 +1285,128 @@ def test_a_part_decides_each_routed_offer_as_a_fresh_copy_does():
     assert routed[True] > 100 and routed[False] > 1000
 
 
+def _rule(apply, cx, move):
+    """The rule that ``apply`` rejects ``move`` on ``cx`` under, or None."""
+    try:
+        apply(cx, move)
+    except MoveRejected as err:
+        return err.rule
+    return None
+
+
+def _reads_only_its_hood(cx, move, rule):
+    """Whether a rejection of ``move`` under ``rule`` reads nothing of
+    ``cx`` beyond its level's hood, when it was raised before the result
+    was built: not a consolidation, which reads the far body across its thin
+    level, nor ``untelescope.fresh_ids`` or ``elementary.*``, which read
+    every id, and for an untelescope only where those pass on ``cx``."""
+    if type(move) is Consolidate or rule == "untelescope.fresh_ids" or rule.startswith("elementary."):
+        return False
+    return type(move) is not Untelescope or (
+        find_product_on_thin(cx) is None
+        and model._ids(cx).isdisjoint(moves._outcome_ids(move.outcome)))
+
+
+def test_a_rejection_is_decided_alike_wherever_its_hood_is_equal(monkeypatch, bench_chain):
+    """Guard for verdicts kept per thick level.  At every step of ``thin`` on
+    the seeded corpus of ``test_golden_decisions_on_seeded_corpus``, the
+    shuffled unions of ``test_golden_thin_on_unions``,
+    ``GenConfig(max_thick=48, seed=0)`` and ``chain(100)``, each offer
+    rejected at an earlier step before its result was built (no
+    ``moves._build`` ran), under a rule that reads only its level's hood, and
+    offered again where ``moves._hood`` of its level equals the hood it was
+    rejected on, is decided again by its kind's apply function on a fresh
+    complex of the same maps: it gets the same rule, and so does
+    ``apply_move``."""
+    kinds = {kind: apply for kind, (_name, apply) in moves._KINDS.items()}
+    kept, fresh, built = {}, {}, []
+    checked = Counter()
+    real_build, real_apply = moves._build, moves.apply_move
+
+    def building(maps):
+        built.append(maps)
+        return real_build(maps)
+
+    def deciding(apply):
+        def decide(cx, move):
+            built.clear()
+            try:
+                return apply(cx, move)
+            except MoveRejected as err:
+                if not built and _reads_only_its_hood(cx, move, err.rule):
+                    kept[move] = moves._hood(cx, move.thick), err.rule
+                raise
+        return decide
+
+    def applying(cx, move):
+        found = kept.get(move) if type(move) in kinds else None
+        if found is None or found[0] != moves._hood(cx, move.thick) \
+                or not _reads_only_its_hood(cx, move, found[1]):
+            return real_apply(cx, move)
+        copy = fresh.setdefault(id(cx), (cx, model.Complex(cx.thick, cx.thin, cx.boundary, cx.cbs)))[1]
+        assert _rule(kinds[type(move)], copy, move) == found[1], move
+        assert _rule(real_apply, cx, move) == found[1], move
+        checked[type(move).__name__] += 1
+        return real_apply(cx, move)
+
+    monkeypatch.setattr(moves, "_build", building)
+    monkeypatch.setattr(moves, "apply_move", applying)
+    for kind, (name, apply) in list(moves._KINDS.items()):
+        monkeypatch.setitem(moves._KINDS, kind, (name, deciding(apply)))
+    rng = random.Random(7)
+    corpus = [gen_complex(GenConfig(max_thick=4, seed=7), rng) for _ in range(200)]
+    corpus += [*_shuffled_unions(), gen_complex(GenConfig(max_thick=48, seed=0)),
+               parse_complex(bench_chain(100, random.Random(1)))]
+    for cx in corpus:
+        kept.clear()
+        fresh.clear()
+        thin(cx, enumerate_moves)
+    assert checked["Destabilize"] > 15_000 and checked["Untelescope"] > 10_000
+    assert checked["UndoRemovable"] > 4_000
+
+
+def _port_pair():
+    """One genus-2 level whose lower body has a boundary port of genus 2,
+    then of genus 1: destabilizing it is rejected on the first only."""
+    return [build_complex(thick=[thick("H", 2, 0, "u", "d")], boundary=[bdy("B", genus, 0, "d")],
+                          cbs=[cb("u", "H"), cb("d", "H", minus=("B",))])
+            for genus in (2, 1)]
+
+
+def _sphere_pair():
+    """Two genus-1 levels joined by a thin sphere, the second's lower body
+    owning an unpunctured boundary sphere, then a boundary torus: the first
+    level may be destabilized on the second only."""
+    return [build_complex(thick=[thick("H", 1, 0, "Hu", "Hd"), thick("J", 1, 0, "Ju", "Jd")],
+                          thin=[thin_level("F", 0, 0, from_cb="Hu", to_cb="Jd")],
+                          boundary=[bdy("S", genus, 0, "Jd")],
+                          cbs=[cb("Hu", "H", minus=("F",)), cb("Hd", "H"),
+                               cb("Ju", "J"), cb("Jd", "J", minus=("F", "S"))])
+            for genus in (0, 1)]
+
+
+@pytest.mark.parametrize("pair", [_port_pair, _sphere_pair], ids=["minus-port", "sphere"])
+def test_a_level_whose_reads_differ_has_another_hood(pair):
+    """Two valid complexes that differ only in the surface of a minus port
+    of a level's body, or in a small boundary sphere elsewhere in the
+    level's component, which the corpus of the guard above never tells
+    apart: the level's hoods differ, and each offer rejected on the first
+    and then offered, as the same object, on the second gets the decision
+    a copy of it gets there."""
+    first, second = pair()
+    assert validate(first).ok and validate(second).ok
+    assert moves._hood(first, "H") != moves._hood(second, "H")
+    differ = 0
+    for move in enumerate_moves(first) + enumerate_moves(second):
+        if move.thick != "H":
+            continue
+        rule = _rule(apply_move, first, move)
+        want = _rule(apply_move, second, dataclasses.replace(move))
+        assert _rule(apply_move, second, move) == want, move
+        differ += rule is not None and rule != want
+    assert differ
+
+
 def test_thin_on_a_connected_complex_routes_no_offer(monkeypatch):
     """On a complex of one component the candidate loop applies every offer
     whole: ``thin`` reads no ``named_ids``.  On a union it does."""

@@ -45,6 +45,7 @@ from .moves import (
     UndoRemovable,
     Untelescope,
     UntelescopeOutcome,
+    _hood,
     _products_on_thin,
     _sphere_blocks,
     applicable,
@@ -250,9 +251,7 @@ def _fresh_names(cx: Complex, bases: list[str]) -> list[str]:
     return out
 
 
-def _untelescope_candidates(cx: Complex, t: ThickLevel) -> list[Untelescope]:
-    names = _fresh_names(cx, [f"{t.id}m", f"{t.id}p", f"{t.id}f",
-                              f"{t.id}md", f"{t.id}mu", f"{t.id}pd", f"{t.id}pu"])
+def _untelescope_candidates(cx: Complex, t: ThickLevel, names: list[str]) -> list[Untelescope]:
     outcome = UntelescopeOutcome(
         h_minus=ThickSpec(names[0], lower=BodySpec(names[3]), upper=BodySpec(names[4])),
         h_plus=ThickSpec(names[1], lower=BodySpec(names[5]), upper=BodySpec(names[6])),
@@ -286,48 +285,69 @@ def _untelescope_candidates(cx: Complex, t: ThickLevel) -> list[Untelescope]:
 
 
 def enumerate_moves(cx: Complex) -> list[Move]:
-    """Every certificate the summary data suggests, in a deterministic order.
+    """Every certificate the summary data suggests, in a deterministic order:
+    the consolidations of certified products on thin levels, then the offers
+    of each thick level in id order (:func:`_level_moves`).
 
     Candidates are not pre-filtered through the full engine; callers apply
-    them and skip rejections.
+    them and skip rejections.  The list is new at every call, but a level
+    whose offers are kept gives the same move objects again, with the
+    verdicts they keep (see :func:`~widthcalc.moves.apply_move`).
     """
     moves: list[Move] = [Consolidate(thick=t_id, thin=f_id) for t_id, f_id in _products_on_thin(cx)]
-
-    # destabilizing needs a component free of small boundary spheres
-    blocked = _sphere_blocks(cx)
     for t_id in sorted(cx.thick):
-        t = cx.thick[t_id]
-        g, p = t.surface.genus, t.surface.punctures
-        up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
+        moves += _level_moves(cx, cx.thick[t_id])
+    return moves
 
-        if t_id not in blocked:
-            if g >= 1:
-                moves.append(Destabilize("stab", t_id))
-                moves.append(Destabilize("merid_stab", t_id))
-            for side, body in (("up", up), ("down", down)):
-                bports = [x for x in body.minus if x in cx.boundary]
-                for s in bports:
-                    moves.append(Destabilize("bdy", t_id, side=side, boundary_ids=(s,)))
-                    moves.append(Destabilize("merid_bdy", t_id, side=side, boundary_ids=(s,)))
-                    if body.tangle.ghosts >= 1 and cx.boundary[s].surface.punctures >= 2:
-                        moves.append(Destabilize("ghost_bdy", t_id, side=side,
-                                                 boundary_ids=(s,), ghost_arcs=1))
-                        moves.append(Destabilize("merid_ghost_bdy", t_id, side=side,
-                                                 boundary_ids=(s,), ghost_arcs=1))
 
-        if p >= 2:
-            for near, far in (("up", down), ("down", up)):
-                near_body = up if near == "up" else down
-                if near_body.tangle.bridges >= 1 and far.tangle.bridges >= 2:
-                    moves.append(Unperturb(t_id, near_side=near, merge_case="bridge_bridge"))
-                if near_body.tangle.bridges >= 1 and far.tangle.bridges >= 1 \
-                        and far.tangle.verticals >= 1:
-                    moves.append(Unperturb(t_id, near_side=near, merge_case="vertical_bridge"))
-            if up.tangle.bridges >= 1 and down.tangle.bridges >= 1:
-                for side in ("up", "down"):
-                    moves.append(UndoRemovable(t_id, loop_side=side))
+def _level_moves(cx: Complex, t: ThickLevel) -> list[Move]:
+    """The offers at thick level ``t``: destabilizations where its component
+    has no small boundary sphere, unperturbings, removable arcs, then
+    untelescopes whose outcome ids are fresh names.
 
-        moves.extend(_untelescope_candidates(cx, t))
+    They read only the level's :func:`~widthcalc.moves._hood` and those
+    names, so the record keeps its list with both and gives it again, as
+    the same objects, while both are equal; callers must not mutate it."""
+    names = _fresh_names(cx, [f"{t.id}m", f"{t.id}p", f"{t.id}f",
+                              f"{t.id}md", f"{t.id}mu", f"{t.id}pd", f"{t.id}pu"])
+    hood = _hood(cx, t.id)
+    kept = t._offers
+    if kept is not None and kept[1] == names and kept[0] == hood:
+        return kept[2]
+    t_id = t.id
+    g, p = t.surface.genus, t.surface.punctures
+    up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
+    moves: list[Move] = []
+
+    if t_id not in _sphere_blocks(cx):  # destabilizing needs a component free of small boundary spheres
+        if g >= 1:
+            moves.append(Destabilize("stab", t_id))
+            moves.append(Destabilize("merid_stab", t_id))
+        for side, body in (("up", up), ("down", down)):
+            bports = [x for x in body.minus if x in cx.boundary]
+            for s in bports:
+                moves.append(Destabilize("bdy", t_id, side=side, boundary_ids=(s,)))
+                moves.append(Destabilize("merid_bdy", t_id, side=side, boundary_ids=(s,)))
+                if body.tangle.ghosts >= 1 and cx.boundary[s].surface.punctures >= 2:
+                    moves.append(Destabilize("ghost_bdy", t_id, side=side,
+                                             boundary_ids=(s,), ghost_arcs=1))
+                    moves.append(Destabilize("merid_ghost_bdy", t_id, side=side,
+                                             boundary_ids=(s,), ghost_arcs=1))
+
+    if p >= 2:
+        for near, far in (("up", down), ("down", up)):
+            near_body = up if near == "up" else down
+            if near_body.tangle.bridges >= 1 and far.tangle.bridges >= 2:
+                moves.append(Unperturb(t_id, near_side=near, merge_case="bridge_bridge"))
+            if near_body.tangle.bridges >= 1 and far.tangle.bridges >= 1 \
+                    and far.tangle.verticals >= 1:
+                moves.append(Unperturb(t_id, near_side=near, merge_case="vertical_bridge"))
+        if up.tangle.bridges >= 1 and down.tangle.bridges >= 1:
+            for side in ("up", "down"):
+                moves.append(UndoRemovable(t_id, loop_side=side))
+
+    moves += _untelescope_candidates(cx, t, names)
+    object.__setattr__(t, "_offers", (hood, names, moves))
     return moves
 
 

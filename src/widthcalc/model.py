@@ -157,6 +157,7 @@ class ThickLevel:
     surface: Surface
     upper_cb: str
     lower_cb: str
+    _offers = None  # not a field: the proposer's offers here, set by gen._level_moves
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,19 @@ the move is offered, without building anything, so a caller that counts
 rejections around :func:`apply_move` counts every one; only the rule is
 kept, and the message is worked out again if it is read.
 
+A thinning step rewrites one or two thick levels and leaves the others as
+they were, so a rejection is also kept per level, on the move object.  The
+read set of a move at a level, :func:`_hood`, is the level's record, its
+``_sphere_blocks`` entry, its two bodies and the kind and surface of each
+of their minus ports.  A rejection raised before the result is built (a
+pre-check or the gate's rebuilt-body check) reads nothing else, save the
+fresh outcome ids and ``elementary.pre`` of an untelescope, which
+:func:`apply_move` checks anew, and the far body of a consolidation, which
+keeps no verdict.  So the move keeps its rule with that hood, and
+:func:`apply_move` raises it again wherever the level's hood is equal.  The
+proposer gives an unchanged level's offers again as the same objects
+(:func:`~widthcalc.gen.enumerate_moves`), and they bring their verdicts.
+
 Move documents are JSON objects tagged with ``kind``; the remaining keys
 come from one table, ``_ROWS``, with one row per field of each move record:
 its JSON key, its type and, for an optional field, its default.  A required
@@ -349,6 +362,7 @@ class Consolidate:
     thick: str
     thin: str
     merged_tangle: Tangle | None = None
+    _verdict = None  # never set: a consolidation reads the far body across its thin level
 
 
 @dataclass(frozen=True)
@@ -377,6 +391,7 @@ class Untelescope:
     disc_minus: DiscData
     disc_plus: DiscData
     outcome: UntelescopeOutcome
+    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
 
 
 DESTAB_VARIANTS = ("stab", "merid_stab", "bdy", "merid_bdy", "ghost_bdy", "merid_ghost_bdy")
@@ -391,6 +406,7 @@ class Destabilize:
     ghost_arcs: int = 0
     tangle_up: Tangle | None = None
     tangle_down: Tangle | None = None
+    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
 
 
 @dataclass(frozen=True)
@@ -398,6 +414,7 @@ class Unperturb:
     thick: str
     near_side: str = "up"
     merge_case: str = "bridge_bridge"
+    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
 
 
 @dataclass(frozen=True)
@@ -406,6 +423,7 @@ class UndoRemovable:
     loop_side: str = "down"
     tangle_up: Tangle | None = None
     tangle_down: Tangle | None = None
+    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
 
 
 Move = Consolidate | Untelescope | Destabilize | Unperturb | UndoRemovable
@@ -500,7 +518,7 @@ def _hood(cx: Complex, thick_id: str) -> tuple | None:
     return hood
 
 
-def _gated(rule: str):
+def _gated(rule: str, keeps: bool = False):
     """Make a kind's build function into its apply function.
 
     The build function runs the kind's pre-checks and states only the move's
@@ -513,15 +531,26 @@ def _gated(rule: str):
     once, and it must then be valid, pass ``check`` and have a strictly
     smaller vector.  The gate alone runs the acceptance order the
     module docstring describes, with rule names prefixed by ``rule``.
+
+    A rejection raised before the result is built read only the move and
+    the :func:`_hood` of its level, except ``untelescope.fresh_ids``; when
+    ``keeps``, the move keeps it with that hood, for :func:`apply_move`.
     """
     def gated(build: Callable[[Complex, Move], Built]):
         @functools.wraps(build)
         def apply(cx: Complex, m: Move) -> Complex:
             require_valid(cx)
-            put, drop, check = build(cx, m)
-            maps = _maps(cx, put, drop)
-            if not _check_rebuilt(maps):
-                raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_build(maps))))
+            try:
+                put, drop, check = build(cx, m)
+                maps = _maps(cx, put, drop)
+                if not _check_rebuilt(maps):
+                    raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(_build(maps))))
+            except MoveRejected as err:
+                if keeps and err.rule != "untelescope.fresh_ids":
+                    hood = _hood(cx, m.thick)
+                    if hood is not None:
+                        object.__setattr__(m, "_verdict", (hood, err.rule))
+                raise
             out = _build(maps)
             if not validate(out).ok:
                 raise MoveRejected(f"{rule}.result_invalid", lambda: str(validate(out)))
@@ -691,7 +720,7 @@ def apply_consolidate(cx: Complex, m: Consolidate) -> Built:
 # Untelescoping
 # ---------------------------------------------------------------------------
 
-@_gated("untelescope")
+@_gated("untelescope", keeps=True)
 def apply_untelescope(cx: Complex, m: Untelescope) -> Built:
     """Split a thick level along a weakly reducing disc pair.
 
@@ -835,7 +864,7 @@ def elementary_thinning_sequence(cx: Complex, m: Untelescope) -> Complex:
 # Destabilization family
 # ---------------------------------------------------------------------------
 
-@_gated("destabilize")
+@_gated("destabilize", keeps=True)
 def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
     """Remove a generalized stabilization from one thick level.
 
@@ -940,7 +969,7 @@ def apply_destabilize(cx: Complex, m: Destabilize) -> Built:
 # Unperturbing and removable arcs
 # ---------------------------------------------------------------------------
 
-@_gated("unperturb")
+@_gated("unperturb", keeps=True)
 def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
     """Cancel a perturbing disc pair: two punctures and a bridge arc on each
     side disappear; on the far side the merge consumes a second bridge arc
@@ -965,7 +994,7 @@ def apply_unperturb(cx: Complex, m: Unperturb) -> Built:
             replace(far, tangle=replace(far.tangle, bridges=far.tangle.bridges - 1))), frozenset(), None
 
 
-@_gated("undo_removable")
+@_gated("undo_removable", keeps=True)
 def apply_undo_removable(cx: Complex, m: UndoRemovable) -> Built:
     """Pull a removable component off the level: two punctures fewer.
 
@@ -1019,10 +1048,19 @@ def apply_move(cx: Complex, m: Move) -> Complex:
     A component that :func:`applicable` routed offers to keeps its
     decisions under ``_decided``, keyed by move value: the result of each
     move accepted on it and the rule of each rejected.  On such a complex a
-    move is looked up there first; a kept rule is raised again at once, and
-    its message worked out, when it is read, by deciding the move again.
-    Sound because a complex never changes and each kind's apply function
-    reads only the complex and the move."""
+    move is looked up there first.  Then comes the verdict the move object
+    itself keeps: the rule of a rejection that the gate raised before
+    building the result, with the :func:`_hood` of the move's level on the
+    complex it was decided on.  It is taken when the level's hood on ``cx``
+    equals that one, and for an untelescope also no certified product
+    touches a thin level and the outcome ids are free in ``cx``, the two
+    checks that read the whole complex and come first.  A kept rule is
+    raised again at once, and its message worked out, when it is read, by
+    deciding the move again.  Sound because a complex never changes and
+    each kind's apply function reads only the complex and the move, and,
+    up to building the result, only the hood of the move's level besides
+    those two checks; a consolidation, which reads the far body across its
+    thin level, keeps no verdict."""
     kind = _KINDS.get(type(m))
     if kind is None:
         raise MoveRejected("move.kind", f"unknown move {m!r}")
@@ -1031,6 +1069,10 @@ def apply_move(cx: Complex, m: Move) -> Complex:
         found = None if decided is None else decided.get(m)
     except TypeError:  # a move holding a list, say, is never a key
         decided = found = None
+    if found is None and m._verdict is not None:
+        found = _kept_rule(cx, m)
+        if found is not None and decided is not None:
+            decided[m] = found
     if found is None:
         try:
             found = kind[1](cx, m)
@@ -1043,6 +1085,19 @@ def apply_move(cx: Complex, m: Move) -> Complex:
     elif type(found) is str:
         raise MoveRejected(found, functools.partial(_message_again, kind[1], cx, m))
     return found
+
+
+def _kept_rule(cx: Complex, m: Move) -> str | None:
+    """The rule ``m`` keeps as its verdict when it holds on ``cx`` (see
+    :func:`apply_move`), else None."""
+    hood, rule = m._verdict
+    require_valid(cx)
+    if _hood(cx, m.thick) != hood:
+        return None
+    if type(m) is Untelescope and (find_product_on_thin(cx) is not None
+                                   or not _ids(cx).isdisjoint(_outcome_ids(m.outcome))):
+        return None
+    return rule
 
 
 def _message_again(apply, cx: Complex, m: Move) -> str:

@@ -30,7 +30,11 @@ its vector; a result joined from components has its vector merged from
 theirs and is not analyzed whole.  Each component keeps what was decided
 on it, accepted results and the rules of rejections alike, so an untouched
 copy in a symmetric union, carried as the same object from node to node,
-decides each offer once per run.  A kept rejection is still raised by
+decides each offer once per run.  A move also keeps the rule of a
+rejection it got before its result was built, with the read set of its
+thick level, and the proposer offers an unchanged level's moves again as
+the same objects: from step to step and node to node, only the levels whose
+read set changed are decided again.  A kept rejection is still raised by
 :func:`~widthcalc.moves.apply_move` at every node that offers it, and
 counted in ``diagnostics`` there, so callers that count around
 ``apply_move`` see every one.
@@ -190,7 +194,9 @@ class RewriteGraph:
     the budget.  ``diagnostics`` counts rejected offers like
     :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``;
     a rejection is counted, and raised by ``apply_move``, at every node that
-    offers it, though a component decides it once."""
+    offers it, though a component decides it once, and a move rejected
+    before its result was built is decided again only where the read set of
+    its thick level changed."""
 
     root: str
     nodes: dict[str, Complex]

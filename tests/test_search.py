@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import random
 import time
 from collections import Counter
@@ -198,7 +199,9 @@ def test_thin_checks_each_rebuilt_body_once(monkeypatch):
     not check them again, nor an untouched body across a level the move
     re-pointed.  Checking rebuilt bodies twice made 10,241 body checks on
     this 25-level run, 1,220 of them repeats; re-checking the bodies across
-    re-pointed levels made 9,021."""
+    re-pointed levels made 9,021, and deciding again at every step each
+    offer rejected before its result was built, on an unchanged level,
+    made 7,925."""
     calls = 0
     real = model._check_cb
 
@@ -210,7 +213,7 @@ def test_thin_checks_each_rebuilt_body_once(monkeypatch):
     monkeypatch.setattr(model, "_check_cb", counting)
     final, trace = thin(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves)
     assert trace.terminal and len(trace.steps) == 109
-    assert calls == 7925
+    assert calls == 1677
 
 
 def test_thin_reduces_each_body_along_each_disc_once(monkeypatch):
@@ -218,8 +221,11 @@ def test_thin_reduces_each_body_along_each_disc_once(monkeypatch):
     the instance for each body and disc, so its body runs at most once per
     distinct (instance, body, disc) however many untelescope candidates pair
     the disc.  Reducing afresh for every candidate ran the body 17,225 times
-    on 6,671 distinct triples on this 25-level run.  A body run is counted
-    by the ``body_index`` it starts with, the one call in ``moves``."""
+    on 6,671 distinct triples on this 25-level run; an untelescope rejected
+    at an earlier step on an unchanged level is not decided again, and
+    deciding it again at every step made those 6,671 triples, against 914.
+    A body run is counted by the ``body_index`` it starts with, the one call
+    in ``moves``."""
     runs = 0
     triples = set()
     inputs = {}  # keeps every input alive, so that no id is reused
@@ -239,8 +245,88 @@ def test_thin_reduces_each_body_along_each_disc_once(monkeypatch):
     monkeypatch.setattr(moves, "body_index", indexing)
     final, trace = thin(gen_complex(GenConfig(max_thick=48, seed=0)), enumerate_moves)
     assert trace.terminal and len(trace.steps) == 109
-    assert len(triples) == 6671
+    assert len(triples) == 914
     assert runs <= len(triples)
+
+
+def _count_decisions(monkeypatch):
+    """Count ``apply_move`` calls under ``"apply"`` and calls of the kinds'
+    apply functions (``moves._KINDS``), the offers decided afresh, under
+    ``"decided"``."""
+    calls = Counter()
+    real = moves.apply_move
+    for kind, (name, apply) in list(moves._KINDS.items()):
+        def decided(cx, move, apply=apply):
+            calls["decided"] += 1
+            return apply(cx, move)
+        monkeypatch.setitem(moves._KINDS, kind, (name, decided))
+
+    def applying(cx, move):
+        calls["apply"] += 1
+        return real(cx, move)
+
+    monkeypatch.setattr(moves, "apply_move", applying)
+    monkeypatch.setattr(search, "apply_move", applying)
+    return calls
+
+
+def test_thin_decides_again_only_offers_whose_level_changed(monkeypatch, bench_chain):
+    """Work-count gate on ``thin`` on the 100-level chain: every offer still
+    goes through ``apply_move``, but one rejected before its result was
+    built, and offered again on a level whose hood is unchanged, is not
+    decided again.  Deciding every offer afresh made 11,245 decisions."""
+    calls = _count_decisions(monkeypatch)
+    _final, trace = thin(parse_complex(bench_chain(100, random.Random(1))), enumerate_moves)
+    assert trace.terminal and len(trace.steps) == 274
+    assert calls["apply"] == 11_245
+    assert calls["decided"] <= 800
+
+
+def test_thin_has_no_blow_up_on_fifty_levels(monkeypatch):
+    """Work-count gate on ``thin`` on the 50-level
+    ``GenConfig(max_thick=96, seed=0)``: 277 steps and 106,448
+    ``apply_move`` calls, of which at most 4,000 are decided afresh.
+    Deciding every offer afresh made 106,448 decisions."""
+    calls = _count_decisions(monkeypatch)
+    _final, trace = thin(gen_complex(GenConfig(max_thick=96, seed=0)), enumerate_moves)
+    assert trace.terminal and len(trace.steps) == 277
+    assert calls["apply"] == 106_448
+    assert calls["decided"] <= 4000
+
+
+def test_an_unchanged_level_offers_the_same_moves():
+    """``enumerate_moves`` gives a new list at every call, so shuffling one,
+    as ``gen_move`` does, leaves later proposals as they were.  Across the
+    steps of ``thin``, a level whose hood is unchanged offers the very same
+    move objects, and one whose hood changed offers new ones."""
+    cx = gen_complex(GenConfig(max_thick=6, seed=100_003))
+    first, again = enumerate_moves(cx), enumerate_moves(cx)
+    assert first is not again and first == again
+    random.Random(1).shuffle(first)
+    assert gen_move(cx, random.Random(2)) is not None
+    assert enumerate_moves(cx) == again
+
+    proposed = []
+
+    def proposer(node):
+        offers = enumerate_moves(node)
+        proposed.append((node, offers))
+        return offers
+
+    _final, trace = thin(cx, proposer)
+    assert len(trace.steps) > 2
+    same = new = 0
+    for (before, earlier), (after, later) in zip(proposed, proposed[1:]):
+        for t_id in after.thick:
+            offers = [m for m in later if m.thick == t_id and not isinstance(m, Consolidate)]
+            if t_id in before.thick and moves._hood(after, t_id) == moves._hood(before, t_id):
+                kept = [m for m in earlier if m.thick == t_id and not isinstance(m, Consolidate)]
+                assert len(offers) == len(kept) and all(map(operator.is_, offers, kept))
+                same += 1
+            else:
+                assert not any(m is k for m in offers for k in earlier)
+                new += 1
+    assert same >= 5 and new >= 5
 
 
 def test_greedy_policy_takes_least_vector_then_digest():
@@ -1225,7 +1311,9 @@ def test_body_checks_of_thin_and_rewrite_graph_are_pinned(monkeypatch):
     gate or a validation makes them) of ``thin`` on 80 thin-random instances,
     and of ``rewrite_graph`` (budget 20) on the shuffled unions of
     ``test_golden_thin_on_unions``.  Every body check that a move's or a
-    component's unchanged reads make needless is skipped; none is added."""
+    component's unchanged reads make needless is skipped; none is added.
+    Deciding again at every step the offers rejected, before their results
+    were built, on unchanged levels made 6,634 and 2,409."""
     calls = 0
     real = model._check_cb
 
@@ -1238,12 +1326,12 @@ def test_body_checks_of_thin_and_rewrite_graph_are_pinned(monkeypatch):
     monkeypatch.setattr(moves, "_check_cb", counting, raising=False)
     for i in range(80):
         thin(gen_complex(GenConfig(max_thick=6, seed=100_000 + i)), enumerate_moves)
-    assert calls == 6634
+    assert calls == 4184
 
     calls = 0
     for cx in _shuffled_unions():
         rewrite_graph(cx, enumerate_moves, max_nodes=20)
-    assert calls == 2409
+    assert calls == 2290
 
 
 def test_a_part_decides_each_routed_offer_as_a_fresh_copy_does():

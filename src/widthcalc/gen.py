@@ -47,7 +47,6 @@ from .moves import (
     UntelescopeOutcome,
     _hood,
     _products_on_thin,
-    _sphere_blocks,
     applicable,
 )
 
@@ -319,7 +318,7 @@ def _level_moves(cx: Complex, t: ThickLevel) -> list[Move]:
     up, down = cx.cbs[t.upper_cb], cx.cbs[t.lower_cb]
     moves: list[Move] = []
 
-    if t_id not in _sphere_blocks(cx):  # destabilizing needs a component free of small boundary spheres
+    if hood[1] is None:  # the level's component has no small boundary sphere: destabilizing is allowed
         if g >= 1:
             moves.append(Destabilize("stab", t_id))
             moves.append(Destabilize("merid_stab", t_id))

@@ -493,6 +493,10 @@ def _build(maps: tuple[Records, ...]) -> Complex:
     return Complex(*(records.merged() for records in maps))
 
 
+def _no_hoods(_cx: Complex) -> dict:
+    return {}
+
+
 def _hood(cx: Complex, thick_id: str) -> tuple | None:
     """The read set of a move at thick level ``thick_id``, up to building its
     result: the level's record, its :func:`_sphere_blocks` entry, its two
@@ -503,7 +507,7 @@ def _hood(cx: Complex, thick_id: str) -> tuple | None:
     untelescope's outcome ids must be fresh and ``elementary.pre`` reads the
     whole complex, and a consolidation reads the far body across its thin
     level.  Kept on the instance per level."""
-    hoods = _kept(cx, "_hoods", lambda _cx: {})
+    hoods = _kept(cx, "_hoods", _no_hoods)
     hood = hoods.get(thick_id)
     if hood is None:
         t = cx.thick.get(thick_id)

@@ -91,17 +91,19 @@ keeps no verdict.  So the move keeps its rule with that hood, and
 proposer gives an unchanged level's offers again as the same objects
 (:func:`~widthcalc.gen.enumerate_moves`), and they bring their verdicts.
 
-Move documents are JSON objects tagged with ``kind``; the remaining keys
-come from one table, ``_ROWS``, with one row per field of each move record:
-its JSON key, its type and, for an optional field, its default.  A required
-key must be present with a value of the stated JSON type.  An optional key
-may be missing or null, and then reads as its default.  A key that no row
-lists is refused, after the object's own fields are read; a tangle holds
-only its four counts, and only the top-level object holds ``kind``.  An
-optional field
-whose value is None is written as null, except the few rows marked to be
-omitted instead (a disc's ``split`` and a split's ``tangles``).  A malformed
-document raises :class:`~widthcalc.model.SchemaError` naming the field.
+Move documents are JSON objects tagged with ``kind``.  The remaining keys
+are read and written by the instance format's codec
+(:func:`~widthcalc.model._decode` and ``_encode``) from one table,
+``_ROWS``: the instance format's rows, a tangle's among them, and one row
+per field of each move record, giving its JSON key, its type and, for an
+optional field, its default.  A required key must be present with a value
+of the stated JSON type.  An optional key may be missing or null, and then
+reads as its default.  A key that no row lists is refused, after the
+object's own fields are read; a tangle holds only its four counts, and
+only the top-level object holds ``kind``.  An optional field whose value is
+None is written as null, except the few rows marked to be omitted instead
+(a disc's ``split`` and a split's ``tangles``).  A malformed document
+raises :class:`~widthcalc.model.SchemaError` naming the field.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .model import (
     BoundaryLevel,
@@ -120,22 +122,20 @@ from .model import (
     Tangle,
     ThickLevel,
     ThinLevel,
+    _ROWS as _INSTANCE_ROWS,
     _SECTION,
     _body_index,
-    _id_list,
+    _decode,
+    _encode,
     _ids,
     _kept,
-    _need,
     _reads,
-    _refuse_unknown,
     body_index,
     certify,
     components,
     disjoint_union,
-    emit_tangle,
     euler_char,
     ghost_excess,
-    parse_tangle,
     profile_index,
     require_valid,
     validate,
@@ -1223,12 +1223,12 @@ def is_reduced(cx: Complex, proposer=None) -> tuple[bool, Move | None]:
 # Move document format
 # ---------------------------------------------------------------------------
 
-# One row per field of each record, in field order:
-# (JSON key, spec[, default[, omit when None]]).  A spec is ``str``, ``int``
-# or ``bool``; ``Tangle`` (the instance format's tangle object); a record
-# type listed here (a JSON object); ``[str]`` (a list of ids); or a tuple of
-# two specs (a list of two).  A row with a default is optional.
+# The rows of the move document format, one per field of each move record,
+# added to the instance format's table in ``model``, whose comment gives the
+# form of a row.  The top-level object also holds ``kind``, which
+# :func:`parse_move` reads before it decodes the rest.
 _ROWS: dict[type, tuple[tuple, ...]] = {
+    **_INSTANCE_ROWS,
     SplitData: (("genus", (int, int)), ("punctures", (int, int)),
                 ("ports", ([str], [str])), ("tangles", (Tangle, Tangle), None, True)),
     DiscData: (("q", int, 0), ("separating", bool, False), ("split", SplitData, None, True)),
@@ -1247,69 +1247,12 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
 }
 
 
-# The keys each object of a move document may hold: its rows' keys, and
-# ``kind`` for a move (only ever the top-level object).  A tangle's parser
-# checks its own keys.
-_KEYS = {spec: frozenset(row[0] for row in rows) | ({"kind"} if spec in _KINDS else set())
-         for spec, rows in _ROWS.items()}
-
-
-def _json_type(spec) -> type:
-    if isinstance(spec, (list, tuple)):
-        return list
-    return dict if spec is Tangle or spec in _ROWS else spec
-
-
-def _decode(spec, val, where: str):
-    if isinstance(spec, list):
-        return _id_list(val, where)
-    if isinstance(spec, tuple):
-        if not isinstance(val, list) or len(val) != 2:
-            raise SchemaError(f"{where}: expected a list of two")
-        return tuple(_decode(s, v, where) for s, v in zip(spec, val))
-    if spec is Tangle:
-        return parse_tangle(val, where)
-    if spec in _ROWS:
-        values = []
-        for key, row_spec, *optional in _ROWS[spec]:
-            got = _need(val, key, _json_type(row_spec), where, *optional[:1])
-            if optional and val.get(key) is None:
-                values.append(got)  # missing or null: the default
-            else:
-                values.append(_decode(row_spec, got, f"{where}.{key}"))
-        _refuse_unknown(val, _KEYS[spec], where)
-        return spec(*values)
-    if not isinstance(val, spec) or (spec is int and isinstance(val, bool)):
-        raise SchemaError(f"{where}: expected {spec.__name__}")
-    return val
-
-
-def _encode(spec, val):
-    if val is None:
-        return None
-    if isinstance(spec, list):
-        return list(val)
-    if isinstance(spec, tuple):
-        return [_encode(s, v) for s, v in zip(spec, val)]
-    if spec is Tangle:
-        return emit_tangle(val)
-    if spec in _ROWS:
-        doc = {}
-        for (key, row_spec, *optional), f in zip(_ROWS[spec], fields(spec)):
-            item = getattr(val, f.name)
-            if item is None and optional[1:] == [True]:
-                continue
-            doc[key] = _encode(row_spec, item)
-        return doc
-    return val
-
-
 def emit_move(m: Move) -> dict:
     """Encode a move to its document, ``kind`` first."""
     kind = _KINDS.get(type(m))
     if kind is None:
         raise SchemaError(f"unknown move {m!r}")
-    return {"kind": kind[0], **_encode(type(m), m)}
+    return {"kind": kind[0], **_encode(type(m), m, _ROWS)}
 
 
 def parse_move(doc: dict) -> Move:
@@ -1322,4 +1265,4 @@ def parse_move(doc: dict) -> Move:
     cls = next((cls for cls, (name, _apply) in _KINDS.items() if name == kind), None)
     if cls is None:
         raise SchemaError(f"unknown move kind {kind!r}")
-    return _decode(cls, doc, "move")
+    return _decode(cls, {key: val for key, val in doc.items() if key != "kind"}, "move", _ROWS)

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1373,3 +1375,47 @@ def test_a_move_document_without_unknown_keys_still_parses():
     move = parse_move(doc)
     assert move.outcome.h_minus.lower.tangle == Tangle()
     assert emit_move(move) == doc
+
+
+# JSON keys that are not their field's name: the tangle counts and a disc's
+# puncture count.
+_RENAMED = {(Tangle, "v"): "verticals", (Tangle, "b"): "bridges", (Tangle, "gh"): "ghosts",
+            (DiscData, "q"): "punctures"}
+
+
+def test_each_row_names_its_field_in_order():
+    """The codec builds a record from its row values by position, so a row
+    out of order would swap two fields without an error.  Every type's rows,
+    instance and move formats alike, name its fields one to one in order,
+    and a row's default is its field's wherever both have one."""
+    assert set(model._ROWS) == {Surface, Tangle, model.ThickLevel, model.ThinLevel,
+                                BoundaryLevel, CompressionBody}
+    assert model._ROWS.items() <= moves._ROWS.items()
+    for spec, rows in moves._ROWS.items():
+        spec_fields = fields(spec)
+        assert [_RENAMED.get((spec, row[0]), row[0]) for row in rows] == [f.name for f in spec_fields]
+        for (key, _kind, *optional), f in zip(rows, spec_fields):
+            if optional and f.default is not MISSING:
+                assert optional[0] == f.default, (spec.__name__, key)
+
+
+def _readme_json_blocks() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"^```json\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_instance_example_reads_as_its_text_says():
+    """README's one-bridge sphere omits ``product_certificate``, so each body
+    is read field by field; it has body indices 4 and 4 and the vector (8,)."""
+    doc = json.loads(_readme_json_blocks()[0])
+    assert all("product_certificate" not in item for item in doc["cbs"])
+    cx = model.parse_complex(doc)
+    assert validate(cx).ok
+    assert (body_index(cx, "u"), body_index(cx, "d")) == (4, 4)
+    assert complexity(cx) == (8,)
+
+
+def test_readme_untelescope_example_round_trips():
+    m = parse_move(json.loads(_readme_json_blocks()[1]))
+    assert isinstance(m, Untelescope)
+    assert parse_move(emit_move(m)) == m

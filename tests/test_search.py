@@ -1163,6 +1163,33 @@ def test_rewrite_graph_takes_moves_that_hold_lists():
     assert (got.edges, got.vectors, got.diagnostics) == (want.edges, want.vectors, want.diagnostics)
 
 
+def test_a_smaller_budget_gives_the_first_nodes_of_a_larger_graph(bench_chain):
+    """A budget cuts the breadth-first expansion short and changes nothing
+    before the cut: with ``max_nodes=N`` the nodes are the first N that the
+    40-node graph admits, in order; the edges are its edges among them, in
+    order; and a node is truncated exactly when it is truncated in the
+    larger graph or has an edge there to a node past the first N."""
+    corpus = [_four_copies(), *_shuffled_unions(),
+              parse_complex(bench_chain(3, random.Random(1))),
+              parse_complex(bench_chain(4, random.Random(1)))]
+    corpus += [gen_complex(GenConfig(max_thick=4, seed=seed)) for seed in range(6)]
+    cut = 0
+    for cx in corpus:
+        large = rewrite_graph(cx, enumerate_moves, max_nodes=40)
+        for budget in (1, 2, 5, 10, 20):
+            small = rewrite_graph(cx, enumerate_moves, max_nodes=budget)
+            first = list(large.nodes)[:budget]
+            assert list(small.nodes) == first
+            assert [small.vectors[d] for d in first] == [large.vectors[d] for d in first]
+            kept = set(first)
+            assert small.edges == [edge for edge in large.edges
+                                   if edge[0] in kept and edge[2] in kept]
+            assert small.truncated == {d for d in first if d in large.truncated} | {
+                src for src, _move, dst in large.edges if src in kept and dst not in kept}
+            cut += len(large.nodes) > budget
+    assert cut > 100  # 108 of the 135 cases
+
+
 # ---------------------------------------------------------------------------
 # Golden search outcomes
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ __all__ = [
     "digraph_cycle",
     "components",
     "disjoint_union",
+    "joined",
     "parse_complex",
     "emit_record",
     "record_text",
@@ -801,6 +802,12 @@ def disjoint_union(parts: list[Complex]) -> Complex:
     return cx
 
 
+def joined(parts: list[Complex]) -> Complex:
+    """The complex that ``parts``, as the candidate loop gives a result,
+    make up: the one part itself, else their :func:`disjoint_union`."""
+    return parts[0] if len(parts) == 1 else disjoint_union(parts)
+
+
 # ---------------------------------------------------------------------------
 # JSON document format
 # ---------------------------------------------------------------------------
@@ -862,7 +869,8 @@ def _decode(spec, val, where: str, rows=_ROWS):
     """``val`` read as ``spec`` by the table ``rows``; SchemaError, naming
     the field at ``where``, when it is malformed.  An object's fields are
     read in row order, each key checked by :func:`_need`, and a key that no
-    row lists is refused after them."""
+    row lists is refused after them; the keys are scanned for it only when
+    the object holds more keys than its rows matched."""
     if isinstance(spec, list):
         return _id_list(val, where)
     if isinstance(spec, tuple):
@@ -874,14 +882,17 @@ def _decode(spec, val, where: str, rows=_ROWS):
             raise SchemaError(f"{where}: expected {spec.__name__}")
         return val
     values = []
+    matched = 0
     for key, row_spec, *optional in rows[spec]:
         kind = list if isinstance(row_spec, (list, tuple)) else dict if row_spec in rows else row_spec
         got = _need(val, key, kind, where, *optional[:1])
+        matched += key in val
         if kind is row_spec or (optional and val.get(key) is None):
             values.append(got)  # a checked scalar, or missing or null: the default
         else:
             values.append(_decode(row_spec, got, f"{where}.{key}", rows))
-    _refuse_unknown(val, [row[0] for row in rows[spec]], where)
+    if len(val) > matched:  # a key that no row lists
+        _refuse_unknown(val, [row[0] for row in rows[spec]], where)
     return spec(*values)
 
 

@@ -133,7 +133,6 @@ from .model import (
     body_index,
     certify,
     components,
-    disjoint_union,
     euler_char,
     ghost_excess,
     profile_index,
@@ -1139,10 +1138,11 @@ def named_ids(cx: Complex, move) -> list[str] | None:
 
 
 def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None, str]]
-               ) -> Iterator[tuple[Move, Complex, tuple[int, ...]]]:
-    """``(move, result, its vector)`` for each of ``offers`` that applies to
-    the valid ``cx``, in order, each applied per component (see the module
-    docstring).
+               ) -> Iterator[tuple[Move, list[Complex], tuple[int, ...]]]:
+    """``(move, parts, vector)`` for each of ``offers`` that applies to the
+    valid ``cx``, in order, each applied per component (see the module
+    docstring): the result is made up of ``parts``, and ``vector`` is its
+    complexity vector.
 
     Each rejection is counted in ``rejected`` under (move document ``kind``,
     rule), and its message is never formatted; an offer that is not a move
@@ -1153,10 +1153,12 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     ``_decided`` and keyed by value, since a proposer builds new move
     objects (see :func:`apply_move`): a kept result is taken as it is, and
     any other offer goes to :func:`apply_move`, which raises a kept rule
-    again.  The result is the :func:`~widthcalc.model.disjoint_union` of
-    the other parts and the components of the part's result, which keeps
-    them as its components, and its vector the sorted merge of theirs.  A
-    ``cx`` of one component applies every offer whole: it reads no
+    again.  Its ``parts`` are the other parts and the components of the
+    part's result, and its vector the sorted merge of theirs; no union is
+    built, so a caller that keeps the result joins it
+    (:func:`~widthcalc.model.joined`), and the union keeps those parts as
+    its components.  A ``cx`` of one component applies every offer whole:
+    ``parts`` is ``[result]``, the result itself, and the loop reads no
     ``named_ids`` and hashes no move.
     """
     require_valid(cx)
@@ -1180,12 +1182,12 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
                 rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
                 continue
         if k is None:
-            yield move, result, analyze(result).vector
+            yield move, [result], analyze(result).vector
             continue
-        union = disjoint_union(parts[:k] + components(result) + parts[k + 1:])
         entries = [entry for sub in (*parts[:k], result, *parts[k + 1:])
                    for entry in analyze(sub).vector]
-        yield move, union, tuple(sorted(entries, reverse=True))
+        yield (move, parts[:k] + components(result) + parts[k + 1:],
+               tuple(sorted(entries, reverse=True)))
 
 
 def _home(cx: Complex, move, home: dict[str, int]) -> int | None:

@@ -25,16 +25,23 @@ and its rendered text on itself, so a component carried as the same object
 from complex to complex is canonized once.
 
 :func:`thin` and :func:`rewrite_graph` both apply offers per component,
-through :func:`~widthcalc.moves.applicable`, which gives each result with
-its vector; a result joined from components has its vector merged from
-theirs and is not analyzed whole.  Each component keeps what was decided
-on it, accepted results and the rules of rejections alike, so an untouched
-copy in a symmetric union, carried as the same object from node to node,
-decides each offer once per run.  A move also keeps the rule of a
-rejection it got before its result was built, with the read set of its
-thick level, and the proposer offers an unchanged level's moves again as
-the same objects: from step to step and node to node, only the levels whose
-read set changed are decided again.  A kept rejection is still raised by
+through :func:`~widthcalc.moves.applicable`, which gives each result as
+its parts with its vector; a result made of components has its vector
+merged from theirs and is not analyzed whole.  Each driver hashes a result
+from its parts, by the one canonical form of a list of parts, and joins
+the parts (:func:`~widthcalc.model.joined`) only for a result it keeps:
+:func:`thin` for the one it takes, :func:`rewrite_graph` for a new node.
+Once its budget is full, :func:`rewrite_graph` hashes no result whose
+vector no node has: a relabelling keeps the vector, so such a result can
+match no node (McKay & Piperno's cheap invariant before canonization).
+
+Each component keeps what was decided on it, accepted results and the
+rules of rejections alike, so an untouched copy in a symmetric union,
+carried as the same object from node to node, decides each offer once per
+run.  A move also keeps the rule of a rejection it got before its result
+was built, with the read set of its thick level, and the proposer offers an
+unchanged level's moves again as the same objects: from step to step and
+node to node, only the levels whose read set changed are decided again.  A kept rejection is still raised by
 :func:`~widthcalc.moves.apply_move` at every node that offers it, and
 counted in ``diagnostics`` there, so callers that count around
 ``apply_move`` see every one.
@@ -60,6 +67,7 @@ from .model import (
     _records,
     components,
     digraph_cycle,
+    joined,
     record_text,
     require_valid,
     validate,
@@ -156,18 +164,19 @@ def thin(cx: Complex, proposer, policy: str = "first",
                 [m for m in candidates if not isinstance(m, REDUCING)]
         move = after = vec = digest = None
         tied = []
-        for cand, result, cand_vec in applicable(current, offers, trace.diagnostics):
+        for cand, parts, cand_vec in applicable(current, offers, trace.diagnostics):
             if policy == "first" or forced is not None or isinstance(cand, REDUCING):
-                move, after, vec = cand, result, cand_vec
+                move, after, vec = cand, joined(parts), cand_vec
                 break
             # the least vector; among results tied on it, the least digest
             if vec is None or cand_vec < vec:
                 vec, tied = cand_vec, []
             if cand_vec == vec:
-                tied.append((cand, result))
+                tied.append((cand, parts))
         if tied:
-            digest, _k, move, after = min((canonical_hash(result), k, cand, result)
-                                          for k, (cand, result) in enumerate(tied))
+            digest, _k, move, parts = min((_digest(parts), k, cand, parts)
+                                          for k, (cand, parts) in enumerate(tied))
+            after = joined(parts)
         if move is None:
             if forced is not None:
                 apply_move(current, forced)  # the loop rejected it: raise its rule
@@ -191,7 +200,10 @@ def thin(cx: Complex, proposer, policy: str = "first",
 class RewriteGraph:
     """Every node is expanded, one component at a time (see the module
     docstring); ``truncated`` holds those that lost an edge to a new node to
-    the budget.  ``diagnostics`` counts rejected offers like
+    the budget, an edge to a result whose vector no node has among them,
+    known so without hashing the result.  ``nodes`` holds each node as the
+    complex its parts were joined into when it was admitted.
+    ``diagnostics`` counts rejected offers like
     :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``;
     a rejection is counted, and raised by ``apply_move``, at every node that
     offers it, though a component decides it once, and a move rejected
@@ -231,6 +243,8 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     budget drops an edge to a new node, and a node that lost an edge so is
     not counted as a sink.  Offers are applied per component, as the module
     docstring describes; the nodes' vectors are those of the whole nodes.
+    A result is hashed from its parts unless the budget is full and no node
+    has its vector, and joined only when it is admitted as a new node.
     ``max_nodes`` must be at least 1.
     """
     if max_nodes < 1:
@@ -240,18 +254,25 @@ def rewrite_graph(cx: Complex, proposer, max_nodes: int = 200) -> RewriteGraph:
     graph = RewriteGraph(root=root, nodes={root: cx}, vectors={root: complexity(cx)},
                          edges=[], truncated=set())
     seen_edges: set[tuple[str, str, str]] = set()
+    held = set(graph.vectors.values())  # the vector of every node
     order = [root]
     for digest in order:  # grows while it is read: a FIFO queue
         node = graph.nodes[digest]
-        for move, result, vec in applicable(node, proposer(node), graph.diagnostics):
-            dst = canonical_hash(result)
+        for move, parts, vec in applicable(node, proposer(node), graph.diagnostics):
             assert compare(vec, graph.vectors[digest]) == LT
+            full = len(graph.nodes) >= max_nodes
+            # no node has this vector, so none is a relabelling of the result
+            if full and vec not in held:
+                graph.truncated.add(digest)
+                continue
+            dst = _digest(parts)
             if dst not in graph.nodes:
-                if len(graph.nodes) >= max_nodes:
+                if full:
                     graph.truncated.add(digest)
                     continue
-                graph.nodes[dst] = result
+                graph.nodes[dst] = joined(parts)
                 graph.vectors[dst] = vec
+                held.add(vec)
                 order.append(dst)
             doc = emit_move(move)
             key = (digest, json.dumps(doc, sort_keys=True), dst)
@@ -576,8 +597,16 @@ def canonical_form(cx: Complex) -> str:
     violations, when a record names an id that ``cx`` does not hold; ``cx``
     is validated only then.
     """
+    return _form([cx])
+
+
+def _form(parts: list[Complex]) -> str:
+    """:func:`canonical_form` of the union of ``parts``, complexes with
+    disjoint ids, laid out from the components of each: the form of a
+    result that the candidate loop gives as parts, byte for byte that of
+    their :func:`~widthcalc.model.joined` union, which is not built."""
     forms = [_kept(part, "_form", lambda part: (*_component_form(_records(part)), {}))
-             for part in components(cx)]
+             for whole in parts for part in components(whole)]
     forms.sort(key=lambda form: form[0])
     sections: tuple[list[str], ...] = ([], [], [], [])
     offset = 0
@@ -587,13 +616,18 @@ def canonical_form(cx: Complex) -> str:
             try:
                 rendered = texts[offset] = _render(records, offset)
             except KeyError:  # a reference to no record: the report names it
-                raise ValidationError(validate(cx)) from None
+                raise ValidationError(validate(joined(parts))) from None
         for out, text in zip(sections, rendered):
             if text:
                 out.append(text)
         offset += len(records)
     thick, thin, boundary, cbs = (", ".join(out) for out in sections)
     return f'{{"thick": [{thick}], "thin": [{thin}], "boundary": [{boundary}], "cbs": [{cbs}]}}'
+
+
+def _digest(parts: list[Complex]) -> str:
+    """:func:`canonical_hash` of the union of ``parts``, from :func:`_form`."""
+    return hashlib.sha256(_form(parts).encode()).hexdigest()
 
 
 def canonical_hash(cx: Complex) -> str:
@@ -603,8 +637,10 @@ def canonical_hash(cx: Complex) -> str:
     :func:`canonical_form`), so a component that the complexes of a
     :func:`thin` or :func:`rewrite_graph` run share as one object is
     canonized once and rendered once per offset; a complex made of such
-    components at offsets seen before hashes a join of kept text.  Raises
-    ValidationError on a dangling reference, as :func:`canonical_form` does.
+    components at offsets seen before hashes a join of kept text.  The
+    drivers hash a result from the parts the candidate loop gives, by the
+    same form, without joining them.  Raises ValidationError on a dangling
+    reference, as :func:`canonical_form` does.
 
     >>> from .model import parse_complex
     >>> doc = {"thick": [{"id": "H", "surface": {"genus": 2, "punctures": 0},
@@ -622,4 +658,4 @@ def canonical_hash(cx: Complex) -> str:
     >>> canonical_hash(parse_complex(doc)) == canonical_hash(parse_complex(relabel))
     True
     """
-    return hashlib.sha256(canonical_form(cx).encode()).hexdigest()
+    return _digest([cx])

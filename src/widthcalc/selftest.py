@@ -32,6 +32,7 @@ from .model import (
     body_index,
     build_complex,
     emit_record,
+    joined,
     parse_complex,
     thick_digraph,
     validate,
@@ -335,10 +336,10 @@ def check_monotone_decrease(fast: bool = False) -> tuple[bool, str]:
         cx = gen_complex(cfg, rng)
         candidates = enumerate_moves(cx)
         rng.shuffle(candidates)  # gen_move's pick, keeping the result it built
-        move, out, _vector = next(applicable(cx, candidates, Counter()), (None,) * 3)
+        move, parts, _vector = next(applicable(cx, candidates, Counter()), (None,) * 3)
         if move is None:
             continue
-        if compare(complexity(out), complexity(cx)) != LT:
+        if compare(complexity(joined(parts)), complexity(cx)) != LT:
             return False, f"{type(move).__name__} did not drop the vector"
         kinds[type(move).__name__] = kinds.get(type(move).__name__, 0) + 1
         done += 1

@@ -512,11 +512,12 @@ def _union(parts, rng):
 
 def test_components_of_a_union_are_its_parts():
     """A shuffled union of k relabelled one-level parts has exactly k
-    components, each the records of one part, in map order.  A result that
-    the candidate loop joins from a complex's parts keeps as its own parts
-    the very complexes it was joined from: the untouched parts and the parts
-    of the touched part's kept result.  Its vector, and its validation from
-    the bodies already checked, are those of the same records built anew."""
+    components, each the records of one part, in map order.  The parts the
+    candidate loop gives for a result routed to one of a complex's parts are
+    the very complexes it is made of: the untouched parts and the parts of
+    the touched part's kept result.  Their union keeps them as its own
+    parts, and its vector, and its validation from the bodies already
+    checked, are those of the same records built anew."""
     rng = random.Random(9)
     for k in (1, 2, 5):
         parts = [_relabel(gen_complex(GenConfig(max_thick=1, seed=900 + i)), i)
@@ -532,9 +533,8 @@ def test_components_of_a_union_are_its_parts():
             assert component == [rec for rec in records if rec.id.startswith(prefix + ".")]
         node_parts = model.components(cx)
         joined = 0
-        for move, result, vec in moves.applicable(cx, enumerate_moves(cx), Counter()):
-            got = result.__dict__.get("_components")
-            if got is None:
+        for move, got, vec in moves.applicable(cx, enumerate_moves(cx), Counter()):
+            if len(got) == 1:  # applied whole
                 continue
             joined += 1
             (j, touched), = ((j, part) for j, part in enumerate(node_parts)
@@ -542,6 +542,7 @@ def test_components_of_a_union_are_its_parts():
             new = model.components(touched.__dict__["_decided"][move])
             want = node_parts[:j] + new + node_parts[j + 1:]
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            result = model.joined(got)
             fresh = model.Complex(result.thick, result.thin, result.boundary, result.cbs)
             assert model.components(result) is got
             assert [_records(part) for part in got] == [
@@ -598,8 +599,7 @@ def test_each_complex_is_split_at_most_once(monkeypatch):
         return union
 
     monkeypatch.setattr(model, "_components", splitting)
-    monkeypatch.setattr(model, "disjoint_union", joining)
-    monkeypatch.setattr(moves, "disjoint_union", joining)
+    monkeypatch.setattr(model, "disjoint_union", joining)  # behind model.joined
     rng = random.Random(20)
     corpus = [gen_complex(GenConfig(max_thick=6, seed=2000 + i)) for i in range(6)]
     for i in range(6):
@@ -614,7 +614,8 @@ def test_each_complex_is_split_at_most_once(monkeypatch):
         rewrite_graph(cx, enumerate_moves, max_nodes=8)
     assert max(split.values()) == 1
     assert not any(id(cx) in split for cx in built)
-    assert len(split) == 937 and len(built) > 100
+    # 937 when rewrite_graph hashed every result, splitting each one applied whole
+    assert len(split) == 505 and len(built) > 100
 
 
 def test_small_boundary_sphere_blocks_only_its_own_component():
@@ -852,29 +853,32 @@ def test_canonical_hash_has_no_factorial_blow_up():
 
 def test_memo_digests_equal_fresh_hashes_on_unions(monkeypatch):
     """Every digest ``rewrite_graph`` takes under its run's shared memo, of
-    the root and of each applicable result, equals a fresh
-    ``canonical_hash``.  A move on one copy shifts the offsets of the
-    components laid out after it, so a memo hit must render its text at the
-    offset it lands on."""
+    the root and of each applicable result it hashes from the result's
+    parts, equals a fresh ``canonical_hash`` of their union.  A move on one
+    copy shifts the offsets of the components laid out after it, so a memo
+    hit must render its text at the offset it lands on."""
     seen = []
-    fresh = canonical_hash
+    digest_of = search._digest
 
-    def recording(cx, **kwargs):
-        digest = fresh(cx, **kwargs)
-        seen.append((cx, digest))
+    def recording(parts):
+        digest = digest_of(parts)
+        seen.append((parts, digest))
         return digest
 
-    monkeypatch.setattr(search, "canonical_hash", recording)
+    monkeypatch.setattr(search, "_digest", recording)
     rng = random.Random(21)
     for copies in range(2, 13):
         base = gen_complex(GenConfig(max_thick=1, max_genus=2, max_punctures=4,
                                      seed=2100 + copies))
         parts = [_relabel(base, rng.randrange(10**6)) for _ in range(copies)]
         rewrite_graph(_union(parts, rng), enumerate_moves, max_nodes=6)
+    monkeypatch.undo()
     assert len(seen) > 200
-    assert max(len(model.components(cx)) for cx, _digest in seen) == 12
-    for cx, digest in seen:
-        assert fresh(dataclasses.replace(cx)) == digest  # a copy keeps no forms
+    assert max(sum(len(model.components(part)) for part in parts)
+               for parts, _digest in seen) == 12
+    for parts, digest in seen:
+        # a copy keeps no forms
+        assert canonical_hash(dataclasses.replace(model.joined(parts))) == digest
 
 
 def _filler():
@@ -1144,6 +1148,37 @@ def test_rewrite_graph_reuses_accepted_results_across_nodes(monkeypatch):
         fresh = model.Complex(node.thick, node.thin, node.boundary, node.cbs)
         assert model.components(node) == model.components(fresh)
         assert graph.vectors[digest] == complexity(fresh)
+
+
+def test_rewrite_graph_joins_and_hashes_only_what_can_be_a_node(monkeypatch):
+    """Work-count gate: on a union of four relabelled copies,
+    ``rewrite_graph`` joins a result's parts only for a node it admits, and
+    once its budget is full it hashes no result whose vector no node has.
+    Joining and hashing every result made 359 unions, 360 digests and 48
+    canonizations here."""
+    calls = Counter()
+    union, form, digest = model.disjoint_union, search._component_form, search._digest
+
+    def joining(parts):
+        calls["union"] += 1
+        return union(parts)
+
+    def canonizing(records):
+        calls["form"] += 1
+        return form(records)
+
+    def hashing(parts):
+        calls["digest"] += 1
+        return digest(parts)
+
+    monkeypatch.setattr(model, "disjoint_union", joining)
+    monkeypatch.setattr(search, "_component_form", canonizing)
+    monkeypatch.setattr(search, "_digest", hashing)
+    graph = rewrite_graph(_four_copies(), enumerate_moves, max_nodes=20)
+    assert len(graph.nodes) == 20 and graph.truncated
+    assert calls["union"] == len(graph.nodes) - 1
+    assert calls["form"] <= 41
+    assert calls["digest"] <= 142
 
 
 def test_rewrite_graph_takes_moves_that_hold_lists():

@@ -470,8 +470,8 @@ def validate(cx: Complex) -> ValidationReport:
     level and minus ports, and a body that passes them keeps those surfaces
     and its index (:func:`_body_index`).  In any complex where the same
     record reads the very same surface objects, as in a move's result, one
-    of the :func:`components` of a complex or a union the candidate loop
-    joins from components, the checks are skipped and the kept index read.
+    of the :func:`components` of a complex or a union joined from the parts
+    the candidate loop gives, the checks are skipped and the kept index read.
     The report, indices and flow digraph are the same as a full
     validation's.
     """

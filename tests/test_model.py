@@ -335,6 +335,134 @@ def test_a_repeated_minus_port_is_reported_on_the_body():
     assert _stopping_check(cx, cx.cbs["u"]) is None
 
 
+def _unshared(cx: Complex) -> Complex:
+    """``cx`` with every record built anew around its own fresh ``Surface``
+    or ``Tangle``: no two records share a value object and no body keeps a
+    check, so validating it checks every body in full."""
+    def level(rec):
+        return replace(rec, surface=Surface(rec.surface.genus, rec.surface.punctures))
+
+    return Complex(thick={k: level(t) for k, t in cx.thick.items()},
+                   thin={k: level(t) for k, t in cx.thin.items()},
+                   boundary={k: level(b) for k, b in cx.boundary.items()},
+                   cbs={k: replace(b, tangle=Tangle(*b.tangle.counts())) for k, b in cx.cbs.items()})
+
+
+def _validates_as_unshared(doc: dict) -> model.Validation:
+    """Validate ``doc`` as parsed, where records share one value object per
+    distinct surface and tangle, and assert that an unshared copy gives the
+    same report text, violations, body indices, flow digraph and order."""
+    cx = parse_complex(doc)
+    got, want = model._validation(cx), model._validation(_unshared(cx))
+    assert str(got.report) == str(want.report)
+    assert got == want
+    return want
+
+
+def _sharing_two_ports(copies: int) -> dict:
+    """``copies`` one-level spheres, each of whose two bodies has two
+    unpunctured boundary spheres as its ports: every body reads one plus
+    surface, two equal minus surfaces and one tangle, and indexes 12."""
+    sphere = {"genus": 0, "punctures": 0}
+    doc = {"thick": [], "thin": [], "boundary": [], "cbs": []}
+    for i in range(copies):
+        doc["thick"].append({"id": f"H{i}", "surface": sphere, "upper_cb": f"u{i}", "lower_cb": f"d{i}"})
+        for side in "ud":
+            body = f"{side}{i}"
+            ports = [f"{body}a", f"{body}b"]
+            doc["boundary"] += [{"id": port, "surface": sphere, "owner": body, "is_drilled_vertex": False}
+                                for port in ports]
+            doc["cbs"].append({"id": body, "plus": f"H{i}", "minus": ports,
+                               "tangle": {"v": 0, "b": 0, "gh": 0, "loops": 0},
+                               "product_certificate": False, "ball_certificate": False})
+    return doc
+
+
+def _profile_group(doc: dict) -> list[int]:
+    """The positions in ``doc["cbs"]`` of the largest group of bodies that
+    read equal values: plus surface, minus surfaces in port order, tangle
+    and certificates."""
+    surfaces = {rec["id"]: rec["surface"] for key in ("thick", "thin", "boundary") for rec in doc[key]}
+    groups: dict[str, list[int]] = {}
+    for i, body in enumerate(doc["cbs"]):
+        reads = [surfaces[body["plus"]], [surfaces[p] for p in sorted(body["minus"])], body["tangle"],
+                 body["product_certificate"], body["ball_certificate"]]
+        groups.setdefault(json.dumps(reads, sort_keys=True), []).append(i)
+    return max(groups.values(), key=len)
+
+
+def _repeat_port(body):
+    body["minus"] = [body["minus"][0]] * 2
+
+
+def _dangle_port(body):
+    body["minus"] = [*body["minus"], "nowhere"]
+
+
+def _claim_product(body):
+    body["product_certificate"] = True
+
+
+def _claim_ball(body):
+    body["ball_certificate"] = True
+
+
+def _claim_both(body):
+    body["product_certificate"] = body["ball_certificate"] = True
+
+
+def _negative_count(body):
+    body["tangle"] = {**body["tangle"], "v": -1}
+
+
+BODY_DEFECTS = {
+    "repeated_port": (_repeat_port, "port_multiplicity"),
+    "dangling_port": (_dangle_port, "dangling_reference"),
+    "product": (_claim_product, "product_certificate"),
+    "ball": (_claim_ball, "ball_certificate"),
+    "both_certificates": (_claim_both, "certificate_conflict"),
+    "negative_count": (_negative_count, "tangle_negative"),
+}
+
+
+def test_shared_values_validate_as_an_unshared_copy(bench_chain):
+    """Guard for what a validation may reuse between bodies: a parsed
+    document, whose records share one object per distinct surface and
+    tangle value, validates exactly as a copy in which every record has
+    fresh ones.  Covers long chains, wide random DAGs and the seeded corpus
+    of ``test_golden_decisions_on_seeded_corpus``."""
+    for n in (100, 250, 500, 800):
+        assert _validates_as_unshared(bench_chain(n, random.Random(n))).report.ok
+    for seed in range(3):
+        _validates_as_unshared(emit_complex(gen_complex(GenConfig(max_thick=300, seed=seed))))
+    rng = random.Random(7)
+    cfg = GenConfig(max_thick=4, seed=7)
+    for _ in range(200):
+        _validates_as_unshared(emit_complex(gen_complex(cfg, rng)))
+
+
+@pytest.mark.parametrize("defect", sorted(BODY_DEFECTS))
+@pytest.mark.parametrize("base", ["two_ports", "chain"])
+def test_a_body_sharing_a_profile_is_checked_in_full_when_it_fails(bench_chain, base, defect):
+    """In a document whose bodies share one profile, the two bodies given a
+    defect each get their own violation and no index, while the body
+    before them, with the same profile, passes; as in an unshared copy.
+    On ``two_ports`` a repeated port reads the very surfaces its passing
+    neighbours read, so only the port ids tell it apart."""
+    doc = _sharing_two_ports(4) if base == "two_ports" else bench_chain(60, random.Random(3))
+    assert _validates_as_unshared(doc).report.ok
+    first, *rest = _profile_group(doc)
+    assert len(rest) >= 2
+    spoil, code = BODY_DEFECTS[defect]
+    bad = copy.deepcopy(doc)
+    spoiled = [bad["cbs"][i]["id"] for i in rest[:2]]
+    for i in rest[:2]:
+        spoil(bad["cbs"][i])
+    got = _validates_as_unshared(bad)
+    assert {v.subject for v in got.report.violations if v.code == code} >= set(spoiled)
+    assert doc["cbs"][first]["id"] in got.body and not set(spoiled) & got.body.keys()
+
+
 @pytest.mark.parametrize("n", [2, 2000])
 def test_closed_flow_line_names_the_cycle(n):
     # 2000 levels is past the default recursion limit

@@ -270,6 +270,22 @@ def _count_decisions(monkeypatch):
     return calls
 
 
+def test_thin_on_a_parsed_document_traces_as_on_the_generated_complex():
+    """Guard for what a validation may reuse between bodies: the parse
+    shares one object per distinct surface and tangle value, the generator
+    does not, and ``thin`` on the 80 thin-random instances gives the same
+    digests, moves, vectors, diagnostics and final document either way."""
+    def run(cx):
+        final, trace = thin(cx, enumerate_moves)
+        return (trace.start_digest, trace.start_vector, trace.terminal, trace.cap_reached,
+                [(s.digest, s.move, s.vector) for s in trace.steps],
+                dict(trace.diagnostics), emit_complex(final))
+
+    for i in range(80):
+        cfg = GenConfig(max_thick=6, seed=100_000 + i)
+        assert run(parse_complex(emit_complex(gen_complex(cfg)))) == run(gen_complex(cfg))
+
+
 def test_thin_decides_again_only_offers_whose_level_changed(monkeypatch, bench_chain):
     """Work-count gate on ``thin`` on the 100-level chain: every offer still
     goes through ``apply_move``, but one rejected before its result was

@@ -472,31 +472,60 @@ def validate(cx: Complex) -> ValidationReport:
     record reads the very same surface objects, as in a move's result, one
     of the :func:`components` of a complex or a union joined from the parts
     the candidate loop gives, the checks are skipped and the kept index read.
-    The report, indices and flow digraph are the same as a full
-    validation's.
+    Within one validation, a body whose check misses its kept entry is
+    answered by an earlier body that passed on the very same tangle, plus
+    and minus surface objects and certificates (a parsed document shares
+    one object per distinct value); such a hit keeps nothing on the body,
+    and a body that fails is always checked in full, so each violation
+    keeps its subject and its place.  The report, indices and flow digraph
+    are the same as a full validation's.
     """
     return validation(cx).report
 
 
-def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None) -> int | None:
+def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
+                memo: dict | None = None) -> int | None:
     """``_check_cb(cb, reads, out)``, kept on ``cb`` when it passes, as
     ``(reads, index)``: the check reads nothing but ``cb`` and ``reads``, so
     in any complex where ``cb`` reads the very same surface objects the kept
     index is returned with no check.  Threads sharing ``cb`` may overwrite
     each other's entry; each entry is right for its own reads, and a reader
-    compares and returns the one entry it read."""
+    compares and returns the one entry it read.
+
+    ``memo``, when given, lives for one validation and maps what a passing
+    check read to its index: the identity of the tangle and of each surface
+    in ``reads``, in port order, and the truth of the two certificates.
+    Identities are sound because the complex being validated keeps each of
+    those objects alive.  The memo is read only when the kept entry misses,
+    and never for a body with a repeated minus port, which the identities
+    cannot tell from one with distinct ports.  A hit keeps nothing on
+    ``cb``; only passes are stored, so a failing body is always checked and
+    reports into ``out``."""
     passed = cb._passed
     if passed is not None:
         was = passed[0]
         if was[0] is reads[0] and all(map(is_, was[1], reads[1])):
             return passed[1]
+    key = None
+    if memo is not None and (len(cb.minus) < 2 or len(set(cb.minus)) == len(cb.minus)):
+        key = (id(cb.tangle), not cb.product_certificate, not cb.ball_certificate,
+               id(reads[0]), *map(id, reads[1]))
+        index = memo.get(key)
+        if index is not None:
+            return index
     index = _check_cb(cb, reads, out)
     if index is not None:
         object.__setattr__(cb, "_passed", (reads, index))
+        if key is not None:
+            memo[key] = index
     return index
 
 
 def _validation(cx: Complex) -> Validation:
+    """Validate ``cx`` in full: the work behind :func:`validation`.  Its one
+    pass over bodies hands :func:`_body_index` a dict that lives for this
+    call alone, from what a passing body's check read to its index, so each
+    distinct profile of a parsed document is checked once."""
     thick, thin, boundary = cx.thick.get, cx.thin.get, cx.boundary.get
     out: list[Violation] = []
 
@@ -545,8 +574,9 @@ def _validation(cx: Complex) -> Validation:
     # Each body's own checks and side, and the bodies holding each port.
     body: dict[str, int] = {}
     holders: dict[str, list[str]] = {}
+    profiles: dict[tuple, int] = {}
     for cb in cx.cbs.values():
-        index = _body_index(cb, _reads(cb, thick, thin, boundary), out)
+        index = _body_index(cb, _reads(cb, thick, thin, boundary), out, profiles)
         if index is not None:
             body[cb.id] = index
         roles = (cb.id in upper_of) + (cb.id in lower_of)

@@ -441,6 +441,18 @@ def test_shared_values_validate_as_an_unshared_copy(bench_chain):
         _validates_as_unshared(emit_complex(gen_complex(cfg, rng)))
 
 
+def test_a_validation_checks_each_distinct_body_profile_once(bench_chain, monkeypatch):
+    """Work-count guard: validating a parsed 800-level chain checks each
+    distinct (tangle, plus surface, minus surfaces, certificates) once;
+    checking every body made 1,600 checks.  A body answered by an earlier
+    one keeps no check of its own."""
+    cx = parse_complex(bench_chain(800, random.Random(1)))
+    checked = _checks_by_body(monkeypatch, cx)
+    assert len(checked) == 22
+    assert {key for key, b in cx.cbs.items() if b._passed is not None} == set(checked)
+    assert model.validation(cx) == model._validation(_unshared(cx))
+
+
 @pytest.mark.parametrize("defect", sorted(BODY_DEFECTS))
 @pytest.mark.parametrize("base", ["two_ports", "chain"])
 def test_a_body_sharing_a_profile_is_checked_in_full_when_it_fails(bench_chain, base, defect):

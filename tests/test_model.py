@@ -396,7 +396,9 @@ def _repeat_port(body):
 
 
 def _dangle_port(body):
-    body["minus"] = [*body["minus"], "nowhere"]
+    # sorts after every port id of the two documents, so that bodies of one
+    # profile read their surfaces in the same places
+    body["minus"] = [*body["minus"], "zz"]
 
 
 def _claim_product(body):

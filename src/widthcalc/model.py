@@ -522,10 +522,9 @@ def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
 
 
 def _validation(cx: Complex) -> Validation:
-    """Validate ``cx`` in full: the work behind :func:`validation`.  Its one
-    pass over bodies hands :func:`_body_index` a dict that lives for this
-    call alone, from what a passing body's check read to its index, so each
-    distinct profile of a parsed document is checked once."""
+    """The work behind :func:`validation`.  Its one pass over bodies hands
+    :func:`_body_index` a dict made for this call alone, so each distinct
+    body profile of a parsed document is checked once."""
     thick, thin, boundary = cx.thick.get, cx.thin.get, cx.boundary.get
     out: list[Violation] = []
 

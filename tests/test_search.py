@@ -1391,9 +1391,9 @@ def test_body_checks_of_thin_and_rewrite_graph_are_pinned(monkeypatch):
     ``test_golden_thin_on_unions``.  Every body check that a move's or a
     component's unchanged reads make needless is skipped; none is added.
     Deciding again at every step the offers rejected, before their results
-    were built, on unchanged levels made 6,634 and 2,409; checking each
-    body of a validation whose reads an earlier body passed with made
-    4,184 and 2,290."""
+    were built, on unchanged levels made 6,634 and 2,409.  Checking again,
+    within one validation, a body whose tangle and surfaces an earlier body
+    passed on made 4,184 and 2,290."""
     calls = 0
     real = model._check_cb
 

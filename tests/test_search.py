@@ -1453,6 +1453,73 @@ def test_a_part_decides_each_routed_offer_as_a_fresh_copy_does():
     assert routed[True] > 100 and routed[False] > 1000
 
 
+def _cold(cx):
+    """A complex of ``cx``'s records parsed anew: it shares no record, and
+    so no kept decision, with ``cx``."""
+    return parse_complex(emit_complex(cx))
+
+
+def _cold_thin(cx, policy):
+    """``thin`` taken one step at a time, each step on a cold copy of the
+    complex before it: its steps, summed diagnostics and final document.
+    A one-step run also counts the next step's rejections up to its move,
+    which the next step's own run counts again, so they are taken off."""
+    steps, diagnostics = [], Counter()
+    while True:
+        cx, trace = thin(_cold(cx), enumerate_moves, policy, cap=1)
+        steps += [(s.digest, s.move, s.vector) for s in trace.steps]
+        diagnostics += trace.diagnostics
+        if trace.terminal:
+            return steps, diagnostics, emit_complex(cx)
+        diagnostics -= thin(_cold(cx), enumerate_moves, policy, cap=0)[1].diagnostics
+
+
+def test_a_cold_replay_of_thin_matches_one_warm_run(bench_chain):
+    """Guard for every decision ``thin`` keeps between its steps: run one
+    step at a time, each on a complex parsed anew, it takes the same steps
+    (digest, move document, vector), counts the same rejections and ends on
+    the same document as one warm run, on the seeded corpus, a 25-level
+    chain, the shuffled unions of ``test_golden_thin_on_unions`` under both
+    policies and the four-copy union."""
+    runs = [(gen_complex(GenConfig(max_thick=6, seed=seed)), "first") for seed in range(12)]
+    runs.append((parse_complex(bench_chain(25, random.Random(1))), "first"))
+    runs += [(cx, policy) for cx in [*_shuffled_unions(), _four_copies()]
+             for policy in ("first", "greedy-max-drop")]
+    stepped = 0
+    for cx, policy in runs:
+        final, trace = thin(cx, enumerate_moves, policy)
+        warm = ([(s.digest, s.move, s.vector) for s in trace.steps], trace.diagnostics,
+                emit_complex(final))
+        assert _cold_thin(cx, policy) == warm
+        stepped += len(trace.steps)
+    assert stepped > 300
+
+
+def test_a_cold_replay_of_rewrite_graph_matches_one_warm_run():
+    """Guard for every decision ``rewrite_graph`` keeps between its nodes:
+    each node of a warm run (budget 20) on the shuffled unions of
+    ``test_golden_thin_on_unions`` and the four-copy union, expanded alone
+    as a complex parsed anew, gives the same edges to the graph's nodes, in
+    the same order, and has a result outside them exactly when the warm run
+    truncated it; the rejections summed over the nodes are the warm run's."""
+    for cx in [*_shuffled_unions(), _four_copies()]:
+        graph = rewrite_graph(cx, enumerate_moves, max_nodes=20)
+        edges, diagnostics = [], Counter()
+        for digest, node in graph.nodes.items():
+            cold = _cold(node)
+            seen, outside = set(), False
+            for move, parts, _vec in moves.applicable(cold, enumerate_moves(cold), diagnostics):
+                dst = canonical_hash(model.joined(parts))
+                edge = (digest, json.dumps(emit_move(move), sort_keys=True), dst)
+                outside |= dst not in graph.nodes
+                if dst in graph.nodes and edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
+            assert outside == (digest in graph.truncated)
+        assert edges == [(a, json.dumps(doc, sort_keys=True), b) for a, doc, b in graph.edges]
+        assert diagnostics == graph.diagnostics
+
+
 def _rule(apply, cx, move):
     """The rule that ``apply`` rejects ``move`` on ``cx`` under, or None."""
     try:

@@ -290,8 +290,8 @@ def enumerate_moves(cx: Complex) -> list[Move]:
 
     Candidates are not pre-filtered through the full engine; callers apply
     them and skip rejections.  The list is new at every call, but a level
-    whose offers are kept gives the same move objects again, with the
-    verdicts they keep (see :func:`~widthcalc.moves.apply_move`).
+    whose offers are kept gives the same move objects again, each with the
+    rejection it keeps and its scope (see :mod:`widthcalc.moves`).
     """
     moves: list[Move] = [Consolidate(thick=t_id, thin=f_id) for t_id, f_id in _products_on_thin(cx)]
     for t_id in sorted(cx.thick):

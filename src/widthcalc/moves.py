@@ -69,27 +69,32 @@ whole complex.  An offer goes to the component that holds every id it names
 (a fresh outcome id taken elsewhere, for ``untelescope.fresh_ids``), when it
 is not a move, or when ``elementary.pre`` applies.  Every other rule reads
 only the component, ``destabilize.boundary_sphere`` included.  A complex
-keeps its components as complexes, each keeps its decisions (the result of
-each move accepted on it, the rule of each rejected), and a result joined
-from components keeps them as its own: an untouched copy in a symmetric
-union, carried as the same object from complex to complex, decides a move
-once.  A kept rejection is still raised by :func:`apply_move` every time
-the move is offered, without building anything, so a caller that counts
-rejections around :func:`apply_move` counts every one; only the rule is
-kept, and the message is worked out again if it is read.
+keeps its components as complexes, and a result joined from components
+keeps them as its own: an untouched copy in a symmetric union is carried as
+the same object from complex to complex, and keeps the result of each move
+accepted on it.
 
-A thinning step rewrites one or two thick levels and leaves the others as
-they were, so a rejection is also kept per level, on the move object.  The
-read set of a move at a level, :func:`_hood`, is the level's record, its
-``_sphere_blocks`` entry, its two bodies and the kind and surface of each
-of their minus ports.  A rejection raised before the result is built (a
-pre-check or the gate's rebuilt-body check) reads nothing else, save the
-fresh outcome ids and ``elementary.pre`` of an untelescope, which
-:func:`apply_move` checks anew, and the far body of a consolidation, which
-keeps no verdict.  So the move keeps its rule with that hood, and
-:func:`apply_move` raises it again wherever the level's hood is equal.  The
-proposer gives an unchanged level's offers again as the same objects
+Each rejection is kept once, as the verdict of the move object: its rule
+with a scope, where what it read lives.  A thinning step rewrites one or
+two thick levels and leaves the others as they were, so a rejection raised
+before the result is built (a pre-check or the gate's rebuilt-body check)
+is kept with the read set of the move's level, :func:`_hood`: the level's
+record, its ``_sphere_blocks`` entry, its two bodies and the kind and
+surface of each of their minus ports.  Such a rejection reads nothing else,
+save the fresh outcome ids and ``elementary.pre`` of an untelescope, which
+:func:`apply_move` checks anew, and the far body of a consolidation; so it
+holds wherever the level's hood is equal.  The proposer gives an unchanged
+level's offers again as the same objects
 (:func:`~widthcalc.gen.enumerate_moves`), and they bring their verdicts.
+Any other rejection of an offer routed to a component reads more of it:
+its analyses after the build (``untelescope.*_index_drop``, a built
+result's ``result_invalid``, ``monotone``), the far body of a
+consolidation, every id for ``untelescope.fresh_ids``.  No hood can key
+it, so it is kept with the component object itself as its scope (see
+:func:`applicable`).  A kept rejection is raised by :func:`apply_move`
+every time the move is offered, without building anything, so a caller
+that counts rejections around :func:`apply_move` counts every one; only the
+rule is kept, and the message is worked out again if it is read.
 
 Move documents are JSON objects tagged with ``kind``.  The remaining keys
 are read and written by the instance format's codec
@@ -361,7 +366,7 @@ class Consolidate:
     thick: str
     thin: str
     merged_tangle: Tangle | None = None
-    _verdict = None  # never set: a consolidation reads the far body across its thin level
+    _verdict = None  # not a field: a kept rejection, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -390,7 +395,7 @@ class Untelescope:
     disc_minus: DiscData
     disc_plus: DiscData
     outcome: UntelescopeOutcome
-    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
+    _verdict = None  # not a field: a kept rejection, see the module docstring
 
 
 DESTAB_VARIANTS = ("stab", "merid_stab", "bdy", "merid_bdy", "ghost_bdy", "merid_ghost_bdy")
@@ -405,7 +410,7 @@ class Destabilize:
     ghost_arcs: int = 0
     tangle_up: Tangle | None = None
     tangle_down: Tangle | None = None
-    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
+    _verdict = None  # not a field: a kept rejection, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -413,7 +418,7 @@ class Unperturb:
     thick: str
     near_side: str = "up"
     merge_case: str = "bridge_bridge"
-    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
+    _verdict = None  # not a field: a kept rejection, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -422,7 +427,7 @@ class UndoRemovable:
     loop_side: str = "down"
     tangle_up: Tangle | None = None
     tangle_down: Tangle | None = None
-    _verdict = None  # not a field: a rejection kept with its hood, see apply_move
+    _verdict = None  # not a field: a kept rejection, see the module docstring
 
 
 Move = Consolidate | Untelescope | Destabilize | Unperturb | UndoRemovable
@@ -492,7 +497,7 @@ def _build(maps: tuple[Records, ...]) -> Complex:
     return Complex(*(records.merged() for records in maps))
 
 
-def _no_hoods(_cx: Complex) -> dict:
+def _empty(_cx: Complex) -> dict:
     return {}
 
 
@@ -506,7 +511,7 @@ def _hood(cx: Complex, thick_id: str) -> tuple | None:
     untelescope's outcome ids must be fresh and ``elementary.pre`` reads the
     whole complex, and a consolidation reads the far body across its thin
     level.  Kept on the instance per level."""
-    hoods = _kept(cx, "_hoods", _no_hoods)
+    hoods = _kept(cx, "_hoods", _empty)
     hood = hoods.get(thick_id)
     if hood is None:
         t = cx.thick.get(thick_id)
@@ -537,7 +542,8 @@ def _gated(rule: str, keeps: bool = False):
 
     A rejection raised before the result is built read only the move and
     the :func:`_hood` of its level, except ``untelescope.fresh_ids``; when
-    ``keeps``, the move keeps it with that hood, for :func:`apply_move`.
+    ``keeps``, the move keeps it with that hood as its verdict, replacing
+    any other.  A consolidation, which reads the far body too, keeps none.
     """
     def gated(build: Callable[[Complex, Move], Built]):
         @functools.wraps(build)
@@ -1048,54 +1054,35 @@ _KINDS: dict[type, tuple[str, Callable[[Complex, Move], Complex]]] = {
 def apply_move(cx: Complex, m: Move) -> Complex:
     """Apply any move; untelescope certificates run the full staged sequence.
 
-    A component that :func:`applicable` routed offers to keeps its
-    decisions under ``_decided``, keyed by move value: the result of each
-    move accepted on it and the rule of each rejected.  On such a complex a
-    move is looked up there first.  Then comes the verdict the move object
-    itself keeps: the rule of a rejection that the gate raised before
-    building the result, with the :func:`_hood` of the move's level on the
-    complex it was decided on.  It is taken when the level's hood on ``cx``
-    equals that one, and for an untelescope also no certified product
-    touches a thin level and the outcome ids are free in ``cx``, the two
-    checks that read the whole complex and come first.  A kept rule is
-    raised again at once, and its message worked out, when it is read, by
-    deciding the move again.  Sound because a complex never changes and
-    each kind's apply function reads only the complex and the move, and,
-    up to building the result, only the hood of the move's level besides
-    those two checks; a consolidation, which reads the far body across its
-    thin level, keeps no verdict."""
+    A move whose verdict holds on ``cx`` (:func:`_kept_rule`) is rejected
+    under its rule at once, and the message is worked out, when it is
+    read, by deciding the move again; any other move is decided by its
+    kind's apply function.  Sound because a complex never changes and each
+    kind's apply function reads only the complex and the move, and, up to
+    building the result, only the hood of the move's level besides the two
+    untelescope checks that read the whole complex."""
     kind = _KINDS.get(type(m))
     if kind is None:
         raise MoveRejected("move.kind", f"unknown move {m!r}")
-    decided = cx.__dict__.get("_decided")
-    try:
-        found = None if decided is None else decided.get(m)
-    except TypeError:  # a move holding a list, say, is never a key
-        decided = found = None
-    if found is None and m._verdict is not None:
-        found = _kept_rule(cx, m)
-        if found is not None and decided is not None:
-            decided[m] = found
-    if found is None:
-        try:
-            found = kind[1](cx, m)
-        except MoveRejected as err:
-            if decided is not None:
-                decided[m] = err.rule
-            raise
-        if decided is not None:
-            decided[m] = found
-    elif type(found) is str:
-        raise MoveRejected(found, functools.partial(_message_again, kind[1], cx, m))
-    return found
+    rule = None if m._verdict is None else _kept_rule(cx, m)
+    if rule is not None:
+        raise MoveRejected(rule, functools.partial(_message_again, kind[1], cx, m))
+    return kind[1](cx, m)
 
 
 def _kept_rule(cx: Complex, m: Move) -> str | None:
-    """The rule ``m`` keeps as its verdict when it holds on ``cx`` (see
-    :func:`apply_move`), else None."""
-    hood, rule = m._verdict
+    """The rule of ``m``'s verdict when it holds on ``cx``, else None: a
+    component scope holds on that very object; a hood scope where the
+    :func:`_hood` of the move's level on ``cx`` equals it and, for an
+    untelescope, no certified product touches a thin level and the outcome
+    ids are free in ``cx``."""
+    scope, rule = m._verdict
+    if scope is cx:
+        return rule
+    if type(scope) is not tuple:
+        return None
     require_valid(cx)
-    if _hood(cx, m.thick) != hood:
+    if _hood(cx, m.thick) != scope:
         return None
     if type(m) is Untelescope and (find_product_on_thin(cx) is not None
                                    or not _ids(cx).isdisjoint(_outcome_ids(m.outcome))):
@@ -1149,11 +1136,16 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     counts under ``(None, "move.kind")``.  Offers are applied as they are
     asked for, so a caller that stops early applies no more.  An offer
     routed to one of the :func:`~widthcalc.model.components` of ``cx``, a
-    part, is looked up in the decisions kept on that part under
-    ``_decided`` and keyed by value, since a proposer builds new move
-    objects (see :func:`apply_move`): a kept result is taken as it is, and
-    any other offer goes to :func:`apply_move`, which raises a kept rule
-    again.  Its ``parts`` are the other parts and the components of the
+    part, is looked up in the results accepted on that part, which only
+    this loop reads and writes, kept on it under ``_accepted`` and keyed by
+    value, since a proposer may build new move objects; a kept result is
+    taken as it is, and any other offer goes to :func:`apply_move`, which
+    raises the rule of a verdict that holds.  When the part rejects a move
+    that keeps no verdict, the move keeps the rule with the part as its
+    scope (see the module docstring).  A verdict the move already keeps is
+    not replaced: a hood holds wherever its level's hood is equal, and
+    parts that take turns with one move would each replace the other's
+    rule.  Its ``parts`` are the other parts and the components of the
     part's result, and its vector the sorted merge of theirs; no union is
     built, so a caller that keeps the result joins it
     (:func:`~widthcalc.model.joined`), and the union keeps those parts as
@@ -1169,18 +1161,25 @@ def applicable(cx: Complex, offers: Iterable, rejected: Counter[tuple[str | None
     for move in offers:
         k = None if home is None else _home(cx, move, home)
         part = cx if k is None else parts[k]
-        decided = None if k is None else _kept(part, "_decided", lambda _part: {})
+        accepted = None if k is None else _kept(part, "_accepted", _empty)
         try:
-            # no move is hashed before one is decided on the part
-            result = decided.get(move) if decided else None
+            # no move is hashed before one is accepted on the part
+            result = accepted.get(move) if accepted else None
         except TypeError:  # a move holding a list, say, is never a key
             result = None
-        if not isinstance(result, Complex):  # a kept rule is raised again by apply_move
+        if result is None:
             try:
                 result = apply_move(part, move)
             except MoveRejected as err:
                 rejected[_KINDS.get(type(move), (None,))[0], err.rule] += 1
+                if k is not None and move._verdict is None:
+                    object.__setattr__(move, "_verdict", (part, err.rule))
                 continue
+            if accepted is not None:
+                try:
+                    accepted[move] = result
+                except TypeError:
+                    pass
         if k is None:
             yield move, [result], analyze(result).vector
             continue

@@ -206,9 +206,8 @@ class RewriteGraph:
     ``diagnostics`` counts rejected offers like
     :attr:`ThinningTrace.diagnostics`, non-moves under ``(None, "move.kind")``;
     a rejection is counted, and raised by ``apply_move``, at every node that
-    offers it, though a component decides it once, and a move rejected
-    before its result was built is decided again only where the read set of
-    its thick level changed."""
+    offers it, though a rejection the move keeps is not decided again (see
+    :mod:`widthcalc.moves`)."""
 
     root: str
     nodes: dict[str, Complex]

@@ -315,7 +315,7 @@ def test_thin_keeps_no_dropped_complex_alive(bench_chain):
     """Memory guard: no decision kept on a move keeps alive a complex that
     ``thin`` has left behind.  The traced peak of ``thin`` on the 50-level
     chain is about 1.1 MB; a move that kept the complex of every rejection
-    raised it to about 11 MB."""
+    raised it to 11.7 MB."""
     cx = parse_complex(bench_chain(50, random.Random(1)))
     tracemalloc.start()
     try:

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import graphlib
 import json
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii as _quote
-from operator import is_
+from operator import attrgetter, is_
 from types import MappingProxyType
 
 __all__ = [
@@ -286,11 +287,25 @@ class ValidationError(ValueError):
 # Validation
 # ---------------------------------------------------------------------------
 
+def _integer(x) -> bool:
+    """Whether ``x`` is an integer as the parser reads one: a bool is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_surface(subject: str, s: Surface, out: list[Violation]) -> None:
-    if not isinstance(s.genus, int) or s.genus < 0:
+    if not _integer(s.genus) or s.genus < 0:
         out.append(Violation("genus_negative", subject, f"genus {s.genus!r} must be a non-negative integer"))
-    if not isinstance(s.punctures, int) or s.punctures < 0:
+    if not _integer(s.punctures) or s.punctures < 0:
         out.append(Violation("punctures_negative", subject, f"punctures {s.punctures!r} must be a non-negative integer"))
+
+
+def _check_flag(subject: str, key: str, flag, out: list[Violation] | None) -> bool:
+    """Whether ``flag``, field ``key``, is a bool; if not, it is reported to ``out`` when given."""
+    if isinstance(flag, bool):
+        return True
+    if out is not None:
+        out.append(Violation("flag_type", subject, f"{key} {flag!r} must be a boolean"))
+    return False
 
 
 def _check_tangle(subject: str, t: Tangle, out: list[Violation] | None) -> bool:
@@ -299,7 +314,7 @@ def _check_tangle(subject: str, t: Tangle, out: list[Violation] | None) -> bool:
     check."""
     ok = True
     for name, n in zip(("verticals", "bridges", "ghosts", "loops"), t.counts()):
-        if not isinstance(n, int) or n < 0:
+        if not _integer(n) or n < 0:
             if out is None:
                 return False
             ok = False
@@ -340,8 +355,10 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
     plus, minus = reads
     sub = cb.id
     t = cb.tangle
-    counts_ok = _check_tangle(sub, t, out)
-    if not counts_ok and out is None:
+    product, ball = cb.product_certificate, cb.ball_certificate
+    fields_ok = (_check_tangle(sub, t, out) & _check_flag(sub, "product_certificate", product, out)
+                 & _check_flag(sub, "ball_certificate", ball, out))
+    if not fields_ok and out is None:
         return None
 
     if plus is None:
@@ -360,20 +377,19 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
             out.append(Violation("port_multiplicity", sub, "repeated minus port"))
         return None
 
-    # A count or a surface field that is not a non-negative integer was
-    # reported above or by _check_surface; arithmetic on it would be meaningless.
-    if not counts_ok or not (isinstance(plus.genus, int) and isinstance(plus.punctures, int)):
+    # A count, a flag or a surface field of the wrong type was reported above
+    # or by _check_surface; arithmetic on it would be meaningless.
+    if not fields_ok or not (_integer(plus.genus) and _integer(plus.punctures)):
         return None
     g_minus = p_minus = anchors = 0
     for s in minus:
-        if not (isinstance(s.genus, int) and isinstance(s.punctures, int)):
+        if not (_integer(s.genus) and _integer(s.punctures)):
             return None
         g_minus += s.genus
         p_minus += s.punctures
         anchors += s.punctures > 0
     p_plus = plus.punctures
     need = g_minus + t.loops + ghost_excess(t.ghosts, anchors)
-    product, ball = cb.product_certificate, cb.ball_certificate
     up = p_plus != t.verticals + 2 * t.bridges
     down = p_minus != t.verticals + 2 * t.ghosts
     genus = plus.genus < g_minus
@@ -493,14 +509,15 @@ def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
     compares and returns the one entry it read.
 
     ``memo``, when given, lives for one validation and maps what a passing
-    check read to its index: the identity of the tangle and of each surface
-    in ``reads``, in port order, and the truth of the two certificates.
+    check read to its index: the identity of the tangle, of the two
+    certificates and of each surface in ``reads``, in port order.
     Identities are sound because the complex being validated keeps each of
-    those objects alive.  The memo is read only when the kept entry misses,
-    and never for a body with a repeated minus port, which the identities
-    cannot tell from one with distinct ports.  A hit keeps nothing on
-    ``cb``; only passes are stored, so a failing body is always checked and
-    reports into ``out``."""
+    those objects alive, and only a bool certificate, ``True`` or ``False``,
+    passes.  The memo is read only when the kept entry misses, and never
+    for a body with a repeated minus port, which the identities cannot tell
+    from one with distinct ports.  A hit keeps nothing on ``cb``; only
+    passes are stored, so a failing body is always checked and reports into
+    ``out``."""
     passed = cb._passed
     if passed is not None:
         was = passed[0]
@@ -508,7 +525,7 @@ def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
             return passed[1]
     key = None
     if memo is not None and (len(cb.minus) < 2 or len(set(cb.minus)) == len(cb.minus)):
-        key = (id(cb.tangle), not cb.product_certificate, not cb.ball_certificate,
+        key = (id(cb.tangle), id(cb.product_certificate), id(cb.ball_certificate),
                id(reads[0]), *map(id, reads[1]))
         index = memo.get(key)
         if index is not None:
@@ -540,8 +557,9 @@ def _validation(cx: Complex) -> Validation:
         if b.surface.genus == 0 and b.surface.punctures == 1:
             out.append(Violation("boundary_once_punctured_sphere", b.id,
                                  "a boundary level may not be a once-punctured sphere"))
-        if b.is_drilled_vertex and (b.surface.genus != 0 or (isinstance(b.surface.punctures, int)
-                                                             and b.surface.punctures < 3)):
+        drilled = _check_flag(b.id, "is_drilled_vertex", b.is_drilled_vertex, out) and b.is_drilled_vertex
+        if drilled and (b.surface.genus != 0 or (isinstance(b.surface.punctures, int)
+                                                 and b.surface.punctures < 3)):
             out.append(Violation("drilled_vertex_profile", b.id,
                                  "a drilled vertex is a sphere with at least three punctures"))
 
@@ -790,14 +808,14 @@ def _components(cx: Complex) -> list[Complex] | None:
             if b in parent:
                 parent[_find(parent, b)] = root
 
-    for t in cx.thick.values():
-        join(t.id, t.upper_cb, t.lower_cb)
-    for f in cx.thin.values():
-        join(f.id, f.from_cb, f.to_cb)
-    for b in cx.boundary.values():
-        join(b.id, b.owner)
-    for c in cx.cbs.values():
-        join(c.id, c.plus, *c.minus)
+    for rec in records:
+        level = _LEVELS.get(type(rec))
+        if level is None:
+            join(rec.id, rec.plus, *rec.minus)
+        elif level.second_type is bool:
+            join(rec.id, level.read(rec)[0])
+        else:
+            join(rec.id, *level.read(rec))
     groups: dict[str, list] = {}
     for rec in records:
         groups.setdefault(_find(parent, rec.id), []).append(rec)
@@ -846,6 +864,8 @@ def joined(parts: list[Complex]) -> Complex:
 # or ``bool``; a type listed in the table (a JSON object); ``[str]`` (a list
 # of ids); or a tuple of two specs (a list of two).  A row with a default is
 # optional.  ``moves`` adds the rows of the move document format to these.
+# Level records are read and written through one view of these rows,
+# ``_LEVELS`` below; only ``_decode`` and ``_encode`` walk rows themselves.
 _ROWS: dict[type, tuple[tuple, ...]] = {
     Surface: (("genus", int), ("punctures", int)),
     Tangle: (("v", int), ("b", int), ("gh", int), ("loops", int)),
@@ -856,6 +876,20 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
     CompressionBody: (("id", str), ("plus", str), ("minus", [str], ()), ("tangle", Tangle),
                       ("product_certificate", bool, False), ("ball_certificate", bool, False)),
 }
+
+
+# Each level kind as its rows give it, ``id``, ``surface`` and two fields:
+# its section of a document and of a complex, its rank among the sections,
+# its record type, the keys of its two fields after ``surface``, the JSON
+# type of the second (``str`` for a body id, ``bool`` for a flag), a reader
+# of those two fields off a record, and their keys as JSON text, each to
+# write after a comma.
+_Level = namedtuple("_Level", "section rank kind first second second_type read texts")
+_LEVELS = {kind: _Level(section, _SECTION[kind], kind, first, second, second_type,
+                        attrgetter(*(f.name for f in fields(kind)[2:])),
+                        (f", {_quote(first)}: ", f", {_quote(second)}: "))
+           for section, kind in (("thick", ThickLevel), ("thin", ThinLevel), ("boundary", BoundaryLevel))
+           for (first, _), (second, second_type, *_) in [_ROWS[kind][2:]]}
 
 
 _REQUIRED = object()
@@ -881,19 +915,6 @@ def _need(obj: dict, key: str, kind: type, where: str, default=_REQUIRED):
     return val
 
 
-def _refuse_unknown(obj: dict, keys, where: str) -> None:
-    """SchemaError naming the first key of ``obj`` that ``keys`` does not list."""
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"{where}: unknown field {key!r}")
-
-
-def _id_list(val, where: str) -> tuple[str, ...]:
-    if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-        raise SchemaError(f"{where}: expected a list of ids")
-    return tuple(val)
-
-
 def _decode(spec, val, where: str, rows=_ROWS):
     """``val`` read as ``spec`` by the table ``rows``; SchemaError, naming
     the field at ``where``, when it is malformed.  An object's fields are
@@ -901,7 +922,9 @@ def _decode(spec, val, where: str, rows=_ROWS):
     row lists is refused after them; the keys are scanned for it only when
     the object holds more keys than its rows matched."""
     if isinstance(spec, list):
-        return _id_list(val, where)
+        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
+            raise SchemaError(f"{where}: expected a list of ids")
+        return tuple(val)
     if isinstance(spec, tuple):
         if not isinstance(val, list) or len(val) != 2:
             raise SchemaError(f"{where}: expected a list of two")
@@ -920,8 +943,9 @@ def _decode(spec, val, where: str, rows=_ROWS):
             values.append(got)  # a checked scalar, or missing or null: the default
         else:
             values.append(_decode(row_spec, got, f"{where}.{key}", rows))
-    if len(val) > matched:  # a key that no row lists
-        _refuse_unknown(val, [row[0] for row in rows[spec]], where)
+    if len(val) > matched:  # name the first key that no row lists
+        keys = [row[0] for row in rows[spec]]
+        raise SchemaError(f"{where}: unknown field {next(key for key in val if key not in keys)!r}")
     return spec(*values)
 
 
@@ -946,10 +970,6 @@ def _encode(spec, val, rows=_ROWS):
     return doc
 
 
-def emit_surface(s: Surface) -> dict:
-    return {"genus": s.genus, "punctures": s.punctures}
-
-
 def parse_complex(doc: dict) -> Complex:
     """Decode the instance document format; raises SchemaError when malformed.
 
@@ -965,7 +985,10 @@ def parse_complex(doc: dict) -> Complex:
     A record that is a plain ``dict`` holding exactly its listed keys, each
     with a value of exactly its JSON type, is read in one pass, and the
     records read so share one :class:`Surface` per ``(genus, punctures)``
-    and one :class:`Tangle` per count tuple.  Any other record (an optional
+    and one :class:`Tangle` per count tuple.  The three level kinds are read
+    in one loop, each kind's keys and types taken from its entry in
+    ``_LEVELS``, the one view of the table's rows for levels, with a fixed
+    number of lookups per record.  Any other record (an optional
     key missing or null, a subclass of a JSON type, a wrong type or an
     unknown key) is read field by field by :func:`_decode` from the rows of
     ``_ROWS``, the table move documents are read from too, which names the
@@ -989,33 +1012,18 @@ def parse_complex(doc: dict) -> Complex:
                 return found
         return None
 
-    thick = []
-    for item in _need(doc, "thick", list, "instance", []):
-        if type(item) is dict and len(item) == 4:
-            i, s = item.get("id"), surface(item.get("surface"))
-            up, down = item.get("upper_cb"), item.get("lower_cb")
-            if type(i) is str and s is not None and type(up) is str and type(down) is str:
-                thick.append(ThickLevel(i, s, up, down))
-                continue
-        thick.append(_decode(ThickLevel, item, "thick"))
-    thin = []
-    for item in _need(doc, "thin", list, "instance", []):
-        if type(item) is dict and len(item) == 4:
-            i, s = item.get("id"), surface(item.get("surface"))
-            src, dst = item.get("from_cb"), item.get("to_cb")
-            if type(i) is str and s is not None and type(src) is str and type(dst) is str:
-                thin.append(ThinLevel(i, s, src, dst))
-                continue
-        thin.append(_decode(ThinLevel, item, "thin"))
-    boundary = []
-    for item in _need(doc, "boundary", list, "instance", []):
-        if type(item) is dict and len(item) == 4:
-            i, s = item.get("id"), surface(item.get("surface"))
-            owner, drilled = item.get("owner"), item.get("is_drilled_vertex")
-            if type(i) is str and s is not None and type(owner) is str and type(drilled) is bool:
-                boundary.append(BoundaryLevel(i, s, owner, drilled))
-                continue
-        boundary.append(_decode(BoundaryLevel, item, "boundary"))
+    levels = []
+    for section, _rank, kind, first, second, second_type, _read, _texts in _LEVELS.values():
+        records = []
+        for item in _need(doc, section, list, "instance", []):
+            if type(item) is dict and len(item) == 4:
+                i, s = item.get("id"), surface(item.get("surface"))
+                a, b = item.get(first), item.get(second)
+                if type(i) is str and s is not None and type(a) is str and type(b) is second_type:
+                    records.append(kind(i, s, a, b))
+                    continue
+            records.append(_decode(kind, item, section))
+        levels.append(records)
     cbs = []
     for item in _need(doc, "cbs", list, "instance", []):
         if type(item) is dict and len(item) == 6:
@@ -1034,21 +1042,21 @@ def parse_complex(doc: dict) -> Complex:
                     cbs.append(CompressionBody(i, plus, tuple(minus), tangle, product, ball))
                     continue
         cbs.append(_decode(CompressionBody, item, "cbs"))
-    return build_complex(thick, thin, boundary, cbs)
+    return build_complex(*levels, cbs)
 
 
 def emit_record(rec, name=str) -> tuple[str, dict]:
     """The section and the document entry of one record, every id in it
-    passed through ``name``."""
-    if isinstance(rec, ThickLevel):
-        return "thick", {"id": name(rec.id), "surface": emit_surface(rec.surface),
-                         "upper_cb": name(rec.upper_cb), "lower_cb": name(rec.lower_cb)}
-    if isinstance(rec, ThinLevel):
-        return "thin", {"id": name(rec.id), "surface": emit_surface(rec.surface),
-                        "from_cb": name(rec.from_cb), "to_cb": name(rec.to_cb)}
-    if isinstance(rec, BoundaryLevel):
-        return "boundary", {"id": name(rec.id), "surface": emit_surface(rec.surface),
-                            "owner": name(rec.owner), "is_drilled_vertex": rec.is_drilled_vertex}
+    passed through ``name``.  A level is written from its kind's entry in
+    ``_LEVELS``, the one view of the rows of ``_ROWS`` for levels."""
+    level = _LEVELS.get(type(rec))
+    if level is not None:
+        a, b = level.read(rec)
+        s = rec.surface
+        return level.section, {"id": name(rec.id),
+                               "surface": {"genus": s.genus, "punctures": s.punctures},
+                               level.first: name(a),
+                               level.second: b if level.second_type is bool else name(b)}
     t = rec.tangle
     return "cbs", {"id": name(rec.id), "plus": name(rec.plus),
                    "minus": sorted(name(port) for port in rec.minus),
@@ -1060,23 +1068,17 @@ def emit_record(rec, name=str) -> tuple[str, dict]:
 def record_text(rec, name=str) -> str:
     """``json.dumps(emit_record(rec, name)[1])``, written directly rather
     than built as a dict and encoded: the canonical hash renders every
-    record it lays out."""
+    record it lays out.  A level is written from its kind's entry in
+    ``_LEVELS``, as :func:`emit_record` writes it."""
     q, v = _quote, _scalar
-    if isinstance(rec, ThickLevel):
+    level = _LEVELS.get(type(rec))
+    if level is not None:
         s = rec.surface
+        a, b = level.read(rec)
+        first, second = level.texts
         return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
-                f'"punctures": {v(s.punctures)}}}, "upper_cb": {q(name(rec.upper_cb))}, '
-                f'"lower_cb": {q(name(rec.lower_cb))}}}')
-    if isinstance(rec, ThinLevel):
-        s = rec.surface
-        return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
-                f'"punctures": {v(s.punctures)}}}, "from_cb": {q(name(rec.from_cb))}, '
-                f'"to_cb": {q(name(rec.to_cb))}}}')
-    if isinstance(rec, BoundaryLevel):
-        s = rec.surface
-        return (f'{{"id": {q(name(rec.id))}, "surface": {{"genus": {v(s.genus)}, '
-                f'"punctures": {v(s.punctures)}}}, "owner": {q(name(rec.owner))}, '
-                f'"is_drilled_vertex": {v(rec.is_drilled_vertex)}}}')
+                f'"punctures": {v(s.punctures)}}}{first}{q(name(a))}'
+                f'{second}{v(b) if level.second_type is bool else q(name(b))}}}')
     t = rec.tangle
     minus = ", ".join(map(q, sorted(name(port) for port in rec.minus)))
     return (f'{{"id": {q(name(rec.id))}, "plus": {q(name(rec.plus))}, '
@@ -1097,9 +1099,6 @@ def _scalar(x) -> str:
 
 def emit_complex(cx: Complex) -> dict:
     """Encode to the instance document format, deterministically ordered."""
-    doc: dict[str, list[dict]] = {"thick": [], "thin": [], "boundary": [], "cbs": []}
-    for pool in (cx.thick, cx.thin, cx.boundary, cx.cbs):
-        for rec in sorted(pool.values(), key=lambda rec: rec.id):
-            section, item = emit_record(rec)
-            doc[section].append(item)
-    return doc
+    pools = {"thick": cx.thick, "thin": cx.thin, "boundary": cx.boundary, "cbs": cx.cbs}
+    return {section: [emit_record(rec)[1] for rec in sorted(pool.values(), key=lambda rec: rec.id)]
+            for section, pool in pools.items()}

@@ -56,11 +56,9 @@ from dataclasses import dataclass, field
 
 from .complexity import LT, compare, complexity
 from .model import (
-    BoundaryLevel,
     Complex,
-    ThickLevel,
-    ThinLevel,
     ValidationError,
+    _LEVELS,
     _SECTION,
     _find,
     _kept,
@@ -310,19 +308,19 @@ def _describe(rec) -> tuple[tuple, tuple]:
 
     Attributes open with the record kind, so that tuples of different kinds
     never compare past their first entry.  A reference is ``(slot, id)``;
-    the kind of the referring record tells which field the slot names.
+    the kind of the referring record tells which field the slot names.  A
+    level's fields are read through its kind's entry in ``model._LEVELS``:
+    a flag is an attribute, a body id a reference.
     """
-    if isinstance(rec, ThickLevel):
-        return (0, rec.surface.genus, rec.surface.punctures), \
-            ((0, rec.upper_cb), (1, rec.lower_cb))
-    if isinstance(rec, ThinLevel):
-        return (1, rec.surface.genus, rec.surface.punctures), \
-            ((0, rec.from_cb), (1, rec.to_cb))
-    if isinstance(rec, BoundaryLevel):
-        return (2, rec.surface.genus, rec.surface.punctures, rec.is_drilled_vertex), \
-            ((0, rec.owner),)
-    return (3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate), \
-        ((0, rec.plus),) + tuple((1, port) for port in rec.minus)
+    level = _LEVELS.get(type(rec))
+    if level is None:
+        return (3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate), \
+            ((0, rec.plus),) + tuple((1, port) for port in rec.minus)
+    s = rec.surface
+    a, b = level.read(rec)
+    if level.second_type is bool:
+        return (level.rank, s.genus, s.punctures, b), ((0, a),)
+    return (level.rank, s.genus, s.punctures), ((0, a), (1, b))
 
 
 # A signature entry is ``slot * _SLOT + colour``: one int that orders as the

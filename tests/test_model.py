@@ -1153,6 +1153,16 @@ def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
                           CompressionBody("d", "H", (), Tangle(0, 1, 0, 0))])
 
 
+def _flagged(**flags):
+    """Two ball bodies on one tangle object, ``d`` first with bool flags and
+    ``u`` with ``flags``: the per-validation memo holds ``d``'s pass when
+    ``u`` is checked."""
+    tangle = Tangle(0, 1, 0, 0)
+    return build_complex([ThickLevel("H", Surface(0, 2), "u", "d")], [], [],
+                         [CompressionBody("d", "H", (), tangle, False, True),
+                          replace(CompressionBody("u", "H", (), tangle, False, True), **flags)])
+
+
 @pytest.mark.parametrize("cx, body, report", [
     (_two_bodies(Surface("x", 2)), "u", "[genus_negative] H: genus 'x' must be a non-negative integer"),
     (_two_bodies(Surface(None, 2)), "u", "[genus_negative] H: genus None must be a non-negative integer"),
@@ -1166,27 +1176,46 @@ def _two_bodies(surface, tangle=Tangle(0, 1, 0, 0)):
                    [BoundaryLevel("B", Surface(0, None), "u", is_drilled_vertex=True)],
                    [cb("u", "H", minus=("B",), v=4), cb("d", "H", b=2)]),
      "u", "[punctures_negative] B: punctures None must be a non-negative integer"),
-], ids=["str-genus", "none-genus", "thin-str-genus", "str-count", "drilled-none-punctures"])
+    (_two_bodies(Surface(True, 2)), "u", "[genus_negative] H: genus True must be a non-negative integer"),
+    (_two_bodies(Surface(0, 2), Tangle(0, True, 0, 0)), "u",
+     "[tangle_negative] u: bridges True must be a non-negative integer"),
+    (_flagged(ball_certificate=1), "u", "[flag_type] u: ball_certificate 1 must be a boolean"),
+    (_flagged(product_certificate=0), "u", "[flag_type] u: product_certificate 0 must be a boolean"),
+], ids=["str-genus", "none-genus", "thin-str-genus", "str-count", "drilled-none-punctures",
+        "bool-genus", "bool-count", "int-ball", "int-product"])
 def test_validate_reports_non_integer_fields_of_library_records(cx, body, report):
-    # the field is reported once; a body that reads it gets no index
+    # the field is reported once; a body that reads it gets no index.  A
+    # bool is no integer and a flag must be a bool, as the parser reads them.
     assert str(validate(cx)) == report
     assert _stopping_check(cx, cx.cbs[body]) is None
 
 
+def test_validate_reports_a_drilled_vertex_flag_that_is_not_a_bool():
+    cx = build_complex([thick("H", 0, 6, "u", "d")], [],
+                       [BoundaryLevel("B", Surface(0, 3), "u", 1), bdy("C", 0, 3, "u")],
+                       [cb("u", "H", minus=("B", "C"), v=6), cb("d", "H", b=3)])
+    assert str(validate(cx)) == "[flag_type] B: is_drilled_vertex 1 must be a boolean"
+    assert validate(replace(cx, boundary={**cx.boundary, "B": bdy("B", 0, 3, "u", True)})).ok
+
+
 odd_values = st.integers(-2, 4) | st.floats() | st.text(max_size=2) | st.none() | st.booleans()
 COUNT_FIELDS = ("verticals", "bridges", "ghosts", "loops")
+FLAG_FIELDS = {"cbs": ("product_certificate", "ball_certificate"), "boundary": ("is_drilled_vertex",)}
 
 
 @st.composite
 def complexes_with_odd_fields(draw):
-    """A generated valid complex with up to four surface or tangle fields
-    replaced by an int, a negative, a float, a string, None or a bool."""
+    """A generated valid complex with up to four surface, tangle or flag
+    fields replaced by an int, a negative, a float, a string, None or a
+    bool."""
     cx = gen_complex(GenConfig(max_thick=3, seed=draw(st.integers(0, 15))))
     maps = {name: dict(getattr(cx, name)) for name in ("thick", "thin", "boundary", "cbs")}
     for _ in range(draw(st.integers(1, 4))):
         name = draw(st.sampled_from([n for n in maps if maps[n]]))
         rec = maps[name][draw(st.sampled_from(sorted(maps[name])))]
-        if name == "cbs":
+        if name in FLAG_FIELDS and draw(st.booleans()):
+            maps[name][rec.id] = replace(rec, **{draw(st.sampled_from(FLAG_FIELDS[name])): draw(odd_values)})
+        elif name == "cbs":
             tangle = replace(rec.tangle, **{draw(st.sampled_from(COUNT_FIELDS)): draw(odd_values)})
             maps[name][rec.id] = replace(rec, tangle=tangle)
         else:
@@ -1202,6 +1231,18 @@ def test_validate_never_raises_on_odd_field_values(pair):
     model.validation(base)
     report = model.validation(cx).report
     assert report == validate(unchecked(cx)) and str(report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes_with_odd_fields())
+def test_a_complex_that_validates_round_trips_through_its_document(pair):
+    """Every complex ``validate`` accepts writes a document that
+    ``parse_complex`` reads back to it, and that validates: validation reads
+    no bool as an integer and nothing else as a flag, as the parser does."""
+    cx = pair[1]
+    if validate(cx).ok:
+        back = parse_complex(emit_complex(cx))
+        assert back == cx and validate(back).ok
 
 
 def _stopping_check(cx, body):

@@ -287,15 +287,11 @@ class ValidationError(ValueError):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _integer(x) -> bool:
-    """Whether ``x`` is an integer as the parser reads one: a bool is not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_surface(subject: str, s: Surface, out: list[Violation]) -> None:
-    if not _integer(s.genus) or s.genus < 0:
+    # an integer is an exact ``int``, as JSON gives one: a bool is not
+    if type(s.genus) is not int or s.genus < 0:
         out.append(Violation("genus_negative", subject, f"genus {s.genus!r} must be a non-negative integer"))
-    if not _integer(s.punctures) or s.punctures < 0:
+    if type(s.punctures) is not int or s.punctures < 0:
         out.append(Violation("punctures_negative", subject, f"punctures {s.punctures!r} must be a non-negative integer"))
 
 
@@ -314,7 +310,7 @@ def _check_tangle(subject: str, t: Tangle, out: list[Violation] | None) -> bool:
     check."""
     ok = True
     for name, n in zip(("verticals", "bridges", "ghosts", "loops"), t.counts()):
-        if not _integer(n) or n < 0:
+        if type(n) is not int or n < 0:
             if out is None:
                 return False
             ok = False
@@ -379,11 +375,11 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
 
     # A count, a flag or a surface field of the wrong type was reported above
     # or by _check_surface; arithmetic on it would be meaningless.
-    if not fields_ok or not (_integer(plus.genus) and _integer(plus.punctures)):
+    if not fields_ok or not (type(plus.genus) is int and type(plus.punctures) is int):
         return None
     g_minus = p_minus = anchors = 0
     for s in minus:
-        if not (_integer(s.genus) and _integer(s.punctures)):
+        if not (type(s.genus) is int and type(s.punctures) is int):
             return None
         g_minus += s.genus
         p_minus += s.punctures

@@ -35,13 +35,15 @@ Once its budget is full, :func:`rewrite_graph` hashes no result whose
 vector no node has: a relabelling keeps the vector, so such a result can
 match no node (McKay & Piperno's cheap invariant before canonization).
 
-Each component keeps what was decided on it, accepted results and the
-rules of rejections alike, so an untouched copy in a symmetric union,
-carried as the same object from node to node, decides each offer once per
-run.  A move also keeps the rule of a rejection it got before its result
-was built, with the read set of its thick level, and the proposer offers an
-unchanged level's moves again as the same objects: from step to step and
-node to node, only the levels whose read set changed are decided again.  A kept rejection is still raised by
+Each part keeps the result of each move accepted on it, in its
+``_accepted``, so an untouched copy in a symmetric union, carried as the
+same object from node to node, builds each accepted result once per run.
+A rejection is kept on the move, as its one verdict: the rule, scoped by
+the read set (hood) of its thick level when it was raised before the
+result was built, else by the part object it was rejected on.  The
+proposer offers an unchanged level's moves again as the same objects, so
+from step to step and node to node only the levels whose read set changed
+are decided again.  A kept rejection is still raised by
 :func:`~widthcalc.moves.apply_move` at every node that offers it, and
 counted in ``diagnostics`` there, so callers that count around
 ``apply_move`` see every one.

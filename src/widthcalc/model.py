@@ -352,8 +352,10 @@ def _check_cb(cb: CompressionBody, reads: tuple, out: list[Violation] | None) ->
     sub = cb.id
     t = cb.tangle
     product, ball = cb.product_certificate, cb.ball_certificate
-    fields_ok = (_check_tangle(sub, t, out) & _check_flag(sub, "product_certificate", product, out)
-                 & _check_flag(sub, "ball_certificate", ball, out))
+    fields_ok = _check_tangle(sub, t, out)
+    if type(product) is not bool or type(ball) is not bool:
+        fields_ok = (_check_flag(sub, "product_certificate", product, out)
+                     & _check_flag(sub, "ball_certificate", ball, out) & fields_ok)
     if not fields_ok and out is None:
         return None
 
@@ -804,14 +806,16 @@ def _components(cx: Complex) -> list[Complex] | None:
             if b in parent:
                 parent[_find(parent, b)] = root
 
-    for rec in records:
-        level = _LEVELS.get(type(rec))
-        if level is None:
-            join(rec.id, rec.plus, *rec.minus)
-        elif level.second_type is bool:
-            join(rec.id, level.read(rec)[0])
-        else:
-            join(rec.id, *level.read(rec))
+    for level in _LEVELS.values():
+        read, flag = level.read, level.second_type is bool
+        for rec in getattr(cx, level.section).values():
+            a, b = read(rec)
+            if flag:
+                join(rec.id, a)
+            else:
+                join(rec.id, a, b)
+    for c in cx.cbs.values():
+        join(c.id, c.plus, *c.minus)
     groups: dict[str, list] = {}
     for rec in records:
         groups.setdefault(_find(parent, rec.id), []).append(rec)

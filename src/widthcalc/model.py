@@ -507,15 +507,15 @@ def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
     compares and returns the one entry it read.
 
     ``memo``, when given, lives for one validation and maps what a passing
-    check read to its index: the identity of the tangle, of the two
-    certificates and of each surface in ``reads``, in port order.
-    Identities are sound because the complex being validated keeps each of
-    those objects alive, and only a bool certificate, ``True`` or ``False``,
-    passes.  The memo is read only when the kept entry misses, and never
-    for a body with a repeated minus port, which the identities cannot tell
-    from one with distinct ports.  A hit keeps nothing on ``cb``; only
-    passes are stored, so a failing body is always checked and reports into
-    ``out``."""
+    check read to its index: the identity of the tangle and of each surface
+    in ``reads``, in port order, and whether each certificate is ``True``
+    and whether it is ``False``, so a flag of another type (``0``, say),
+    which fails the check, meets no stored key.  Identities are sound
+    because the complex being validated keeps each of those objects alive.
+    The memo is read only when the kept entry misses, and never for a body
+    with a repeated minus port, which the identities cannot tell from one
+    with distinct ports.  A hit keeps nothing on ``cb``; only passes are
+    stored, so a failing body is always checked and reports into ``out``."""
     passed = cb._passed
     if passed is not None:
         was = passed[0]
@@ -523,8 +523,8 @@ def _body_index(cb: CompressionBody, reads: tuple, out: list[Violation] | None,
             return passed[1]
     key = None
     if memo is not None and (len(cb.minus) < 2 or len(set(cb.minus)) == len(cb.minus)):
-        key = (id(cb.tangle), id(cb.product_certificate), id(cb.ball_certificate),
-               id(reads[0]), *map(id, reads[1]))
+        p, b = cb.product_certificate, cb.ball_certificate
+        key = (id(cb.tangle), p is True, p is False, b is True, b is False, id(reads[0]), *map(id, reads[1]))
         index = memo.get(key)
         if index is not None:
             return index
@@ -555,9 +555,8 @@ def _validation(cx: Complex) -> Validation:
         if b.surface.genus == 0 and b.surface.punctures == 1:
             out.append(Violation("boundary_once_punctured_sphere", b.id,
                                  "a boundary level may not be a once-punctured sphere"))
-        drilled = _check_flag(b.id, "is_drilled_vertex", b.is_drilled_vertex, out) and b.is_drilled_vertex
-        if drilled and (b.surface.genus != 0 or (isinstance(b.surface.punctures, int)
-                                                 and b.surface.punctures < 3)):
+        if (b.is_drilled_vertex is not False and _check_flag(b.id, "is_drilled_vertex", b.is_drilled_vertex, out)
+                and (b.surface.genus != 0 or (isinstance(b.surface.punctures, int) and b.surface.punctures < 3))):
             out.append(Violation("drilled_vertex_profile", b.id,
                                  "a drilled vertex is a sphere with at least three punctures"))
 

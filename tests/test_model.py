@@ -1415,4 +1415,3 @@ def test_every_record_kind_is_written_and_read_by_its_rows():
     assert set(kinds) == {(ThickLevel, None), (ThinLevel, None), (BoundaryLevel, False),
                           (BoundaryLevel, True), (CompressionBody, None)}
     assert surfaces < levels
-

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .complexity import analyze, complexity, complexity_table
 from .gen import _LEAST, GenConfig, enumerate_moves, gen_complex
@@ -74,8 +75,65 @@ def _load_valid(args):
     return cx, doc
 
 
+def _indented(doc, sort_keys: bool = False) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=sort_keys)``, written directly:
+    the stdlib encodes with an indent only in pure Python, one generator per
+    container.  Strings, ints, bools, None, lists, tuples and dicts are
+    written here as the stdlib writes them; any other value goes through
+    ``json.dumps``, and so does the whole document when a dict has a key
+    that is not a string."""
+    out: list[str] = []
+    put = out.append
+
+    def write(x, pad: str) -> None:  # ``pad``: a newline and the indent x is at
+        if type(x) is str:
+            put(encode_basestring_ascii(x))
+        elif type(x) is int:
+            put(int.__repr__(x))
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                put("[]")
+                return
+            sep = inner = pad + "  "
+            comma = "," + inner
+            put("[")
+            for item in x:
+                put(sep)
+                write(item, inner)
+                sep = comma
+            put(pad + "]")
+        elif isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            sep = inner = pad + "  "
+            comma = "," + inner
+            put("{")
+            for key, value in sorted(x.items()) if sort_keys else x.items():
+                put(sep)
+                put(encode_basestring_ascii(key))
+                put(": ")
+                write(value, inner)
+                sep = comma
+            put(pad + "}")
+        else:
+            put(json.dumps(x))
+
+    try:
+        write(doc, "\n")
+    except TypeError:  # a key that is not a string, or a value json.dumps refuses
+        return json.dumps(doc, indent=2, sort_keys=sort_keys)
+    return "".join(out)
+
+
 def _write_or_print(args, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _indented(doc, sort_keys=True)
     if getattr(args, "out", None):
         _write(args.out, text)
     elif not args.quiet:
@@ -207,13 +265,13 @@ def cmd_explore(args) -> int:
     if args.format == "dot":
         print(rewrite_graph_dot(graph))
     else:
-        print(json.dumps({
+        print(_indented({
             "root": graph.root,
             "complete": graph.complete,
             "nodes": {d: list(v) for d, v in sorted(graph.vectors.items())},
             "edges": [{"from": a, "move": m, "to": b} for a, m, b in graph.edges],
             "sinks": graph.sinks(),
-        }, indent=2))
+        }))
     if not graph.complete:
         print("incomplete: node budget reached", file=sys.stderr)
     return OK

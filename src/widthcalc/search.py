@@ -305,41 +305,67 @@ def rewrite_graph_dot(graph: RewriteGraph) -> str:
 # Canonical hashing
 # ---------------------------------------------------------------------------
 
-def _describe(rec) -> tuple[tuple, tuple]:
-    """A record's id-free attributes and its references.
-
-    Attributes open with the record kind, so that tuples of different kinds
-    never compare past their first entry.  A reference is ``(slot, id)``;
-    the kind of the referring record tells which field the slot names.  A
-    level's fields are read through its kind's entry in ``model._LEVELS``:
-    a flag is an attribute, a body id a reference.
-    """
-    level = _LEVELS.get(type(rec))
-    if level is None:
-        return (3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate), \
-            ((0, rec.plus),) + tuple((1, port) for port in rec.minus)
-    s = rec.surface
-    a, b = level.read(rec)
-    if level.second_type is bool:
-        return (level.rank, s.genus, s.punctures, b), ((0, a),)
-    return (level.rank, s.genus, s.punctures), ((0, a), (1, b))
-
-
 # A signature entry is ``slot * _SLOT + colour``: one int that orders as the
 # pair (slot, colour) does.  The stride is fixed, not taken from the size of
 # a component, because certificates of different components are compared.
 _SLOT = 1 << 32
 
 
-def _edges(outs: list[list[tuple[int, int]]]) -> tuple[list, list]:
-    """Each vertex's out- and in-edges as (slot key, neighbour), from its
-    (slot, target) references; the key is ``slot * _SLOT``."""
-    keyed = [[(slot * _SLOT, j) for slot, j in edges] for edges in outs]
-    ins: list[list[tuple[int, int]]] = [[] for _ in outs]
-    for v, edges in enumerate(keyed):
-        for key, j in edges:
-            ins[j].append((key, v))
-    return keyed, ins
+def _digraph(part: Complex) -> tuple[list, list, list, list]:
+    """The coloured digraph that the hash refines, from one pass over the
+    records of ``part``: its records (:func:`~widthcalc.model._records`,
+    whose order numbers the vertices), and each vertex's attributes, its
+    out-edges and its in-edges as (slot key, neighbour), the key being
+    ``slot * _SLOT``.
+
+    Attributes open with the record kind, so that tuples of different kinds
+    never compare past their first entry.  A level's fields are read through
+    its kind's entry in ``model._LEVELS``, once per section: a flag is an
+    attribute, a body id the reference of slot 1, its first field that of
+    slot 0.  A body refers to its plus level by slot 0 and to each port by
+    slot 1.  A reference to an id outside ``part`` is dropped.
+    """
+    records = _records(part)
+    index = {rec.id: v for v, rec in enumerate(records)}.get
+    attrs: list[tuple] = []
+    outs: list[list[tuple[int, int]]] = []
+    ins: list[list[tuple[int, int]]] = [[] for _ in records]
+    v = 0
+    for level in _LEVELS.values():
+        rank, read, flag = level.rank, level.read, level.second_type is bool
+        for rec in getattr(part, level.section).values():
+            s = rec.surface
+            a, b = read(rec)
+            out = []
+            j = index(a)
+            if j is not None:
+                out.append((0, j))
+                ins[j].append((0, v))
+            if flag:
+                attrs.append((rank, s.genus, s.punctures, b))
+            else:
+                attrs.append((rank, s.genus, s.punctures))
+                j = index(b)
+                if j is not None:
+                    out.append((_SLOT, j))
+                    ins[j].append((_SLOT, v))
+            outs.append(out)
+            v += 1
+    for rec in part.cbs.values():
+        attrs.append((3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate))
+        out = []
+        j = index(rec.plus)
+        if j is not None:
+            out.append((0, j))
+            ins[j].append((0, v))
+        for port in rec.minus:
+            j = index(port)
+            if j is not None:
+                out.append((_SLOT, j))
+                ins[j].append((_SLOT, v))
+        outs.append(out)
+        v += 1
+    return records, attrs, outs, ins
 
 
 def _partition(keys) -> tuple[list[int], list]:
@@ -469,8 +495,9 @@ def _in_orbit(orbits: list[int], v: int, others: list[int]) -> bool:
     return any(_find(orbits, x) == root for x in others)
 
 
-def _component_form(records: list) -> tuple[tuple, list]:
-    """Certificate and canonically ordered records of one connected component.
+def _component_form(part: Complex) -> tuple[tuple, list]:
+    """Certificate and canonically ordered records of ``part``, one
+    connected component, over the graph that :func:`_digraph` builds.
 
     Individualization-refinement: refine the colouring (:func:`_refine`),
     then branch on each member of the lowest cell of several until the
@@ -484,11 +511,8 @@ def _component_form(records: list) -> tuple[tuple, list]:
     those orbits as a union-find, made when its second child is reached and
     joined along each automorphism found after that.
     """
+    records, attrs, outs, ins = _digraph(part)
     n = len(records)
-    index = {rec.id: v for v, rec in enumerate(records)}
-    attrs, refs = zip(*map(_describe, records))
-    outs, ins = _edges([[(slot, index[ref]) for slot, ref in named if ref in index]
-                        for named in refs])
 
     def leaf(colors: list[int]) -> tuple[tuple, list[int]]:
         order = [0] * n
@@ -604,7 +628,7 @@ def _form(parts: list[Complex]) -> str:
     disjoint ids, laid out from the components of each: the form of a
     result that the candidate loop gives as parts, byte for byte that of
     their :func:`~widthcalc.model.joined` union, which is not built."""
-    forms = [_kept(part, "_form", lambda part: (*_component_form(_records(part)), {}))
+    forms = [_kept(part, "_form", lambda part: (*_component_form(part), {}))
              for whole in parts for part in components(whole)]
     forms.sort(key=lambda form: form[0])
     sections: tuple[list[str], ...] = ([], [], [], [])

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from widthcalc.model import emit_complex, parse_complex, validate
 from widthcalc.moves import Consolidate, emit_move
 from conftest import bdy, cb, thick, thin
 from widthcalc.model import build_complex
+from test_search import _relabel, _shuffled_unions, _union
 
 
 @pytest.fixture
@@ -384,6 +386,62 @@ def test_explore_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["complete"] is True
     assert len(doc["sinks"]) >= 1
+
+
+def _explore_documents(tmp_path, capsys) -> list:
+    """The stdout of ``explore --format json`` on a chain, on shuffled
+    unions at budgets of 1 (the root alone, no edges) and 3 (incomplete),
+    each checked to be ``json.dumps(doc, indent=2)`` of the document it
+    reads as; the documents."""
+    inst, _ = _consolidatable(tmp_path)
+    runs = [(inst, 200)]
+    for k, cx in enumerate(itertools.islice(_shuffled_unions(), 3)):
+        path = tmp_path / f"union{k}.json"
+        path.write_text(json.dumps(emit_complex(cx)))
+        runs += [(str(path), 1), (str(path), 3)]
+    docs = []
+    for path, cap in runs:
+        assert main(["explore", path, "--format", "json", "--cap", str(cap)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        docs.append(doc)
+    return docs
+
+
+def test_the_indented_writer_writes_what_json_dumps_writes(tmp_path, capsys):
+    """``cli._indented(doc, s)`` is byte for byte ``json.dumps(doc,
+    indent=2, sort_keys=s)``: keys sorted, on the instance documents of the
+    seeded corpus of ``test_golden_record_bytes`` and of the shuffled
+    unions; in insertion order, on explore graph documents (a one-node
+    graph with empty ``edges`` and incomplete graphs among them); both
+    ways, on move documents with nested optional fields and nulls, on ids
+    with quotes, backslashes and non-ASCII characters, on empty containers
+    and on scalars, a float taking the fallback."""
+    rng = random.Random(5)
+    corpus = [gen_complex(GenConfig(max_thick=1 + i % 6), rng) for i in range(300)]
+    corpus += [_relabel(cx, i) for i, cx in enumerate(corpus[:60])]
+    corpus += [_union([corpus[i], _relabel(corpus[i + 1], i)], rng) for i in range(0, 40, 2)]
+    corpus += list(_shuffled_unions())
+    sorted_docs = [emit_complex(cx) for cx in corpus]
+    graphs = _explore_documents(tmp_path, capsys)
+    assert any(not doc["edges"] for doc in graphs) and any(doc["edges"] for doc in graphs)
+    assert any(not doc["complete"] for doc in graphs) and any(doc["complete"] for doc in graphs)
+    moves = [emit_move(m) for cx in corpus[:40] for m in enumerate_moves(cx)]
+    assert any(None in doc.values() for doc in moves)
+    assert any(isinstance(value, dict) for doc in moves for value in doc.values())
+    odd = build_complex(thick=[thick('H"\\\u00e9', 0, 2, "u\u2603", "d\\")],
+                        cbs=[cb("u\u2603", 'H"\\\u00e9', b=1, ball=True),
+                             cb("d\\", 'H"\\\u00e9', b=1, ball=True)])
+    plain = [emit_complex(odd), {'"\\\u00e9\U0001f600\n': ["\x00\t", 'q"', "\\"]},
+             {}, [], {"a": {}, "b": []}, [[], [{}]], (1, (2, None)),
+             True, False, None, 1.5, [0.1, -2.0, {"x": 1e300}], 0, -7, "\u00e9", ""]
+    for doc in sorted_docs + plain + moves:
+        assert cli._indented(doc, sort_keys=True) == json.dumps(doc, indent=2, sort_keys=True)
+    for doc in graphs + plain + moves:
+        assert cli._indented(doc) == json.dumps(doc, indent=2)
+    assert cli._indented({2: "a", 1: "b"}, sort_keys=True) == \
+        json.dumps({2: "a", 1: "b"}, indent=2, sort_keys=True)
 
 
 def test_gen_round_trip(tmp_path, capsys):

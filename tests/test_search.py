@@ -935,9 +935,9 @@ def test_memo_text_follows_the_offset_across_digit_boundaries(monkeypatch):
     canonized = []
     form = search._component_form
 
-    def counted(records):
-        canonized.append(records)
-        return form(records)
+    def counted(part):
+        canonized.append(_records(part))
+        return form(part)
 
     monkeypatch.setattr(search, "_component_form", counted)
     digests = [canonical_hash(cx) for cx in unions + unions[::-1]]
@@ -1195,9 +1195,9 @@ def test_rewrite_graph_joins_and_hashes_only_what_can_be_a_node(monkeypatch):
         calls["union"] += 1
         return union(parts)
 
-    def canonizing(records):
+    def canonizing(part):
         calls["form"] += 1
-        return form(records)
+        return form(part)
 
     def hashing(parts):
         calls["digest"] += 1
@@ -1745,9 +1745,9 @@ def test_a_forced_consolidation_keeps_the_untouched_parts(monkeypatch):
     canonized = []
     form = search._component_form
 
-    def counted(records):
-        canonized.append(records)
-        return form(records)
+    def counted(part):
+        canonized.append(_records(part))
+        return form(part)
 
     for cx in _forced_unions():
         canonical_hash(cx)

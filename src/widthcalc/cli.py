@@ -78,10 +78,9 @@ def _load_valid(args):
 def _indented(doc, sort_keys: bool = False) -> str:
     """``json.dumps(doc, indent=2, sort_keys=sort_keys)``, written directly:
     the stdlib encodes with an indent only in pure Python, one generator per
-    container.  Strings, ints, bools, None, lists, tuples and dicts are
-    written here as the stdlib writes them; any other value goes through
-    ``json.dumps``, and so does the whole document when a dict has a key
-    that is not a string."""
+    container.  Strings, ints, bools, None, lists, tuples and dicts keyed
+    by strings are written here as the stdlib writes them; any other value
+    goes through ``json.dumps``."""
     out: list[str] = []
     put = out.append
 
@@ -125,10 +124,7 @@ def _indented(doc, sort_keys: bool = False) -> str:
         else:
             put(json.dumps(x))
 
-    try:
-        write(doc, "\n")
-    except TypeError:  # a key that is not a string, or a value json.dumps refuses
-        return json.dumps(doc, indent=2, sort_keys=sort_keys)
+    write(doc, "\n")
     return "".join(out)
 
 

@@ -1092,6 +1092,127 @@ def test_thick_digraph_returns_a_copy_no_caller_can_change(diamond_four):
     assert thick_digraph(diamond_four) == want
 
 
+# ---------------------------------------------------------------------------
+# Components
+# ---------------------------------------------------------------------------
+
+def _reference_find(parent: dict, x):
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _reference_components(cx):
+    """The split worked out on its own, apart from any record graph: a
+    verbatim copy of the id-keyed union-find the split was first written
+    as, with its own ``_find`` over a dict."""
+    records = model._records(cx)
+    parent = {rec.id: rec.id for rec in records}
+
+    def join(a: str, *named: str) -> None:
+        root = _reference_find(parent, a)
+        for b in named:
+            if b in parent:
+                parent[_reference_find(parent, b)] = root
+
+    for level in model._LEVELS.values():
+        read, flag = level.read, level.second_type is bool
+        for rec in getattr(cx, level.section).values():
+            a, b = read(rec)
+            if flag:
+                join(rec.id, a)
+            else:
+                join(rec.id, a, b)
+    for c in cx.cbs.values():
+        join(c.id, c.plus, *c.minus)
+    groups: dict[str, list] = {}
+    for rec in records:
+        groups.setdefault(_reference_find(parent, rec.id), []).append(rec)
+    if len(groups) == 1:
+        return None
+    parts = []
+    for group in groups.values():
+        sections: tuple[dict, ...] = ({}, {}, {}, {})
+        for rec in group:
+            sections[model._SECTION[type(rec)]][rec.id] = rec
+        part = Complex(*sections)
+        object.__setattr__(part, "_components", None)
+        parts.append(part)
+    return parts
+
+
+def _assert_components_are_the_reference(cx):
+    """``components`` of a fresh copy of ``cx`` holds the reference's
+    records, part by part, in the same order."""
+    fresh = Complex(cx.thick, cx.thin, cx.boundary, cx.cbs)
+    want = _reference_components(cx)
+    want = [model._records(cx)] if want is None else [model._records(part) for part in want]
+    assert [model._records(part) for part in model.components(fresh)] == want
+
+
+def test_components_equal_the_reference_on_the_seeded_corpus_and_unions():
+    """On the seeded corpus of ``test_golden_record_bytes`` and the shuffled
+    unions of ``test_golden_thin_on_unions``."""
+    from test_search import _relabel, _shuffled_unions, _union
+
+    rng = random.Random(5)
+    corpus = [gen_complex(GenConfig(max_thick=1 + i % 6), rng) for i in range(300)]
+    corpus += [_relabel(cx, i) for i, cx in enumerate(corpus[:60])]
+    corpus += [_union([corpus[i], _relabel(corpus[i + 1], i)], rng) for i in range(0, 40, 2)]
+    corpus += list(_shuffled_unions())
+    for cx in corpus:
+        _assert_components_are_the_reference(cx)
+    assert sum(len(model.components(cx)) > 1 for cx in corpus) > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_complexes())
+def test_components_equal_the_reference_on_arbitrary_structures(cx):
+    _assert_components_are_the_reference(cx)
+
+
+@st.composite
+def complexes_reusing_a_thick_id(draw):
+    """Records of every kind whose ids and references are drawn from one
+    small pool, so that references land and a thin level, boundary level or
+    body can hold a thick level's id, which only a complex built directly,
+    not through :func:`build_complex`, allows."""
+    pool = st.sampled_from(["t0", "t1", "t2", "f0", "c0", "c1", "x"])
+    sections = []
+    for make, n in ((ThickLevel, 3), (ThinLevel, 3), (BoundaryLevel, 2), (CompressionBody, 4)):
+        records = {}
+        for _ in range(draw(st.integers(0, n))):
+            key = draw(pool)
+            if make is CompressionBody:
+                rec = make(key, draw(pool), tuple(draw(st.lists(pool, max_size=3))), Tangle(0, 0, 0, 0))
+            elif make is BoundaryLevel:
+                rec = make(key, Surface(0, 0), draw(pool), draw(st.booleans()))
+            else:
+                rec = make(key, Surface(0, 0), draw(pool), draw(pool))
+            records[key] = rec
+        sections.append(records)
+    return Complex(*sections)
+
+
+@settings(max_examples=400, deadline=None)
+@given(complexes_reusing_a_thick_id())
+def test_components_equal_the_reference_where_records_share_a_thick_level_id(cx):
+    _assert_components_are_the_reference(cx)
+
+
+def test_records_that_share_an_id_share_a_component():
+    """Hand-built: a thin level and a body that reuse the thick level ``H``'s
+    id, named by nothing, are still in ``H``'s component, as the reference
+    puts them."""
+    cx = Complex(thick={"H": thick("H", 0, 0, "u", "d"), "J": thick("J", 0, 0, "v", "w")},
+                 thin={"H": thin("H", 0, 0, "p", "q")},
+                 cbs={"H": cb("H", "K"), "u": cb("u", "H"), "v": cb("v", "J")})
+    parts = model.components(cx)
+    assert [[rec.id for rec in model._records(part)] for part in parts] == [
+        ["H", "H", "H", "u"], ["J", "v"]]
+    _assert_components_are_the_reference(cx)
+
+
 def _schema_error(build) -> str:
     with pytest.raises(SchemaError) as err:
         build()

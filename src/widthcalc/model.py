@@ -772,10 +772,12 @@ def components(cx: Complex) -> list[Complex]:
     instance, so hashing a complex and expanding it as a rewrite-graph node
     split it once.  They are the parts of a :func:`disjoint_union`; else
     ``[cx]`` when ``cx`` is connected (kept as None, so no complex refers to
-    itself); else one union-find joins each record to the records it names,
-    and each component, in the order of its first record in map order
-    (:func:`_records`), is a complex of its records in map order, kept as
-    connected.  Callers must not mutate the list."""
+    itself); else a union-find over the out-edges of the kept record graph
+    that the hash refines (:func:`_graph`) joins each record to those it
+    names and to those that share its id, and each component, in the order
+    of its first record in map order (:func:`_records`), is a complex of
+    its records in map order, kept as connected.  Callers must not mutate
+    the list."""
     found = _kept(cx, "_components", _components)
     return [cx] if found is None else found
 
@@ -785,8 +787,8 @@ def _records(cx: Complex) -> list:
     return [*cx.thick.values(), *cx.thin.values(), *cx.boundary.values(), *cx.cbs.values()]
 
 
-def _find(parent: list | dict, x):
-    """The root of ``x`` in the union-find ``parent`` (list or dict), halving its path."""
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find ``parent`` of vertex numbers, halving its path."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
@@ -794,30 +796,86 @@ def _find(parent: list | dict, x):
 
 _SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
 
+# A signature entry is ``slot * _SLOT + colour``: one int that orders as the
+# pair (slot, colour) does.  The stride is fixed, not taken from the size of
+# a component, because certificates of different components are compared.
+_SLOT = 1 << 32
+
+
+def _graph(cx: Complex) -> tuple[list, list, list, list]:
+    """:func:`_digraph` of ``cx``, kept on the instance: the one walk of its
+    records that its split and the hash of a connected complex read."""
+    return _kept(cx, "_graph", _digraph)
+
+
+def _digraph(cx: Complex) -> tuple[list, list, list, list]:
+    """The coloured digraph of the records of ``cx``, from one pass over
+    them: its records (:func:`_records`, whose order numbers the vertices),
+    and each vertex's attributes, its out-edges and its in-edges as (slot
+    key, neighbour), the key being ``slot * _SLOT``.
+
+    Attributes open with the rank of the record's kind (``_SECTION``), so
+    that tuples of different kinds never compare past their first entry.  A
+    level's fields are read through its kind's entry in ``_LEVELS``, once
+    per section: a flag is an attribute, a body id the reference of slot 1,
+    its first field that of slot 0.  A body refers to its plus level by slot
+    0 and to each port by slot 1.  A reference to an id outside ``cx`` is
+    dropped; one to an id that records share names the last of them."""
+    records = _records(cx)
+    index = {rec.id: v for v, rec in enumerate(records)}.get
+    attrs: list[tuple] = []
+    outs: list[list[tuple[int, int]]] = []
+    ins: list[list[tuple[int, int]]] = [[] for _ in records]
+    v = 0
+    for kind, level in _LEVELS.items():
+        rank, read, flag = _SECTION[kind], level.read, level.second_type is bool
+        for rec in getattr(cx, level.section).values():
+            s = rec.surface
+            a, b = read(rec)
+            out = []
+            j = index(a)
+            if j is not None:
+                out.append((0, j))
+                ins[j].append((0, v))
+            if flag:
+                attrs.append((rank, s.genus, s.punctures, b))
+            else:
+                attrs.append((rank, s.genus, s.punctures))
+                j = index(b)
+                if j is not None:
+                    out.append((_SLOT, j))
+                    ins[j].append((_SLOT, v))
+            outs.append(out)
+            v += 1
+    for rec in cx.cbs.values():
+        attrs.append((3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate))
+        out = []
+        j = index(rec.plus)
+        if j is not None:
+            out.append((0, j))
+            ins[j].append((0, v))
+        for port in rec.minus:
+            j = index(port)
+            if j is not None:
+                out.append((_SLOT, j))
+                ins[j].append((_SLOT, v))
+        outs.append(out)
+        v += 1
+    return records, attrs, outs, ins
+
 
 def _components(cx: Complex) -> list[Complex] | None:
-    records = _records(cx)
-    parent = {rec.id: rec.id for rec in records}
-
-    def join(a: str, *named: str) -> None:
-        root = _find(parent, a)
-        for b in named:
-            if b in parent:
-                parent[_find(parent, b)] = root
-
-    for level in _LEVELS.values():
-        read, flag = level.read, level.second_type is bool
-        for rec in getattr(cx, level.section).values():
-            a, b = read(rec)
-            if flag:
-                join(rec.id, a)
-            else:
-                join(rec.id, a, b)
-    for c in cx.cbs.values():
-        join(c.id, c.plus, *c.minus)
-    groups: dict[str, list] = {}
-    for rec in records:
-        groups.setdefault(_find(parent, rec.id), []).append(rec)
+    records, _attrs, outs, _ins = _graph(cx)
+    # records that share an id start joined to the last, which references name
+    last = {rec.id: v for v, rec in enumerate(records)}
+    parent = [last[rec.id] for rec in records]
+    for v, out in enumerate(outs):
+        root = _find(parent, v)
+        for _key, j in out:
+            parent[_find(parent, j)] = root
+    groups: dict[int, list] = {}
+    for v, rec in enumerate(records):
+        groups.setdefault(_find(parent, v), []).append(rec)
     if len(groups) == 1:
         return None
     parts = []
@@ -877,14 +935,13 @@ _ROWS: dict[type, tuple[tuple, ...]] = {
 }
 
 
-# Each level kind as its rows give it, ``id``, ``surface`` and two fields:
-# its section of a document and of a complex, its rank among the sections,
-# its record type, the keys of its two fields after ``surface``, the JSON
-# type of the second (``str`` for a body id, ``bool`` for a flag), a reader
-# of those two fields off a record, and their keys as JSON text, each to
-# write after a comma.
-_Level = namedtuple("_Level", "section rank kind first second second_type read texts")
-_LEVELS = {kind: _Level(section, _SECTION[kind], kind, first, second, second_type,
+# Each level kind, keyed by its record type, as its rows give it, ``id``,
+# ``surface`` and two fields: its section of a document and of a complex,
+# the keys of its two fields after ``surface``, the JSON type of the second
+# (``str`` for a body id, ``bool`` for a flag), a reader of those two fields
+# off a record, and their keys as JSON text, each to write after a comma.
+_Level = namedtuple("_Level", "section first second second_type read texts")
+_LEVELS = {kind: _Level(section, first, second, second_type,
                         attrgetter(*(f.name for f in fields(kind)[2:])),
                         (f", {_quote(first)}: ", f", {_quote(second)}: "))
            for section, kind in (("thick", ThickLevel), ("thin", ThinLevel), ("boundary", BoundaryLevel))
@@ -1012,7 +1069,7 @@ def parse_complex(doc: dict) -> Complex:
         return None
 
     levels = []
-    for section, _rank, kind, first, second, second_type, _read, _texts in _LEVELS.values():
+    for kind, (section, first, second, second_type, _read, _texts) in _LEVELS.items():
         records = []
         for item in _need(doc, section, list, "instance", []):
             if type(item) is dict and len(item) == 4:

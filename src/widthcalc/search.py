@@ -16,6 +16,7 @@ keying nodes by a canonical hash so that relabelled copies of a complex
 collapse to one node.  Every edge strictly decreases complexity, hence the
 graph is a DAG and its sinks are exactly the locally thin elements reached.
 The hash canonizes each of :func:`~widthcalc.model.components` on its own,
+over the one record graph its split reads (:func:`~widthcalc.model._graph`),
 by individualization-refinement with automorphism pruning (McKay & Piperno,
 J. Symb. Comput. 60, 2014).  Colours are kept as cells, so a round of
 refinement looks only at the cells next to those that split in the round
@@ -60,11 +61,10 @@ from .complexity import LT, compare, complexity
 from .model import (
     Complex,
     ValidationError,
-    _LEVELS,
     _SECTION,
     _find,
+    _graph,
     _kept,
-    _records,
     components,
     digraph_cycle,
     joined,
@@ -305,69 +305,6 @@ def rewrite_graph_dot(graph: RewriteGraph) -> str:
 # Canonical hashing
 # ---------------------------------------------------------------------------
 
-# A signature entry is ``slot * _SLOT + colour``: one int that orders as the
-# pair (slot, colour) does.  The stride is fixed, not taken from the size of
-# a component, because certificates of different components are compared.
-_SLOT = 1 << 32
-
-
-def _digraph(part: Complex) -> tuple[list, list, list, list]:
-    """The coloured digraph that the hash refines, from one pass over the
-    records of ``part``: its records (:func:`~widthcalc.model._records`,
-    whose order numbers the vertices), and each vertex's attributes, its
-    out-edges and its in-edges as (slot key, neighbour), the key being
-    ``slot * _SLOT``.
-
-    Attributes open with the record kind, so that tuples of different kinds
-    never compare past their first entry.  A level's fields are read through
-    its kind's entry in ``model._LEVELS``, once per section: a flag is an
-    attribute, a body id the reference of slot 1, its first field that of
-    slot 0.  A body refers to its plus level by slot 0 and to each port by
-    slot 1.  A reference to an id outside ``part`` is dropped.
-    """
-    records = _records(part)
-    index = {rec.id: v for v, rec in enumerate(records)}.get
-    attrs: list[tuple] = []
-    outs: list[list[tuple[int, int]]] = []
-    ins: list[list[tuple[int, int]]] = [[] for _ in records]
-    v = 0
-    for level in _LEVELS.values():
-        rank, read, flag = level.rank, level.read, level.second_type is bool
-        for rec in getattr(part, level.section).values():
-            s = rec.surface
-            a, b = read(rec)
-            out = []
-            j = index(a)
-            if j is not None:
-                out.append((0, j))
-                ins[j].append((0, v))
-            if flag:
-                attrs.append((rank, s.genus, s.punctures, b))
-            else:
-                attrs.append((rank, s.genus, s.punctures))
-                j = index(b)
-                if j is not None:
-                    out.append((_SLOT, j))
-                    ins[j].append((_SLOT, v))
-            outs.append(out)
-            v += 1
-    for rec in part.cbs.values():
-        attrs.append((3, *rec.tangle.counts(), rec.product_certificate, rec.ball_certificate))
-        out = []
-        j = index(rec.plus)
-        if j is not None:
-            out.append((0, j))
-            ins[j].append((0, v))
-        for port in rec.minus:
-            j = index(port)
-            if j is not None:
-                out.append((_SLOT, j))
-                ins[j].append((_SLOT, v))
-        outs.append(out)
-        v += 1
-    return records, attrs, outs, ins
-
-
 def _partition(keys) -> tuple[list[int], list]:
     """The colouring that orders vertices by ``keys``, as cells: a vertex's
     colour is the number of vertices of lower colour, the start of its cell,
@@ -497,21 +434,24 @@ def _in_orbit(orbits: list[int], v: int, others: list[int]) -> bool:
 
 def _component_form(part: Complex) -> tuple[tuple, list]:
     """Certificate and canonically ordered records of ``part``, one
-    connected component, over the graph that :func:`_digraph` builds.
+    connected component, over its record graph
+    (:func:`~widthcalc.model._graph`), which the split kept on it when
+    ``part`` is the complex it split as connected.
 
     Individualization-refinement: refine the colouring (:func:`_refine`),
     then branch on each member of the lowest cell of several until the
     colouring is discrete.  A leaf's certificate lists, per position, the
     record's attributes and its sorted references as ``slot * _SLOT +
-    position``; the smallest leaf certificate is canonical.  Two leaves with
-    equal certificates give an automorphism, and a child in the orbit of an
+    position``, ``model._SLOT`` being the graph's slot stride; the
+    smallest leaf certificate is canonical.  Two leaves with equal
+    certificates give an automorphism, and a child in the orbit of an
     explored sibling under the automorphisms fixing the node's prefix is
     skipped (McKay & Piperno, "Practical graph isomorphism II", 2014): its
     subtree maps onto the sibling's, leaf certificates and all.  A node keeps
     those orbits as a union-find, made when its second child is reached and
     joined along each automorphism found after that.
     """
-    records, attrs, outs, ins = _digraph(part)
+    records, attrs, outs, ins = _graph(part)
     n = len(records)
 
     def leaf(colors: list[int]) -> tuple[tuple, list[int]]:

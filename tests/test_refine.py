@@ -8,7 +8,7 @@ is what keeps the canonical bytes unchanged.  They are compared at the root
 of every component of the seeded corpus of ``test_golden_record_bytes`` and
 of a few symmetric shapes, after individualizing each member of its target cell, down the first
 branch to a discrete leaf, and the same on generated coloured digraphs.  A
-component's graph is the one the hash builds (``search._digraph``), and
+component's graph is the one the hash builds (``model._digraph``), and
 the engine refines its very edge lists.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from widthcalc import search
 from widthcalc.gen import GenConfig, gen_complex
-from widthcalc.model import _records, build_complex, components
+from widthcalc.model import _SLOT, _digraph, _records, build_complex, components
 from conftest import bdy, cb, thick, thin
 from test_search import _bipartite_flow, _branches, _relabel, _star, _union
 
@@ -63,7 +63,7 @@ def _keyed(outs):
     """The engine's edge lists of the graph whose out-edges are the
     (slot, target) lists ``outs``: each vertex's out- and in-edges as
     (``slot * _SLOT``, neighbour), in-edges in the order of their sources."""
-    keyed = [[(slot * search._SLOT, j) for slot, j in edges] for edges in outs]
+    keyed = [[(slot * _SLOT, j) for slot, j in edges] for edges in outs]
     return keyed, _ins(keyed)
 
 
@@ -128,9 +128,9 @@ def _component_graph(part):
     lists of the records of ``part``, as the canonical hash builds them;
     its in-edges are checked to be its out-edges reversed, in the order
     of their sources, and its vertices to be the records in map order."""
-    records, attrs, outs, ins = search._digraph(part)
+    records, attrs, outs, ins = _digraph(part)
     assert records == _records(part)
-    refs = [[(key // search._SLOT, j) for key, j in edges] for edges in outs]
+    refs = [[(key // _SLOT, j) for key, j in edges] for edges in outs]
     assert (outs, ins) == _keyed(refs)
     return attrs, refs, (outs, ins)
 
@@ -181,11 +181,11 @@ def test_the_graph_of_a_component_names_each_field_once():
         thin=[thin("F", 0, 4, from_cb="u", to_cb="gone")],
         boundary=[bdy("S", 0, 1, "d", drilled=True)],
         cbs=[cb("u", "H", minus=("F",), b=1), cb("d", "H", minus=("S", "T"), v=2, ball=True)])
-    records, attrs, outs, ins = search._digraph(part)
+    records, attrs, outs, ins = _digraph(part)
     assert [rec.id for rec in records] == ["H", "F", "S", "u", "d"]
     assert attrs == [(0, 1, 2), (1, 0, 4), (2, 0, 1, True),
                      (3, 0, 1, 0, 0, False, False), (3, 2, 0, 0, 0, False, True)]
-    slot = search._SLOT
+    slot = _SLOT
     assert outs == [[(0, 3), (slot, 4)], [(0, 3)], [(0, 4)],
                     [(0, 0), (slot, 1)], [(0, 0), (slot, 2)]]
     assert ins == [[(0, 3), (0, 4)], [(slot, 3)], [(slot, 4)],

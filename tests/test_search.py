@@ -1315,6 +1315,36 @@ def test_golden_record_bytes():
     assert digest.hexdigest() == RECORD_GOLDEN_DIGEST
 
 
+def test_hashing_a_connected_complex_lists_its_records_once(monkeypatch):
+    """``canonical_hash`` of a freshly parsed connected complex of the
+    seeded corpus of ``test_golden_record_bytes`` lists its records once:
+    the split into components and the graph the hash refines read one
+    kept walk.  ``_records`` is counted in every module that binds it."""
+    import sys
+
+    calls = Counter()
+    for name, module in list(sys.modules.items()):
+        found = getattr(module, "_records", None) if name.startswith("widthcalc") else None
+        if found is not None:
+            def counted(cx, found=found, name=name):
+                calls[name] += 1
+                return found(cx)
+            monkeypatch.setattr(module, "_records", counted)
+    rng = random.Random(5)
+    corpus = [gen_complex(GenConfig(max_thick=1 + i % 6), rng) for i in range(300)]
+    corpus += [_relabel(cx, i) for i, cx in enumerate(corpus[:60])]
+    hashed = 0
+    for cx in corpus:
+        fresh = parse_complex(emit_complex(cx))
+        if len(model.components(cx)) > 1:
+            continue
+        calls.clear()
+        canonical_hash(fresh)
+        assert sum(calls.values()) == 1, calls
+        hashed += 1
+    assert hashed > 100
+
+
 # ---------------------------------------------------------------------------
 # Golden driver outcomes
 # ---------------------------------------------------------------------------

@@ -772,12 +772,11 @@ def components(cx: Complex) -> list[Complex]:
     instance, so hashing a complex and expanding it as a rewrite-graph node
     split it once.  They are the parts of a :func:`disjoint_union`; else
     ``[cx]`` when ``cx`` is connected (kept as None, so no complex refers to
-    itself); else a union-find over the out-edges of the kept record graph
-    that the hash refines (:func:`_graph`) joins each record to those it
-    names and to those that share its id, and each component, in the order
-    of its first record in map order (:func:`_records`), is a complex of
-    its records in map order, kept as connected.  Callers must not mutate
-    the list."""
+    itself); else a union-find over the out-edges of the record graph that
+    the hash refines (:func:`_graph`) joins each record to those it names
+    and to those that share its id, and each component, in the order of its
+    first record in map order (:func:`_records`), is a complex of its
+    records in map order, kept as connected.  Callers must not mutate it."""
     found = _kept(cx, "_components", _components)
     return [cx] if found is None else found
 
@@ -803,8 +802,8 @@ _SLOT = 1 << 32
 
 
 def _graph(cx: Complex) -> tuple[list, list, list, list]:
-    """:func:`_digraph` of ``cx``, kept on the instance: the one walk of its
-    records that its split and the hash of a connected complex read."""
+    """:func:`_digraph` of ``cx``, kept on the instance until its canonical form
+    takes it: the one walk of its records that its split and its hash read."""
     return _kept(cx, "_graph", _digraph)
 
 
@@ -873,11 +872,11 @@ def _components(cx: Complex) -> list[Complex] | None:
         root = _find(parent, v)
         for _key, j in out:
             parent[_find(parent, j)] = root
+    if sum(v == p for v, p in enumerate(parent)) == 1:  # one root
+        return None
     groups: dict[int, list] = {}
     for v, rec in enumerate(records):
         groups.setdefault(_find(parent, v), []).append(rec)
-    if len(groups) == 1:
-        return None
     parts = []
     for group in groups.values():
         sections: tuple[dict, ...] = ({}, {}, {}, {})

@@ -62,8 +62,8 @@ from .model import (
     Complex,
     ValidationError,
     _SECTION,
+    _digraph,
     _find,
-    _graph,
     _kept,
     components,
     digraph_cycle,
@@ -434,9 +434,9 @@ def _in_orbit(orbits: list[int], v: int, others: list[int]) -> bool:
 
 def _component_form(part: Complex) -> tuple[tuple, list]:
     """Certificate and canonically ordered records of ``part``, one
-    connected component, over its record graph
-    (:func:`~widthcalc.model._graph`), which the split kept on it when
-    ``part`` is the complex it split as connected.
+    connected component, over its record graph: the one its split kept on
+    it (:func:`~widthcalc.model._graph`), if ``part`` is the complex the
+    split found connected, else a new walk (:func:`~widthcalc.model._digraph`).
 
     Individualization-refinement: refine the colouring (:func:`_refine`),
     then branch on each member of the lowest cell of several until the
@@ -451,7 +451,8 @@ def _component_form(part: Complex) -> tuple[tuple, list]:
     those orbits as a union-find, made when its second child is reached and
     joined along each automorphism found after that.
     """
-    records, attrs, outs, ins = _graph(part)
+    # the graph the split kept, taken: the form is kept instead, and no reader is left
+    records, attrs, outs, ins = vars(part).pop("_graph", None) or _digraph(part)
     n = len(records)
 
     def leaf(colors: list[int]) -> tuple[tuple, list[int]]:

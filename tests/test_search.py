@@ -1319,7 +1319,8 @@ def test_hashing_a_connected_complex_lists_its_records_once(monkeypatch):
     """``canonical_hash`` of a freshly parsed connected complex of the
     seeded corpus of ``test_golden_record_bytes`` lists its records once:
     the split into components and the graph the hash refines read one
-    kept walk.  ``_records`` is counted in every module that binds it."""
+    kept walk, which the kept form then replaces.  ``_records`` is counted
+    in every module that binds it."""
     import sys
 
     calls = Counter()
@@ -1341,6 +1342,7 @@ def test_hashing_a_connected_complex_lists_its_records_once(monkeypatch):
         calls.clear()
         canonical_hash(fresh)
         assert sum(calls.values()) == 1, calls
+        assert "_form" in vars(fresh) and "_graph" not in vars(fresh)
         hashed += 1
     assert hashed > 100
 

@@ -773,10 +773,11 @@ def components(cx: Complex) -> list[Complex]:
     split it once.  They are the parts of a :func:`disjoint_union`; else
     ``[cx]`` when ``cx`` is connected (kept as None, so no complex refers to
     itself); else a union-find over the out-edges of the record graph that
-    the hash refines (:func:`_graph`) joins each record to those it names
-    and to those that share its id, and each component, in the order of its
-    first record in map order (:func:`_records`), is a complex of its
-    records in map order, kept as connected.  Callers must not mutate it."""
+    the hash refines (:func:`_digraph`, kept on ``cx`` under ``_graph``)
+    joins each record to those it names and to those that share its id, and
+    each component, in the order of its first record in map order
+    (:func:`_records`), is a complex of its records in map order, kept as
+    connected.  Callers must not mutate it."""
     found = _kept(cx, "_components", _components)
     return [cx] if found is None else found
 
@@ -799,12 +800,6 @@ _SECTION = {ThickLevel: 0, ThinLevel: 1, BoundaryLevel: 2, CompressionBody: 3}
 # pair (slot, colour) does.  The stride is fixed, not taken from the size of
 # a component, because certificates of different components are compared.
 _SLOT = 1 << 32
-
-
-def _graph(cx: Complex) -> tuple[list, list, list, list]:
-    """:func:`_digraph` of ``cx``, kept on the instance until its canonical form
-    takes it: the one walk of its records that its split and its hash read."""
-    return _kept(cx, "_graph", _digraph)
 
 
 def _digraph(cx: Complex) -> tuple[list, list, list, list]:
@@ -864,7 +859,8 @@ def _digraph(cx: Complex) -> tuple[list, list, list, list]:
 
 
 def _components(cx: Complex) -> list[Complex] | None:
-    records, _attrs, outs, _ins = _graph(cx)
+    # kept for the hash of a connected cx, whose form takes it
+    records, _attrs, outs, _ins = _kept(cx, "_graph", _digraph)
     # records that share an id start joined to the last, which references name
     last = {rec.id: v for v, rec in enumerate(records)}
     parent = [last[rec.id] for rec in records]

@@ -16,7 +16,7 @@ keying nodes by a canonical hash so that relabelled copies of a complex
 collapse to one node.  Every edge strictly decreases complexity, hence the
 graph is a DAG and its sinks are exactly the locally thin elements reached.
 The hash canonizes each of :func:`~widthcalc.model.components` on its own,
-over the one record graph its split reads (:func:`~widthcalc.model._graph`),
+over the one record graph its split reads (:func:`~widthcalc.model._digraph`),
 by individualization-refinement with automorphism pruning (McKay & Piperno,
 J. Symb. Comput. 60, 2014).  Colours are kept as cells, so a round of
 refinement looks only at the cells next to those that split in the round
@@ -434,9 +434,10 @@ def _in_orbit(orbits: list[int], v: int, others: list[int]) -> bool:
 
 def _component_form(part: Complex) -> tuple[tuple, list]:
     """Certificate and canonically ordered records of ``part``, one
-    connected component, over its record graph: the one its split kept on
-    it (:func:`~widthcalc.model._graph`), if ``part`` is the complex the
-    split found connected, else a new walk (:func:`~widthcalc.model._digraph`).
+    connected component, over its record graph
+    (:func:`~widthcalc.model._digraph`): the one its split kept on it under
+    ``_graph``, if ``part`` is the complex the split found connected, else a
+    new walk.
 
     Individualization-refinement: refine the colouring (:func:`_refine`),
     then branch on each member of the lowest cell of several until the
